@@ -7,8 +7,8 @@ staged tests, and ``verify`` runs the lemma checks.  Every report is a
 canonical-JSON payload carrying the invoking config and its hash, so
 identical invocations produce identical bytes.
 
-Exit codes: 0 success, 1 a check or lemma failed, 2 bad input, 3 a dense
-cap or budget was exceeded.
+Exit codes: 0 success, 1 a check or lemma failed, 2 bad input (including an
+exceeded block budget), 3 the dense cap was exceeded.
 """
 
 from __future__ import annotations
@@ -20,25 +20,19 @@ import numpy as np
 
 from . import qmlt as qmlt_mod
 from . import verify as verify_mod
-from .errors import BadQuery, BadSpec, BudgetExceeded, CapExceeded, QmeasError
+from .errors import BadQuery, BudgetExceeded, CapExceeded, QmeasError
 from .jsonio import canonical_dumps, config_hash, load_document
 from .matrixcore import is_density_matrix
 from .measurement import (
     MeasurementSystem,
-    _premeasure_any,
     additivity_check,
     bits_to_str,
+    premeasure,
     premeasure_table_dense,
     sample_bits,
 )
 from .randlab import aggregate, run_battery
-from .states import (
-    FactoredState,
-    check_coherence,
-    eigenvalue_groups,
-    parse_state_spec,
-    _prefix_of,
-)
+from .states import FactoredState, check_coherence, eigenvalue_groups, parse_state_spec
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -110,7 +104,7 @@ def cmd_state(args) -> tuple[dict, int]:
     code = EXIT_OK
     if args.check_depth is not None:
         coherence = check_coherence(state, args.check_depth)
-        density = is_density_matrix(_prefix_of(state, args.check_depth).rho)
+        density = is_density_matrix(state.prefix(args.check_depth).rho)
         report["coherence"] = coherence.payload()
         report["density"] = density.payload()
         if not (coherence.ok and density.ok):
@@ -157,11 +151,11 @@ def _direct_table(state, system: MeasurementSystem, depth: int, path: str) -> np
     if depth == 0:
         return np.array([1.0])
     if path == "dense" or not isinstance(state, FactoredState):
-        return premeasure_table_dense(_prefix_of(state, depth), system)
+        return premeasure_table_dense(state.prefix(depth), system)
     values = np.empty(1 << depth)
     for idx in range(1 << depth):
         tau = tuple((idx >> q) & 1 for q in range(depth))
-        values[idx] = _premeasure_any(state, system, tau, path)
+        values[idx] = premeasure(state, system, tau, path)
     return values
 
 
@@ -172,7 +166,7 @@ def cmd_measure(args) -> tuple[dict, int]:
     if args.tau:
         values = {}
         for tau in args.tau:
-            values[tau] = _premeasure_any(state, system, tau, args.path)
+            values[tau] = premeasure(state, system, tau, args.path)
         report["values"] = values
         if args.additivity:
             report["additivity_max"] = max(

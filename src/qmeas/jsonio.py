@@ -85,11 +85,6 @@ def complex_from_json(item: Any) -> complex:
     return complex(item[0], item[1])
 
 
-def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    m = np.asarray(m)
-    return [[complex_to_json(m[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
-
-
 def matrix_from_json(rows: Any) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise BadSpec("matrix must be a non-empty list of rows")

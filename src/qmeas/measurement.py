@@ -32,7 +32,7 @@ from .errors import (
     NumericHealthWarning,
 )
 from .matrixcore import require_unit_vector
-from .states import DenseStateChain, DenseStatePrefix, DensityBlock, FactoredState
+from .states import DenseStatePrefix, DensityBlock, FactoredState
 
 _CLAMP_WARN = 1e-9
 
@@ -55,7 +55,7 @@ def bits_to_str(bits) -> str:
     return "".join(str(b) for b in bits)
 
 
-def _clamp01(value: float, context: str = "premeasure") -> float:
+def clamp01(value: float, context: str = "premeasure") -> float:
     if value < 0.0 or value > 1.0:
         if value < -_CLAMP_WARN or value > 1.0 + _CLAMP_WARN:
             warnings.warn(
@@ -248,7 +248,7 @@ def block_measure(
     if len(bits) != block.n:
         raise BadQuery(f"block of size {block.n} needs {block.n} bits, got {len(bits)}")
     factors = system.chosen_factors(bits, offset=block_offset)
-    return _clamp01(float(product_quadratic_form(block, factors)), "block measure")
+    return clamp01(float(product_quadratic_form(block, factors)), "block measure")
 
 
 def partial_block_factor(
@@ -276,23 +276,12 @@ def partial_block_factor(
 def premeasure_factored(state: FactoredState, system: MeasurementSystem, tau) -> float:
     """Premeasure of tau on a factored state, one factor per touched block."""
     bits = as_bits(tau)
-    state.ensure_covers(len(bits))
-    value = 1.0
-    pos = 0
-    offset = 0
-    index = 0
-    while pos < len(bits):
-        block = state.block(index)
-        take = min(block.n, len(bits) - pos)
-        seg = bits[pos : pos + take]
-        if take == block.n:
-            value *= block_measure(block, system, offset, seg)
-        else:
-            value *= partial_block_factor(block, system, offset, seg)
-        pos += take
-        offset += block.n
-        index += 1
-    return _clamp01(value)
+    return clamp01(
+        math.prod(
+            partial_block_factor(block, system, offset, bits[offset : offset + take])
+            for block, offset, take in state.segments(len(bits))
+        )
+    )
 
 
 def premeasure_dense(prefix: DenseStatePrefix, system: MeasurementSystem, tau) -> float:
@@ -306,7 +295,7 @@ def premeasure_dense(prefix: DenseStatePrefix, system: MeasurementSystem, tau) -
         return 1.0
     v = system.product_vector(bits)
     value = float(np.real(np.vdot(v, prefix.rho @ v)))
-    return _clamp01(value)
+    return clamp01(value)
 
 
 def premeasure_table_dense(
@@ -345,37 +334,26 @@ def uniform_premeasure(tau) -> float:
     return 2.0 ** -len(as_bits(tau))
 
 
-def _premeasure_any(state, system: MeasurementSystem, tau, path: str = "auto") -> float:
+def premeasure(state, system: MeasurementSystem, tau, path: str = "auto") -> float:
+    """Premeasure of tau on any state presentation.
+
+    Factored states use the closed-form block factors unless ``path`` is
+    "dense"; every other query goes through the state's dense prefix at
+    depth |tau|.
+    """
     bits = as_bits(tau)
-    if isinstance(state, FactoredState):
-        if path == "dense":
-            return premeasure_dense(state.prefix_density(len(bits)), system, bits)
+    if isinstance(state, FactoredState) and path != "dense":
         return premeasure_factored(state, system, bits)
-    if isinstance(state, DenseStateChain):
-        return premeasure_dense(state.prefix(len(bits)), system, bits)
-    if isinstance(state, DenseStatePrefix):
-        return premeasure_dense(state, system, bits)
-    raise BadQuery(f"unsupported state presentation {type(state).__name__}")
+    return premeasure_dense(state.prefix(len(bits)), system, bits)
 
 
 def additivity_check(state, system: MeasurementSystem, tau, path: str = "auto") -> float:
     """|p(tau) - p(tau0) - p(tau1)|, the one-step additivity defect."""
     bits = as_bits(tau)
-    p = _premeasure_any(state, system, bits, path)
-    p0 = _premeasure_any(state, system, bits + (0,), path)
-    p1 = _premeasure_any(state, system, bits + (1,), path)
+    p = premeasure(state, system, bits, path)
+    p0 = premeasure(state, system, bits + (0,), path)
+    p1 = premeasure(state, system, bits + (1,), path)
     return abs(p - p0 - p1)
-
-
-@dataclass(frozen=True)
-class PremeasureQuery:
-    """One premeasure table row: the bit string and its measure."""
-
-    tau: str
-    value: float
-
-    def payload(self) -> dict:
-        return {"tau": self.tau, "value": self.value, "uniform": uniform_premeasure(self.tau)}
 
 
 @dataclass
@@ -439,17 +417,11 @@ def sample_bits(
     rng = np.random.default_rng(seed)
     bits = np.zeros(length, dtype=np.uint8)
     conds = np.ones(length, dtype=float)
-    state.ensure_covers(length)
-    pos = 0
-    offset = 0
-    index = 0
-    while pos < length:
-        block = state.block(index)
+    for index, (block, offset, take) in enumerate(state.segments(length)):
         prev = 1.0
         seg: list[int] = []
-        for step in range(block.n):
-            if pos == length:
-                break
+        for step in range(take):
+            pos = offset + step
             if prev <= 0.0:
                 raise MeasureZeroPrefix(
                     f"prefix of measure zero inside block {index} (offset {offset})"
@@ -468,22 +440,20 @@ def sample_bits(
             bits[pos] = bit
             prev = chosen
             seg.append(bit)
-            pos += 1
-        offset += block.n
-        index += 1
     return BitSample(bits, int(seed), system.label, state.label, conds)
 
 
 __all__ = [
     "BitSample",
     "MeasurementSystem",
-    "PremeasureQuery",
     "additivity_check",
     "as_bits",
     "bits_to_str",
     "block_measure",
+    "clamp01",
     "paired_coordinate_sum",
     "partial_block_factor",
+    "premeasure",
     "premeasure_dense",
     "premeasure_factored",
     "premeasure_table_dense",

@@ -30,13 +30,8 @@ from .errors import (
     MissingStage,
 )
 from .matrixcore import kron_all, num_qubits_of
-from .measurement import MeasurementSystem, _clamp01, premeasure_dense
-from .states import (
-    DensityBlock,
-    FactoredState,
-    build_corner_block,
-    _prefix_of,
-)
+from .measurement import MeasurementSystem, clamp01
+from .states import DensityBlock, FactoredState, analytic_eigensystem, build_corner_block
 
 # ---------------------------------------------------------------------------
 # classical side
@@ -251,8 +246,6 @@ class BlockEigenSpan:
     def columns(self) -> np.ndarray:
         """Dense orthonormal columns (small blocks only)."""
         require_dense_qubits(self.block.n, "eigen span columns")
-        from .states import analytic_eigensystem
-
         keep = {"pair_plus": self.plus, "pair_minus": self.minus, "middle": self.middle}
         cols = [p.vector() for p in analytic_eigensystem(self.block) if keep[p.kind]]
         if not cols:
@@ -429,7 +422,7 @@ def _regroup_blocks(blocks: list[DensityBlock], sizes: list[int]) -> list[Densit
         if len(run) == 1:
             out.append(run[0])
         elif all(b.corner_count == 0 for b in run):
-            out.append(DensityBlock(target, 0, 2.0 ** -target, 0.0))
+            out.append(DensityBlock(target, 0, 0.0))
         else:
             return None
     return out
@@ -446,20 +439,11 @@ def evaluate_state(cls: QuantumSigmaClass, state, depth: int) -> float:
         return 0.0
     eff_depth = stage.qubits
     if isinstance(stage, FactoredEigenProjection) and isinstance(state, FactoredState):
-        state.ensure_covers(eff_depth)
-        sizes = [s.block.n for s in stage.spans]
-        head = []
-        width = 0
-        for block in state.blocks:
-            if width >= eff_depth:
-                break
-            head.append(block)
-            width += block.n
-        aligned = _regroup_blocks(head, sizes)
+        head = [block for block, _, _ in state.segments(eff_depth)]
+        aligned = _regroup_blocks(head, [s.block.n for s in stage.spans])
         if aligned is not None:
-            return _clamp01(stage.expectation_blockwise(aligned))
-    rho = _prefix_of(state, eff_depth).rho
-    return _clamp01(stage.expectation(rho))
+            return clamp01(stage.expectation_blockwise(aligned))
+    return clamp01(stage.expectation(state.prefix(eff_depth).rho))
 
 
 @dataclass
@@ -516,15 +500,6 @@ def lift_classical_mlt(test: ClassicalMLT, system: MeasurementSystem) -> Quantum
         else:
             levels[m] = QuantumSigmaClass(stages, label=f"lifted[{m}]")
     return QuantumMLT(levels)
-
-
-def lifted_stage_identity_defect(
-    cls: QuantumSigmaClass, state, system: MeasurementSystem, depth: int, prefixes
-) -> float:
-    """|tr(rho p) - sum premeasure| for a lifted stage, a consistency diagnostic."""
-    rho = _prefix_of(state, depth)
-    total = sum(premeasure_dense(rho, system, p) for p in prefixes)
-    return abs(evaluate_state(cls, state, depth) - total)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +666,6 @@ __all__ = [
     "evaluate_state",
     "failure_report",
     "lift_classical_mlt",
-    "lifted_stage_identity_defect",
     "required_witness_blocks",
     "tau",
     "witness_block_bound_factor",

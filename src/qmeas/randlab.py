@@ -14,7 +14,7 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import InsufficientData
 from .measurement import BitSample
@@ -117,17 +117,22 @@ def runs_test(bits: np.ndarray, alpha: float) -> TestResult:
     return TestResult("runs", v, p, p >= alpha)
 
 
+def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
+    """Counts of the 2**m overlapping m-bit patterns, wrapping around the end (m >= 1)."""
+    n = bits.size
+    extended = np.concatenate([bits, bits[: m - 1]])
+    idx = np.zeros(n, dtype=np.int64)
+    for j in range(m):
+        idx = (idx << 1) | extended[j : j + n]
+    return np.bincount(idx, minlength=1 << m).astype(np.float64)
+
+
 def _pattern_psi_squared(bits: np.ndarray, m: int) -> float:
     """NIST serial-test psi^2 statistic with wraparound pattern counts."""
     if m == 0:
         return 0.0
     n = bits.size
-    extended = np.concatenate([bits, bits[: m - 1]]) if m > 1 else bits
-    idx = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        idx = (idx << 1) | extended[j : j + n]
-    counts = np.bincount(idx, minlength=1 << m)
-    return float((1 << m) / n * np.sum(counts.astype(np.float64) ** 2) - n)
+    return float((1 << m) / n * np.sum(_pattern_counts(bits, m) ** 2) - n)
 
 
 def serial_tests(bits: np.ndarray, alpha: float, m: int = SERIAL_M) -> list[TestResult]:
@@ -157,10 +162,10 @@ def cumulative_sums_test(bits: np.ndarray, alpha: float) -> TestResult:
     # any stream long enough to be tested)
     total = 0.0
     for k in range(int((-n / z + 1) / 4), int((n / z - 1) / 4) + 1):
-        total += stats.norm.cdf((4 * k + 1) * z / sn) - stats.norm.cdf((4 * k - 1) * z / sn)
+        total += special.ndtr((4 * k + 1) * z / sn) - special.ndtr((4 * k - 1) * z / sn)
     p = 1.0 - total
     for k in range(int((-n / z - 3) / 4), int((n / z - 1) / 4) + 1):
-        p += stats.norm.cdf((4 * k + 3) * z / sn) - stats.norm.cdf((4 * k + 1) * z / sn)
+        p += special.ndtr((4 * k + 3) * z / sn) - special.ndtr((4 * k + 1) * z / sn)
     p = float(min(max(p, 0.0), 1.0))
     return TestResult("cumulative_sums", z, p, p >= alpha)
 
@@ -171,11 +176,7 @@ def approximate_entropy_test(bits: np.ndarray, alpha: float, m: int = APEN_M) ->
     def phi(mm: int) -> float:
         if mm == 0:
             return 0.0
-        extended = np.concatenate([bits, bits[: mm - 1]]) if mm > 1 else bits
-        idx = np.zeros(n, dtype=np.int64)
-        for j in range(mm):
-            idx = (idx << 1) | extended[j : j + n]
-        counts = np.bincount(idx, minlength=1 << mm).astype(np.float64)
+        counts = _pattern_counts(bits, mm)
         probs = counts[counts > 0] / n
         return float(np.sum(probs * np.log(probs)))
 
@@ -234,6 +235,23 @@ class AggregateSummary:
         }
 
 
+def _binomial_quantile(q: float, n: int, p: float) -> int:
+    """Smallest k with P[Binomial(n, p) <= k] >= q.
+
+    The CDF is summed exactly: with p = a / d, every term times d**n is an
+    integer, so no large n or small p can overflow or underflow it.
+    """
+    a, d = p.as_integer_ratio()
+    qa, qd = q.as_integer_ratio()
+    target = qa * d**n
+    total = 0
+    for k in range(n + 1):
+        total += math.comb(n, k) * a**k * (d - a) ** (n - k)
+        if total * qd >= target:
+            return k
+    return n
+
+
 def aggregate(reports: list[BatteryReport]) -> AggregateSummary:
     """Summarize failure counts per test across streams.
 
@@ -246,7 +264,7 @@ def aggregate(reports: list[BatteryReport]) -> AggregateSummary:
     if any(r.alpha != alpha for r in reports):
         raise InsufficientData("aggregated reports must share one alpha")
     names = [r.name for r in reports[0].results]
-    envelope = int(stats.binom.ppf(0.99, len(reports), alpha))
+    envelope = _binomial_quantile(0.99, len(reports), alpha)
     per_test = {}
     flagged = []
     for name in names:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -24,27 +24,25 @@ from .matrixcore import is_density_matrix, kron, num_qubits_of, partial_trace_la
 
 @dataclass(frozen=True)
 class DensityBlock:
-    """Structured density block: constant diagonal plus anti-diagonal corners."""
+    """Structured density block: diagonal 2**-n plus anti-diagonal corners."""
 
     n: int
     corner_count: int
-    diag_value: float
     corner_value: float
-    representation: str = "structured_sparse"
 
     def __post_init__(self):
         if self.n < 1:
             raise BadBlock(f"block size must be at least one qubit, got {self.n}")
         if not 0 <= self.corner_count <= 1 << (self.n - 1):
             raise BadBlock(
-                f"corner_count {self.corner_count} out of range [0, {1 << (self.n - 1)}]"
+                f"corner count {self.corner_count} out of range [0, {1 << (self.n - 1)}]"
             )
-        if abs(self.diag_value - 2.0 ** -self.n) > 1e-15:
-            raise BadBlock(f"diagonal value must be 2^-{self.n}")
         if not 0.0 <= self.corner_value <= self.diag_value:
-            raise BadBlock("corner value must lie in [0, diagonal value]")
-        if self.representation not in ("structured_sparse", "dense"):
-            raise BadBlock(f"unknown representation {self.representation!r}")
+            raise BadBlock(f"corner value {self.corner_value} out of range [0, 2^-{self.n}]")
+
+    @property
+    def diag_value(self) -> float:
+        return 2.0 ** -self.n
 
     @property
     def dim(self) -> int:
@@ -65,7 +63,7 @@ class DensityBlock:
             "corner_count": self.corner_count,
             "diag_value": self.diag_value,
             "corner_value": self.corner_value,
-            "representation": self.representation,
+            "representation": "structured_sparse",
         }
 
 
@@ -73,22 +71,15 @@ def build_corner_block(n: int) -> DensityBlock:
     """Canonical block: floor(2**n / n) corner pairs of value 2**-n."""
     if n < 3:
         raise BadBlock(f"canonical blocks need n >= 3, got {n}")
-    return DensityBlock(n, (1 << n) // n, 2.0 ** -n, 2.0 ** -n)
+    return DensityBlock(n, (1 << n) // n, 2.0 ** -n)
 
 
 def build_corner_block_general(n: int, corner_count: int, corner_value: float) -> DensityBlock:
     """Family block with chosen corner count and value (value capped at 2**-n)."""
-    if n < 1:
-        raise BadFamilyParams(f"block size must be positive, got n={n}")
-    if not 0 <= corner_count <= 1 << (n - 1):
-        raise BadFamilyParams(
-            f"corner count {corner_count} out of range [0, {1 << (n - 1)}] at n={n}"
-        )
-    if not 0.0 <= corner_value <= 2.0 ** -n:
-        raise BadFamilyParams(
-            f"corner value {corner_value} out of range [0, 2^-{n}] at n={n}"
-        )
-    return DensityBlock(n, int(corner_count), 2.0 ** -n, float(corner_value))
+    try:
+        return DensityBlock(n, int(corner_count), float(corner_value))
+    except BadBlock as exc:
+        raise BadFamilyParams(f"{exc} at n={n}") from None
 
 
 @dataclass(frozen=True)
@@ -172,6 +163,11 @@ class DenseStatePrefix:
             )
         object.__setattr__(self, "rho", rho)
 
+    def prefix(self, k: int) -> "DenseStatePrefix":
+        if k != self.depth:
+            raise BadQuery(f"a dense prefix answers only its own depth {self.depth}, not {k}")
+        return self
+
 
 class DenseStateChain:
     """Explicit coherent chain of dense prefixes rho_0, rho_1, ..., rho_D."""
@@ -230,23 +226,10 @@ class FactoredState:
         return cls([], factory=lambda i: build_corner_block(i + 5), label="paper_rho")
 
     @classmethod
-    def general_family(
-        cls,
-        corner_counts: Mapping[int, int],
-        corner_values: Mapping[int, float],
-        label: str = "general",
-    ) -> "FactoredState":
-        """Family state from per-size corner tables keyed by n = 5, 6, ..."""
-        sizes = sorted(corner_counts)
-        if sorted(corner_values) != sizes:
-            raise BadSpec("corner count and value tables must cover the same sizes")
-        if not sizes:
-            raise BadSpec("family tables must not be empty")
-        if sizes != list(range(5, 5 + len(sizes))):
-            raise BadSpec(f"family tables must cover contiguous sizes 5..N, got {sizes}")
-        blocks = [
-            build_corner_block_general(n, corner_counts[n], corner_values[n]) for n in sizes
-        ]
+    def general_family(cls, corner_counts, corner_values, label: str = "general") -> "FactoredState":
+        """Family state from per-size corner tables (see ``family_tables``)."""
+        counts, values = family_tables(corner_counts, corner_values)
+        blocks = [build_corner_block_general(n, counts[n], values[n]) for n in counts]
         return cls(blocks, label=label)
 
     @classmethod
@@ -291,14 +274,25 @@ class FactoredState:
             total += b.n
         return offsets
 
+    def segments(self, qubits: int):
+        """Yield (block, offset, take) for the blocks covering the first ``qubits`` positions.
+
+        ``offset`` is the block's first qubit position (0-based) and ``take``
+        how many of its qubits fall inside; only the last block can be cut.
+        """
+        self.ensure_covers(qubits)
+        offset = 0
+        for block in self._blocks:
+            if offset >= qubits:
+                return
+            yield block, offset, min(block.n, qubits - offset)
+            offset += block.n
+
     @property
     def extendable(self) -> bool:
         return self._factory is not None
 
-    def covered_qubits(self) -> int:
-        return sum(b.n for b in self._blocks)
-
-    def prefix_density(self, k: int) -> DenseStatePrefix:
+    def prefix(self, k: int) -> DenseStatePrefix:
         return prefix_density(self, k)
 
     def describe(self) -> dict:
@@ -318,22 +312,12 @@ def prefix_density(state: FactoredState, k: int) -> DenseStatePrefix:
     if k < 0:
         raise BadQuery(f"prefix depth must be non-negative, got {k}")
     require_dense_qubits(k, f"prefix of depth {k}")
-    state.ensure_covers(k)
     rho = np.eye(1)
-    consumed = 0
-    for block in state.blocks:
-        if consumed >= k:
-            break
-        if consumed + block.n <= k:
-            rho = kron(rho, block.to_dense())
-            consumed += block.n
-        else:
-            keep = k - consumed
-            part = block.to_dense()
-            for _ in range(block.n - keep):
-                part = partial_trace_last_qubit(part)
-            rho = kron(rho, part)
-            consumed = k
+    for block, _, take in state.segments(k):
+        part = block.to_dense()
+        for _ in range(block.n - take):
+            part = partial_trace_last_qubit(part)
+        rho = kron(rho, part)
     return DenseStatePrefix(k, rho)
 
 
@@ -357,18 +341,6 @@ class CoherenceReport:
         }
 
 
-def _prefix_of(state, k: int) -> DenseStatePrefix:
-    if isinstance(state, FactoredState):
-        return state.prefix_density(k)
-    if isinstance(state, DenseStateChain):
-        return state.prefix(k)
-    if isinstance(state, DenseStatePrefix):
-        if k == state.depth:
-            return state
-        raise BadQuery("a single dense prefix only answers its own depth")
-    raise BadQuery(f"unsupported state presentation {type(state).__name__}")
-
-
 def check_coherence(state, depth: int, tol: float = 1e-10) -> CoherenceReport:
     """Verify that tracing the last qubit of each prefix yields the one below."""
     if depth < 1:
@@ -377,8 +349,8 @@ def check_coherence(state, depth: int, tol: float = 1e-10) -> CoherenceReport:
     worst = 0.0
     failed_at = None
     for j in range(1, depth + 1):
-        upper = _prefix_of(state, j).rho
-        lower = _prefix_of(state, j - 1).rho
+        upper = state.prefix(j).rho
+        lower = state.prefix(j - 1).rho
         dev = float(np.max(np.abs(partial_trace_last_qubit(upper) - lower)))
         deviations.append((j, dev))
         if dev > worst:
@@ -398,9 +370,7 @@ def parse_state_spec(doc: dict):
     if kind == "max_mixed":
         return FactoredState.maximally_mixed()
     if kind == "general":
-        counts = _family_table(doc.get("h"), "h", int)
-        values = _family_table(doc.get("g"), "g", float)
-        return FactoredState.general_family(counts, values)
+        return FactoredState.general_family(doc.get("h"), doc.get("g"))
     if kind == "dense_prefix":
         mats = doc.get("matrices")
         if not isinstance(mats, list) or not mats:
@@ -417,19 +387,35 @@ def parse_state_spec(doc: dict):
     raise BadSpec(f"unknown state kind {kind!r}")
 
 
-def _family_table(raw, name: str, cast) -> dict:
-    """Normalize an h/g table given as {n: value} or as a list starting at n=5."""
-    if isinstance(raw, dict):
+def family_tables(h_raw, g_raw) -> tuple[dict[int, int], dict[int, float]]:
+    """Parse corner-count (h) and corner-value (g) tables keyed by block size.
+
+    Each table is a mapping n -> value or a list starting at n = 5.  Both
+    must cover the same sizes, contiguously from 5; the returned dicts are
+    in ascending size order.
+    """
+    tables = []
+    for name, raw, cast in (("h", h_raw, int), ("g", g_raw, float)):
+        if isinstance(raw, dict):
+            items = raw.items()
+        elif isinstance(raw, list) and raw:
+            items = enumerate(raw, start=5)
+        else:
+            raise BadSpec(f"family table {name!r} must be a mapping n->value or a list from n=5")
         try:
-            return {int(k): cast(v) for k, v in raw.items()}
+            table = {int(k): cast(v) for k, v in items}
         except (TypeError, ValueError):
             raise BadSpec(f"family table {name!r} has malformed entries") from None
-    if isinstance(raw, list) and raw:
-        try:
-            return {5 + i: cast(v) for i, v in enumerate(raw)}
-        except (TypeError, ValueError):
-            raise BadSpec(f"family table {name!r} has malformed entries") from None
-    raise BadSpec(f"family table {name!r} must be a mapping n->value or a list from n=5")
+        tables.append(dict(sorted(table.items())))
+    h, g = tables
+    sizes = list(h)
+    if list(g) != sizes:
+        raise BadSpec("h and g tables must cover the same block sizes")
+    if not sizes:
+        raise BadSpec("family tables must not be empty")
+    if sizes != list(range(5, 5 + len(sizes))):
+        raise BadSpec(f"family tables must cover contiguous sizes 5..N, got {sizes}")
+    return h, g
 
 
 __all__ = [
@@ -445,6 +431,7 @@ __all__ = [
     "build_corner_block_general",
     "check_coherence",
     "eigenvalue_groups",
+    "family_tables",
     "parse_state_spec",
     "prefix_density",
 ]

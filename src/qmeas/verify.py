@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadFamilyParams, BadQuery, BadSpec
+from .errors import BadQuery, BadSpec
 from .matrixcore import is_density_matrix
 from .measurement import paired_coordinate_sum
-from .states import build_corner_block, build_corner_block_general, _family_table
+from .states import build_corner_block, build_corner_block_general, family_tables
 
 IDENTITY_SLACK = 1e-12
 BOUND_SLACK = 1e-12
@@ -195,21 +195,13 @@ class FamilySpec:
     def from_doc(cls, doc: dict) -> "FamilySpec":
         if not isinstance(doc, dict) or "h" not in doc or "g" not in doc:
             raise BadSpec("family spec needs 'h' and 'g' tables")
-        h = _family_table(doc["h"], "h", int)
-        g = _family_table(doc["g"], "g", float)
-        if sorted(h) != sorted(g):
-            raise BadSpec("h and g tables must cover the same block sizes")
-        if not h:
-            raise BadSpec("family tables are empty")
-        n_max = max(h)
-        if sorted(h) != list(range(cls.N_MIN, n_max + 1)):
-            raise BadSpec(f"family tables must cover {cls.N_MIN}..{n_max} contiguously")
+        h, g = family_tables(doc["h"], doc["g"])
         delta = doc.get("target_delta")
         target_f = doc.get("target_F", doc.get("target_f"))
         return cls(
             h=h,
             g=g,
-            n_max=n_max,
+            n_max=max(h),
             target_delta=None if delta is None else float(delta),
             target_f=None if target_f is None else float(target_f),
         )
@@ -229,12 +221,7 @@ class FamilySpec:
 
     def validate(self) -> None:
         for n in self.sizes():
-            if not 0 <= self.h[n] <= 1 << (n - 1):
-                raise BadFamilyParams(
-                    f"h({n}) = {self.h[n]} outside [0, 2^{n - 1}]"
-                )
-            if not 0.0 <= self.g[n] <= 2.0 ** -n:
-                raise BadFamilyParams(f"g({n}) = {self.g[n]} exceeds 2^-{n}")
+            build_corner_block_general(n, self.h[n], self.g[n])
 
 
 def _partials(factors: list[float | None]) -> list[float | None]:

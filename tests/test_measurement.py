@@ -184,7 +184,7 @@ def test_factored_agrees_with_dense_to_depth_eight(rng):
     for _ in range(3):
         system = random_basis(rng, periods=4)
         for depth in (1, 4, 5, 7, 8):
-            prefix = state.prefix_density(depth)
+            prefix = state.prefix(depth)
             for _ in range(10):
                 tau = [int(b) for b in rng.integers(0, 2, size=depth)]
                 a = premeasure_factored(state, system, tau)
@@ -195,12 +195,12 @@ def test_factored_agrees_with_dense_to_depth_eight(rng):
 def test_premeasure_dense_depth_must_match(rng):
     state = FactoredState.witness_state()
     with pytest.raises(BadQuery):
-        premeasure_dense(state.prefix_density(5), MeasurementSystem.standard(), "0011")
+        premeasure_dense(state.prefix(5), MeasurementSystem.standard(), "0011")
 
 
 def test_premeasure_table_matches_per_tau(rng):
     state = FactoredState.witness_state()
-    prefix = state.prefix_density(6)
+    prefix = state.prefix(6)
     system = random_basis(rng, periods=3)
     table = premeasure_table_dense(prefix, system)
     assert table.shape == (64,)

@@ -1,11 +1,18 @@
 """Battery behavior on degenerate, crafted, and calibrated streams."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from qmeas.errors import InsufficientData
 from qmeas.randlab import (
     BatteryReport,
+    _binomial_quantile,
     _pattern_psi_squared,
     aggregate,
     approximate_entropy_test,
@@ -158,3 +165,19 @@ def test_aggregate_requires_common_alpha():
         aggregate([a, b])
     with pytest.raises(InsufficientData):
         aggregate([])
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.2])
+def test_binomial_envelope_matches_scipy(alpha):
+    n = np.arange(1, 400)
+    expected = stats.binom.ppf(0.99, n, alpha).astype(int)
+    assert [_binomial_quantile(0.99, int(k), alpha) for k in n] == list(expected)
+
+
+def test_import_does_not_load_scipy_stats():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, qmeas; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
