@@ -26,9 +26,9 @@ from .matrixcore import is_density_matrix
 from .measurement import (
     MeasurementSystem,
     additivity_check,
-    bits_to_str,
     premeasure,
     premeasure_table_dense,
+    premeasure_table_factored,
     sample_bits,
 )
 from .randlab import aggregate, run_battery
@@ -148,15 +148,16 @@ def _eigen_report(state, block_size: int) -> dict:
 
 def _direct_table(state, system: MeasurementSystem, depth: int, path: str) -> np.ndarray:
     """Premeasure values for every string of the given length, index fastest-first."""
-    if depth == 0:
-        return np.array([1.0])
     if path == "dense" or not isinstance(state, FactoredState):
         return premeasure_table_dense(state.prefix(depth), system)
-    values = np.empty(1 << depth)
-    for idx in range(1 << depth):
-        tau = tuple((idx >> q) & 1 for q in range(depth))
-        values[idx] = premeasure(state, system, tau, path)
-    return values
+    return premeasure_table_factored(state, system, depth)
+
+
+def _table_keys(depth: int) -> list[str]:
+    """Bit strings of all table indices, qubit 1 (the least-significant bit) first."""
+    if depth == 0:
+        return [""]
+    return [format(idx, f"0{depth}b")[::-1] for idx in range(1 << depth)]
 
 
 def cmd_measure(args) -> tuple[dict, int]:
@@ -174,10 +175,7 @@ def cmd_measure(args) -> tuple[dict, int]:
             )
     if args.tau_depth is not None:
         table = _direct_table(state, system, args.tau_depth, args.path)
-        report["table"] = {
-            bits_to_str(tuple((idx >> q) & 1 for q in range(args.tau_depth))): float(v)
-            for idx, v in enumerate(table)
-        }
+        report["table"] = dict(zip(_table_keys(args.tau_depth), table.tolist()))
         report["sum"] = float(np.sum(table))
         if args.additivity:
             report["additivity_max"] = _table_additivity(state, system, args.tau_depth, args.path)

@@ -81,6 +81,7 @@ class MeasurementSystem:
             overlap = abs(np.vdot(b0, b1))
             if overlap > 1e-9:
                 raise NotOrthonormal(f"basis pair has overlap {overlap:.3e}")
+        self._table = np.array(pairs, dtype=complex)  # [pair][bit] -> 2-vector
 
     @classmethod
     def standard(cls) -> "MeasurementSystem":
@@ -191,8 +192,18 @@ class MeasurementSystem:
         v = np.ones(1, dtype=complex)
         for i, b in enumerate(bits):
             # later qubits vary slower, so they multiply in on the left
-            v = np.kron(self.basis_at(offset + i + 1)[b], v)
+            v = (self.basis_at(offset + i + 1)[b][:, None] * v[None, :]).reshape(-1)
         return v
+
+    def outcome_factors(self, n: int, offset: int = 0) -> np.ndarray:
+        """Chosen 2-vectors of all 2**n outcomes at positions offset+1..offset+n.
+
+        Shape (2**n, n, 2); row i is the outcome whose qubit offset+q+1 reads
+        bit (i >> q) & 1, so qubit offset+1 is the least-significant bit.
+        """
+        positions = (offset + np.arange(n)) % len(self._table)
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        return self._table[positions, bits]
 
 
 def paired_coordinate_sum(factors: np.ndarray, count: int):
@@ -298,33 +309,62 @@ def premeasure_dense(prefix: DenseStatePrefix, system: MeasurementSystem, tau) -
     return clamp01(value)
 
 
+def premeasure_table_factored(
+    state: FactoredState, system: MeasurementSystem, depth: int
+) -> np.ndarray:
+    """All 2**depth premeasure values of a factored state at once.
+
+    Indexed like ``premeasure_table_dense`` (qubit 1 least significant).  The
+    premeasure factors block by block, so the table is the Kronecker product
+    of per-block outcome tables, first block fastest: a complete block
+    contributes its 2**n closed-form block measures from one batched
+    ``paired_coordinate_sum``, a straddled block the constant partial factor.
+    Each entry equals ``premeasure_factored`` of its string bit for bit; no
+    dense matrix is built, so the dense cap does not apply.
+    """
+    if depth < 0:
+        raise BadQuery(f"table depth must be non-negative, got {depth}")
+    table = np.ones(1)
+    for block, offset, take in state.segments(depth):
+        if take == block.n:
+            factors = system.outcome_factors(block.n, offset)
+            part = _clip_table(product_quadratic_form(block, factors), "block measure table")
+        else:
+            part = np.full(1 << take, block.diag_value * float(1 << (block.n - take)))
+        # products of values in [0, 1] stay in [0, 1], so no second clamp
+        table = np.multiply.outer(part, table).reshape(-1)
+    return table
+
+
 def premeasure_table_dense(
     prefix: DenseStatePrefix, system: MeasurementSystem, offset: int = 0
 ) -> np.ndarray:
     """All 2**k premeasure values of a depth-k dense prefix at once.
 
     The returned array is indexed by the integer encoding of tau with qubit 1
-    as the least-significant bit.  Implemented as a qubit-by-qubit basis
-    rotation of the prefix, O(k * 4**k) instead of 2**k separate quadratic
-    forms.
+    as the least-significant bit.  Only the diagonal of the rotated prefix is
+    needed, so each qubit's row and column indices are contracted together
+    into one outcome index, slowest qubit first: O(4**k) in total, and no
+    rotated copy of the full matrix is ever formed.
     """
     k = prefix.depth
-    if k == 0:
-        return np.ones(1)
-    T = np.asarray(prefix.rho, dtype=complex).reshape((2,) * (2 * k))
-    for q in range(1, k + 1):
+    # rows (qubit k .. 1), columns (qubit k .. 1); outcome axes collect at the end
+    T = np.asarray(prefix.rho)
+    for q in range(k, 0, -1):
         B = np.stack(system.basis_at(offset + q), axis=1)  # columns are b0, b1
-        ra = k - q  # row axis of qubit q (axis 0 is the most significant bit)
-        ca = 2 * k - q
-        T = np.moveaxis(np.tensordot(T, np.conj(B), axes=([ra], [0])), -1, ra)
-        T = np.moveaxis(np.tensordot(T, B, axes=([ca], [0])), -1, ca)
-    values = np.real(np.diagonal(T.reshape(1 << k, 1 << k))).copy()
+        half = 1 << (q - 1)
+        T = np.einsum("rt,rasb,st->abt", np.conj(B), T.reshape(2, half, 2, -1), B)
+    return _clip_table(np.real(T.reshape(-1)), "premeasure table")
+
+
+def _clip_table(values: np.ndarray, context: str) -> np.ndarray:
+    """Vector form of ``clamp01``: warn beyond the rounding scale, then clip."""
     worst = max(float(-values.min(initial=0.0)), float(values.max(initial=1.0) - 1.0))
     if worst > _CLAMP_WARN:
         warnings.warn(
-            f"premeasure table clamped by {worst:.3e}, beyond the rounding scale",
+            f"{context} clamped by {worst:.3e}, beyond the rounding scale",
             NumericHealthWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return np.clip(values, 0.0, 1.0)
 
@@ -457,6 +497,7 @@ __all__ = [
     "premeasure_dense",
     "premeasure_factored",
     "premeasure_table_dense",
+    "premeasure_table_factored",
     "product_quadratic_form",
     "sample_bits",
     "uniform_premeasure",

@@ -16,6 +16,7 @@ level while the rank density drops below 2**-m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -30,7 +31,7 @@ from .errors import (
     MissingStage,
 )
 from .matrixcore import kron_all, num_qubits_of
-from .measurement import MeasurementSystem, clamp01
+from .measurement import MeasurementSystem, clamp01, premeasure_table_factored
 from .states import DensityBlock, FactoredState, analytic_eigensystem, build_corner_block
 
 # ---------------------------------------------------------------------------
@@ -159,9 +160,20 @@ class ZeroProjection:
 
 
 class SpanProjection:
-    """Projection onto the span of explicit orthonormal columns."""
+    """Projection onto the span of explicit orthonormal columns.
 
-    def __init__(self, qubits: int, columns: np.ndarray):
+    A lifted stage also keeps its ``prefixes`` and the basis ``system`` that
+    sent them to the columns, so its mass on a factored state is a sum of
+    closed-form premeasures (see ``evaluate_state``).
+    """
+
+    def __init__(
+        self,
+        qubits: int,
+        columns: np.ndarray,
+        prefixes: tuple[str, ...] | None = None,
+        system: MeasurementSystem | None = None,
+    ):
         columns = np.asarray(columns, dtype=complex)
         if columns.ndim != 2 or columns.shape[0] != 1 << qubits:
             raise BadQuery(f"columns must be ({1 << qubits}, k), got {columns.shape}")
@@ -171,6 +183,8 @@ class SpanProjection:
             raise BadQuery(f"projection columns are not orthonormal (deviation {dev:.3e})")
         self.qubits = qubits
         self.columns = columns
+        self.prefixes = prefixes
+        self.system = system
 
     @property
     def rank(self) -> int:
@@ -186,7 +200,7 @@ class SpanProjection:
     def expectation(self, rho: np.ndarray) -> float:
         if not self.rank:
             return 0.0
-        return float(np.real(np.einsum("xk,xy,yk->", self.columns.conj(), rho, self.columns)))
+        return float(np.real(np.vdot(self.columns, rho @ self.columns)))
 
 
 @dataclass(frozen=True)
@@ -438,11 +452,17 @@ def evaluate_state(cls: QuantumSigmaClass, state, depth: int) -> float:
     if isinstance(stage, ZeroProjection):
         return 0.0
     eff_depth = stage.qubits
-    if isinstance(stage, FactoredEigenProjection) and isinstance(state, FactoredState):
-        head = [block for block, _, _ in state.segments(eff_depth)]
-        aligned = _regroup_blocks(head, [s.block.n for s in stage.spans])
-        if aligned is not None:
-            return clamp01(stage.expectation_blockwise(aligned))
+    if isinstance(state, FactoredState):
+        if isinstance(stage, FactoredEigenProjection):
+            head = [block for block, _, _ in state.segments(eff_depth)]
+            aligned = _regroup_blocks(head, [s.block.n for s in stage.spans])
+            if aligned is not None:
+                return clamp01(stage.expectation_blockwise(aligned))
+        elif isinstance(stage, SpanProjection) and stage.prefixes is not None:
+            # orthonormal product vectors: the mass is the sum of the prefixes'
+            # closed-form premeasures, rounded once by fsum
+            table = premeasure_table_factored(state, stage.system, eff_depth)
+            return clamp01(math.fsum(table[int(p[::-1], 2)] for p in stage.prefixes))
     return clamp01(stage.expectation(state.prefix(eff_depth).rho))
 
 
@@ -488,7 +508,7 @@ def lift_classical_mlt(test: ClassicalMLT, system: MeasurementSystem) -> Quantum
                 cols = np.stack(
                     [system.product_vector(p) for p in prefixes], axis=1
                 )
-                stages[depth] = SpanProjection(depth, cols)
+                stages[depth] = SpanProjection(depth, cols, prefixes, system)
         if not stages:
             # a level with no stages covers nothing: the all-zero class
             levels[m] = QuantumSigmaClass(

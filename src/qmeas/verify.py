@@ -130,7 +130,7 @@ def verify_quadratic_bounds(
         m = min(trials, oracle_trials)
         dense = product_vectors_dense(factors[:m])
         d = block.to_dense()
-        direct = np.real(np.einsum("ti,ij,tj->t", dense.conj(), d, dense))
+        direct = np.real(np.sum((dense.conj() @ d) * dense, axis=1))
         oracle_dev = float(np.max(np.abs(direct - values[:m])))
         params["oracle_trials"] = m
         params["oracle_max_deviation"] = oracle_dev

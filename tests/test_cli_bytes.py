@@ -1,0 +1,62 @@
+"""Pinned stdout bytes of CLI invocations whose payloads involve no BLAS call.
+
+Factored tables, lifted evaluations on the factored state and the witness
+report are built from closed forms and exact sums, so their bytes are fixed
+across machines and across rewrites of the arithmetic behind them.  Each
+digest is the SHA-256 of the full stdout, payload config and hash included.
+Input files are written into a temporary working directory and named by
+relative path, so the recorded config (and its hash) does not depend on
+where the test runs.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from qmeas.cli import main
+
+ROTATION = {"kind": "rotation", "theta": [0.41, 0.93, 1.17, 0.62, 0.85]}
+
+
+def _lift_mlt() -> dict:
+    rng = random.Random(20240817)
+    prefixes = sorted({format(x, "010b") for x in rng.sample(range(1 << 10), 512)})
+    return {"levels": {"1": {"10": prefixes}}}
+
+
+INPUTS = {"rot.json": ROTATION, "gen.json": _lift_mlt()}
+
+PINNED = {
+    "factored14": (
+        ["measure", "--basis", "hadamard", "--tau-depth", "14", "--path", "factored"],
+        "e72704fe548453053f02c743b9f6ec516e324463228164c76fd095a8dd4291b5",
+    ),
+    "rotation10": (
+        ["measure", "--basis", "rot.json", "--tau-depth", "10", "--additivity"],
+        "222e5c1c383e621d5e9425a4a09455b6fc0adc87e592912bba3b899487e8829f",
+    ),
+    "lift": (
+        ["qmlt", "lift", "--mlt", "gen.json", "--basis", "hadamard", "--state", "paper-rho"],
+        "86426f52da1d36d5401e5f58dfc7c7891925fc9d58185ca9cf36d02aa2788f48",
+    ),
+    "witness3": (["qmlt", "witness", "--m", "3"], "b58f0f01a1e574ff4c90e4716cce4053e10a12479e86b6eb4e49eca4af045a31"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_stdout_bytes_are_pinned(name, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for filename, doc in INPUTS.items():
+        (tmp_path / filename).write_text(json.dumps(doc), encoding="ascii")
+    argv, digest = PINNED[name]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_depth_zero_table_has_the_empty_key(capsys):
+    assert main(["measure", "--tau-depth", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["table"] == {"": 1.0}

@@ -1,0 +1,237 @@
+"""Closed-form tables and BLAS dense oracles against the formulations they replaced.
+
+The factored table must reproduce the per-string premeasure loop bit for
+bit; the diagonal contraction must agree with the full-matrix basis
+rotation; the lifted evaluation on a factored state must land on the exact
+Fraction sum of its prefixes' measures; and the BLAS forms of the dense
+quadratic oracles must agree with the einsums they stand in for.
+"""
+
+import math
+import random
+import warnings
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from qmeas.errors import BadQuery, NumericHealthWarning
+from qmeas.measurement import (
+    MeasurementSystem,
+    paired_coordinate_sum,
+    premeasure,
+    premeasure_table_dense,
+    premeasure_table_factored,
+)
+from qmeas.qmlt import ClassicalMLT, StagedSigmaClass, evaluate_state, lift_classical_mlt
+from qmeas.states import DenseStateChain, DensityBlock, FactoredState, build_corner_block
+from qmeas.verify import product_vectors_dense, random_product_factors, verify_quadratic_bounds
+
+from conftest import random_basis, random_density
+
+
+def per_tau_table(state, system, depth):
+    """The table as one ``premeasure`` call per string (qubit 1 least significant)."""
+    return np.array(
+        [
+            premeasure(state, system, tuple((idx >> q) & 1 for q in range(depth)))
+            for idx in range(1 << depth)
+        ]
+    )
+
+
+def rotation_table(prefix, system, offset=0):
+    """Diagonal of the prefix rotated qubit by qubit into the basis (full matrix)."""
+    k = prefix.depth
+    if k == 0:
+        return np.ones(1)
+    T = np.asarray(prefix.rho, dtype=complex).reshape((2,) * (2 * k))
+    for q in range(1, k + 1):
+        B = np.stack(system.basis_at(offset + q), axis=1)
+        ra = k - q
+        ca = 2 * k - q
+        T = np.moveaxis(np.tensordot(T, np.conj(B), axes=([ra], [0])), -1, ra)
+        T = np.moveaxis(np.tensordot(T, B, axes=([ca], [0])), -1, ca)
+    return np.clip(np.real(np.diagonal(T.reshape(1 << k, 1 << k))), 0.0, 1.0)
+
+
+def kron_product_vector(system, bits):
+    v = np.ones(1, dtype=complex)
+    for i, b in enumerate(bits):
+        v = np.kron(system.basis_at(i + 1)[b], v)
+    return v
+
+
+def systems(rng):
+    return {
+        "standard": MeasurementSystem.standard(),
+        "hadamard": MeasurementSystem.hadamard(),
+        "rotation": MeasurementSystem.rotation([0.3, 1.1, 0.7]),
+        "explicit": random_basis(rng, periods=4),
+    }
+
+
+# ---------------------------------------------------------------------------
+# factored tables
+
+
+@pytest.mark.parametrize("kind", ["standard", "hadamard", "rotation", "explicit"])
+def test_factored_table_is_the_per_tau_loop_bit_for_bit(rng, kind):
+    system = systems(rng)[kind]
+    state = FactoredState.witness_state()
+    # blocks 5, 6, 7: depths 1-4, 6-10 and 12 cut a block, 0, 5 and 11 do not
+    for depth in range(13):
+        table = premeasure_table_factored(state, system, depth)
+        assert np.array_equal(table, per_tau_table(state, system, depth)), depth
+
+
+def test_factored_table_on_family_and_mixed_states(rng):
+    system = random_basis(rng, periods=5)
+    family = FactoredState.general_family({5: 3, 6: 10}, {5: 0.02, 6: 0.01})
+    for depth in (4, 5, 9, 11):
+        table = premeasure_table_factored(family, system, depth)
+        assert np.array_equal(table, per_tau_table(family, system, depth))
+    mixed = premeasure_table_factored(FactoredState.maximally_mixed(), system, 7)
+    assert np.array_equal(mixed, np.full(128, 2.0**-7))
+
+
+def test_factored_table_rejects_negative_depth():
+    with pytest.raises(BadQuery):
+        premeasure_table_factored(FactoredState.witness_state(), MeasurementSystem.standard(), -1)
+
+
+def test_factored_table_clamps_with_a_health_warning():
+    # corner_value at its bound makes the "-" outcomes exactly zero; tilt it
+    # past the bound without validation to force a negative block measure
+    block = DensityBlock(5, 16, 2.0**-5)
+    object.__setattr__(block, "corner_value", 2.0 ** -5 * 1.5)
+    state = FactoredState.from_blocks([block])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = premeasure_table_factored(state, MeasurementSystem.hadamard(), 5)
+    assert table.min() == 0.0
+    assert any(issubclass(w.category, NumericHealthWarning) for w in caught)
+
+
+def hadamard_block_fractions(n):
+    """Exact block measures from the definition: diag + corner * 2 sum w_k w_(~k).
+
+    Hadamard coordinates are (-1)^popcount(sigma & k) 2^(-n/2), so each paired
+    product is a signed 2^-n.
+    """
+    r = (1 << n) // n
+    full = (1 << n) - 1
+    out = []
+    for sigma in range(1 << n):
+        signs = sum(
+            (-1) ** (bin(sigma & k).count("1") + bin(sigma & (full - k)).count("1"))
+            for k in range(r)
+        )
+        out.append(Fraction(1, 1 << n) * (1 + 2 * Fraction(signs, 1 << n)))
+    return out
+
+
+def test_hadamard_depth14_table_matches_fraction_block_product():
+    table = premeasure_table_factored(
+        FactoredState.witness_state(), MeasurementSystem.hadamard(), 14
+    )
+    b5, b6 = hadamard_block_fractions(5), hadamard_block_fractions(6)
+    # blocks 5 and 6 are complete; block 7 is cut after 3 qubits: 2^-3
+    exact = [b5[i & 31] * b6[(i >> 5) & 63] * Fraction(1, 8) for i in range(1 << 14)]
+    assert sum(exact) == 1
+    want = np.array([float(x) for x in exact])
+    # 1/sqrt(2) rounds up, so (1/sqrt(2))^2 = 0.5000000000000001 and each
+    # block measure sits a few ulps off its dyadic value
+    assert np.all(np.abs(table - want) <= 16 * np.spacing(want))
+    assert math.fsum(table) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# dense tables
+
+
+def test_dense_table_matches_rotation_on_witness_prefixes(rng):
+    state = FactoredState.witness_state()
+    for system in systems(rng).values():
+        for depth in (0, 1, 5, 8, 10):
+            prefix = state.prefix(depth)
+            got = premeasure_table_dense(prefix, system)
+            assert np.max(np.abs(got - rotation_table(prefix, system))) <= 1e-15
+
+
+def test_dense_table_matches_rotation_on_random_states(rng):
+    for depth in (1, 2, 4, 6):
+        prefix = DenseStateChain.from_top(random_density(rng, 1 << depth)).prefix(depth)
+        for offset in (0, 2):
+            system = random_basis(rng, periods=3)
+            got = premeasure_table_dense(prefix, system, offset)
+            assert np.max(np.abs(got - rotation_table(prefix, system, offset))) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# lifted evaluation
+
+
+def lifted_class(system, prefixes):
+    depth = len(prefixes[0])
+    test = lift_classical_mlt(ClassicalMLT({1: StagedSigmaClass({depth: prefixes})}), system)
+    return test.levels[1], depth
+
+
+def fraction_premeasure(kind, tau):
+    """Exact premeasure of tau on the witness state (blocks 5, 6, ...)."""
+    value = Fraction(1)
+    offset, n = 0, 5
+    while offset < len(tau):
+        part = tau[offset : offset + n]
+        if len(part) < n or kind == "standard":
+            value *= Fraction(1, 1 << len(part))
+        else:
+            sigma = int(part[::-1], 2)
+            value *= hadamard_block_fractions(n)[sigma]
+        offset += n
+        n += 1
+    return value
+
+
+@pytest.mark.parametrize("kind", ["standard", "hadamard"])
+def test_lifted_evaluation_is_the_exact_fraction_sum(kind):
+    gen = random.Random(11)
+    prefixes = sorted({format(x, "010b") for x in gen.sample(range(1 << 10), 400)})
+    system = MeasurementSystem.standard() if kind == "standard" else MeasurementSystem.hadamard()
+    cls, depth = lifted_class(system, prefixes)
+    state = FactoredState.witness_state()
+    value = evaluate_state(cls, state, depth)
+    assert value == float(sum(fraction_premeasure(kind, p) for p in prefixes))
+    # the dense chain of the same prefix goes through the BLAS expectation
+    chain = DenseStateChain.from_top(state.prefix(depth).rho)
+    assert evaluate_state(cls, chain, depth) == pytest.approx(value, abs=1e-12)
+
+
+def test_product_vector_bytes_match_kron(rng):
+    for system in systems(rng).values():
+        for bits in ((0,), (1, 0, 1), (0, 1, 1, 0, 1, 0, 0, 1, 1)):
+            assert np.array_equal(system.product_vector(bits), kron_product_vector(system, bits))
+
+
+def test_span_expectation_matches_einsum(rng):
+    system = random_basis(rng, periods=3)
+    cls, depth = lifted_class(system, ["000000", "010011", "111000", "101101"])
+    stage = cls.stage_at(depth)
+    rho = random_density(rng, 1 << depth)
+    old = np.real(np.einsum("xk,xy,yk->", stage.columns.conj(), rho, stage.columns))
+    assert stage.expectation(rho) == pytest.approx(float(old), abs=1e-15)
+
+
+def test_quadratic_oracle_deviation_matches_einsum():
+    n, trials, seed = 7, 200, 3
+    report = verify_quadratic_bounds(n=n, trials=trials, seed=seed)
+    factors = random_product_factors(np.random.default_rng(seed), trials, n)
+    block = build_corner_block(n)
+    values = block.diag_value + block.corner_value * 2.0 * np.real(
+        paired_coordinate_sum(factors, block.corner_count)
+    )
+    dense = product_vectors_dense(factors)
+    old = np.real(np.einsum("ti,ij,tj->t", dense.conj(), block.to_dense(), dense))
+    old_dev = float(np.max(np.abs(old - values)))
+    assert report.parameters["oracle_max_deviation"] == pytest.approx(old_dev, abs=1e-17)
