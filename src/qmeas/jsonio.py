@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -41,21 +42,33 @@ def _write(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(_float_repr(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
-        out.append("{")
-        first = True
-        for key in sorted(obj):
+        keys = sorted(obj)
+        for key in keys:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            if not first:
+        if all(type(obj[key]) is float for key in keys):
+            # flat {str: float} tables: one join instead of one call per value
+            out.append(
+                "{"
+                + ",".join(encode_basestring_ascii(k) + ":" + _float_repr(obj[k]) for k in keys)
+                + "}"
+            )
+            return
+        out.append("{")
+        for i, key in enumerate(keys):
+            if i:
                 out.append(",")
-            first = False
-            out.append(json.dumps(key))
+            out.append(encode_basestring_ascii(key))
             out.append(":")
             _write(obj[key], out)
         out.append("}")
     elif isinstance(obj, (list, tuple)) or (isinstance(obj, np.ndarray) and obj.ndim >= 1):
+        if all(type(item) is float for item in obj):
+            # flat float lists (sampler sidecars): one join
+            out.append("[" + ",".join(map(_float_repr, obj)) + "]")
+            return
         out.append("[")
         for i, item in enumerate(obj):
             if i:

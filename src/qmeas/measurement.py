@@ -17,6 +17,7 @@ how many corner pairs there are.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +36,11 @@ from .matrixcore import require_unit_vector
 from .states import DenseStatePrefix, DensityBlock, FactoredState
 
 _CLAMP_WARN = 1e-9
+# 2**-s halves exactly down to the smallest subnormal 2**-1074; one more
+# halving rounds to zero.
+_HALVINGS = sys.float_info.mant_dig - sys.float_info.min_exp
+# complex entries (outcomes x qubits) per array of one walk over several blocks' last bits
+_WALK_ENTRIES = 1 << 14
 
 
 def as_bits(tau) -> tuple[int, ...]:
@@ -179,11 +185,12 @@ class MeasurementSystem:
 
     def chosen_factors(self, bits, offset: int = 0) -> np.ndarray:
         """Stacked 2-vectors chosen by ``bits`` at positions offset+1, offset+2, ..."""
-        bits = as_bits(bits)
-        out = np.empty((len(bits), 2), dtype=complex)
-        for i, b in enumerate(bits):
-            out[i] = self.basis_at(offset + i + 1)[b]
-        return out
+        return self._chosen(np.array(as_bits(bits), dtype=np.intp), offset)
+
+    def _chosen(self, bits: np.ndarray, offset: int) -> np.ndarray:
+        """``chosen_factors`` of validated bits, shape (..., n) -> (..., n, 2)."""
+        positions = (offset + np.arange(bits.shape[-1])) % len(self._table)
+        return self._table[positions, bits]
 
     def product_vector(self, bits, offset: int = 0) -> np.ndarray:
         """Dense tensor product of the chosen basis vectors (first fastest)."""
@@ -201,45 +208,82 @@ class MeasurementSystem:
         Shape (2**n, n, 2); row i is the outcome whose qubit offset+q+1 reads
         bit (i >> q) & 1, so qubit offset+1 is the least-significant bit.
         """
-        positions = (offset + np.arange(n)) % len(self._table)
-        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-        return self._table[positions, bits]
+        return self._chosen((np.arange(1 << n)[:, None] >> np.arange(n)) & 1, offset)
 
 
-def paired_coordinate_sum(factors: np.ndarray, count: int):
+def paired_coordinate_sum(factors: np.ndarray, count):
     """sum_{k=1}^{count} conj(w_k) * w_{2^n-k+1} for a product vector w.
 
     ``factors`` holds the per-qubit 2-vectors, shape (..., n, 2), qubit 1
-    first.  Paired coordinates have bitwise-complementary indices, so the sum
-    over the first ``count`` coordinates factorizes along the binary digits
-    of ``count``: walking its bits from the top, each set bit contributes the
-    locked higher digits times a free product over the lower positions.
+    first.  ``count`` is one int, or ints of any size (one per row) whose
+    array shape broadcasts against the batch shape.  Paired coordinates
+    have bitwise-complementary indices, so the sum over the first ``count``
+    coordinates factorizes along the binary digits of ``count``: walking its
+    bits from the top, a set bit at position p adds locked(p) * f0[p] *
+    low(p), with f0 = conj(a) * b.  locked(p) multiplies, top first, f0 at
+    the unset and conj(f0) at the set digits above p; low(p) is the product
+    of the pair sums f0 + conj(f0) below p.
+
+    The lows are one cumulative product and the contributions are added top
+    first in one cumulative sum.  The locked chain is multiplied in position
+    by position, vectorized over the batch: numpy's cumulative product
+    rounds complex products differently from its elementwise multiply
+    (which may fuse multiply and add), and the walk is pinned to the latter.
     """
     factors = np.asarray(factors, dtype=complex)
     if factors.ndim < 2 or factors.shape[-1] != 2:
         raise BadQuery("factors must have shape (..., n, 2)")
     n = factors.shape[-2]
-    if not 0 <= count <= 1 << n:
+    counts = np.asarray(count, dtype=object)
+    if not all(0 <= c <= 1 << n for c in counts.flat):
         raise BadQuery(f"count {count} out of range [0, 2^{n}]")
-    batch = factors.shape[:-2]
     f0 = np.conj(factors[..., 0]) * factors[..., 1]  # conj(a_q) * b_q
-    f1 = np.conj(f0)
-    pair_sum = f0 + f1  # both bit choices at a free position
-    if count == 1 << n:
-        out = np.prod(pair_sum, axis=-1)
-        return out if batch else complex(out)
-    # low[p] = product of pair_sum over positions strictly below p
-    ones = np.ones(batch + (1,), dtype=complex)
-    low = np.concatenate([ones, np.cumprod(pair_sum, axis=-1)[..., :-1]], axis=-1)
-    total = np.zeros(batch, dtype=complex)
-    locked = np.ones(batch, dtype=complex)
-    for p in range(n - 1, -1, -1):
-        if (count >> p) & 1:
-            total = total + locked * f0[..., p] * low[..., p]
-            locked = locked * f1[..., p]
-        else:
-            locked = locked * f0[..., p]
+    full = counts == 1 << n  # the whole sum: every position is free
+    if counts.ndim == 0:
+        if full:
+            out = np.prod(f0 + np.conj(f0), axis=-1)
+            return out if factors.ndim > 2 else complex(out)
+        batch, digits = f0.shape[:-1], _count_digits(count, n)
+        tops = np.flatnonzero(digits)[::-1]  # set positions, top first
+    else:
+        batch = np.broadcast_shapes(f0.shape[:-1], counts.shape)
+        digits = np.array(
+            [_count_digits(0 if c == 1 << n else c, n) for c in counts.flat]
+        ).reshape(counts.shape + (n,))
+        tops = np.flatnonzero(np.any(digits.reshape(-1, n), axis=0))[::-1]
+    terms = np.zeros(batch + (tops.size + 1,), dtype=complex)
+    if tops.size:
+        high, lo = int(tops[0]), int(tops[-1])
+        low = np.ones(f0.shape[:-1] + (high + 1,), dtype=complex)
+        # the pair sums f0 + conj(f0) are exactly 2 Re(f0) + 0j
+        np.multiply(f0.real[..., :high], 2.0, out=low.real[..., 1:])
+        np.cumprod(low[..., 1:], axis=-1, out=low[..., 1:])
+        chain = np.empty(batch + (n - lo,), dtype=complex)
+        chain[...] = f0[..., lo:]
+        chain.imag *= np.where(digits[..., lo:], -1.0, 1.0)  # conj(f0) at the set digits
+        locked = np.ones(batch, dtype=complex)
+        column = {int(p): c for c, p in enumerate(tops, start=1)}
+        for p in range(n - 1, lo - 1, -1):
+            if p in column:
+                # never in place: numpy rounds a one-element in-place product
+                # like the cumulative one
+                np.multiply(locked * f0[..., p], low[..., p], out=terms[..., column[p]])
+            locked = locked * chain[..., p - lo]
+        if counts.ndim:
+            np.copyto(terms[..., 1:], 0.0, where=~digits[..., tops])
+        np.cumsum(terms, axis=-1, out=terms)
+    total = terms[..., -1]
+    if counts.ndim and np.any(full):
+        total = np.where(full, np.prod(f0 + np.conj(f0), axis=-1), total)
     return total if batch else complex(total)
+
+
+def _count_digits(count: int, n: int) -> np.ndarray:
+    """The n low bits of ``count``, position 0 (qubit 1) first, as booleans.
+
+    Read from the binary string: ``count >> np.arange(n)`` overflows past 63 bits.
+    """
+    return np.frombuffer(format(count, f"0{n}b").encode("ascii"), dtype=np.uint8)[::-1] == ord("1")
 
 
 def product_quadratic_form(block: DensityBlock, factors: np.ndarray):
@@ -255,10 +299,13 @@ def block_measure(
     block: DensityBlock, system: MeasurementSystem, block_offset: int, sigma
 ) -> float:
     """Measure of a complete block outcome sigma under the basis schedule."""
-    bits = as_bits(sigma)
+    return _block_measure(block, system, block_offset, as_bits(sigma))
+
+
+def _block_measure(block: DensityBlock, system: MeasurementSystem, block_offset: int, bits) -> float:
     if len(bits) != block.n:
         raise BadQuery(f"block of size {block.n} needs {block.n} bits, got {len(bits)}")
-    factors = system.chosen_factors(bits, offset=block_offset)
+    factors = system._chosen(np.array(bits, dtype=np.intp), block_offset)
     return clamp01(float(product_quadratic_form(block, factors)), "block measure")
 
 
@@ -273,12 +320,17 @@ def partial_block_factor(
     delta between a slow index and its complement and vanish; only the
     constant diagonal survives.
     """
-    bits = as_bits(prefix)
+    return _partial_block_factor(block, system, block_offset, as_bits(prefix))
+
+
+def _partial_block_factor(
+    block: DensityBlock, system: MeasurementSystem, block_offset: int, bits
+) -> float:
     j = len(bits)
     if j > block.n:
         raise BadQuery(f"prefix of length {j} exceeds block size {block.n}")
     if j == block.n:
-        return block_measure(block, system, block_offset, bits)
+        return _block_measure(block, system, block_offset, bits)
     if j == 0:
         return 1.0
     return block.diag_value * float(1 << (block.n - j))
@@ -286,10 +338,13 @@ def partial_block_factor(
 
 def premeasure_factored(state: FactoredState, system: MeasurementSystem, tau) -> float:
     """Premeasure of tau on a factored state, one factor per touched block."""
-    bits = as_bits(tau)
+    return _premeasure_factored(state, system, as_bits(tau))
+
+
+def _premeasure_factored(state: FactoredState, system: MeasurementSystem, bits) -> float:
     return clamp01(
         math.prod(
-            partial_block_factor(block, system, offset, bits[offset : offset + take])
+            _partial_block_factor(block, system, offset, bits[offset : offset + take])
             for block, offset, take in state.segments(len(bits))
         )
     )
@@ -383,7 +438,7 @@ def premeasure(state, system: MeasurementSystem, tau, path: str = "auto") -> flo
     """
     bits = as_bits(tau)
     if isinstance(state, FactoredState) and path != "dense":
-        return premeasure_factored(state, system, bits)
+        return _premeasure_factored(state, system, bits)
     return premeasure_dense(state.prefix(len(bits)), system, bits)
 
 
@@ -411,7 +466,7 @@ class BitSample:
         return int(self.bits.shape[0])
 
     def bit_string(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
+        return (np.not_equal(self.bits, 0).astype(np.uint8) + ord("0")).tobytes().decode("ascii")
 
     def conditional_product(self) -> float:
         return float(np.prod(self.conditional_probs)) if len(self) else 1.0
@@ -423,7 +478,7 @@ class BitSample:
             "basis": self.basis_label,
             "state": self.state_label,
             "n_bits": len(self),
-            "conditional_probs": [float(c) for c in self.conditional_probs],
+            "conditional_probs": np.asarray(self.conditional_probs, dtype=float).tolist(),
         }
 
     def write(self, path_prefix: str) -> tuple[str, str]:
@@ -432,8 +487,7 @@ class BitSample:
         sidecar_path = f"{path_prefix}.json"
         text = self.bit_string()
         with open(bits_path, "w", encoding="ascii") as fh:
-            for i in range(0, len(text), 64):
-                fh.write(text[i : i + 64] + "\n")
+            fh.write("".join(text[i : i + 64] + "\n" for i in range(0, len(text), 64)))
         with open(sidecar_path, "w", encoding="ascii") as fh:
             fh.write(jsonio.canonical_dumps(self.sidecar()))
             fh.write("\n")
@@ -449,38 +503,99 @@ def sample_bits(
     conditional probability of 0 given the sampled prefix exceeds the
     variate.  The recorded conditionals telescope, so their product equals
     the premeasure of the emitted string.
+
+    Inside a block the partial factor after s measured qubits is 2**-s
+    whatever the bits (``partial_block_factor``), so every bit but a block's
+    last is a fair coin with conditional exactly 1/2.  Only a complete
+    block's last bit depends on the block's other bits; its two outcomes are
+    divided by 2**-(n-1).  The first block whose chosen measure is subnormal
+    emits one ``NumericHealthWarning``: from there on the conditionals lose
+    precision.
     """
     if length < 0:
         raise BadQuery(f"length must be non-negative, got {length}")
     if not isinstance(state, FactoredState):
         raise BadQuery("sampling is defined for factored states")
-    rng = np.random.default_rng(seed)
-    bits = np.zeros(length, dtype=np.uint8)
-    conds = np.ones(length, dtype=float)
+    conds = np.random.default_rng(seed).random(length)  # the draws, until overwritten
+    bits = (conds >= 0.5).view(np.uint8)
+    complete, zero_step, zero_prefix = [], None, None
     for index, (block, offset, take) in enumerate(state.segments(length)):
-        prev = 1.0
-        seg: list[int] = []
-        for step in range(take):
-            pos = offset + step
-            if prev <= 0.0:
-                raise MeasureZeroPrefix(
-                    f"prefix of measure zero inside block {index} (offset {offset})"
+        if take > _HALVINGS + 1:
+            # the partial factor before step _HALVINGS + 1 is 2**-1075, which is zero
+            zero_prefix = MeasureZeroPrefix(
+                f"prefix of measure zero inside block {index} (offset {offset})"
+            )
+            break
+        if take == block.n:
+            complete.append((index, block, offset, float(conds[offset + block.n - 1])))
+        elif take > _HALVINGS:
+            # a cut block: halving 2**-1074 rounds to zero, so that step's conditional is 0
+            zero_step = offset + _HALVINGS
+    conds.fill(0.5)
+    if zero_step is not None:
+        conds[zero_step] = 0.0
+    warned = False
+    for group in _walk_groups(complete):
+        measures = _last_bit_measures(system, [(b, o) for _, b, o, _ in group], bits)
+        for (index, block, offset, draw), (m0, m1) in zip(group, measures.tolist()):
+            last = offset + block.n - 1
+            prev = math.ldexp(1.0, 1 - block.n)
+            f0 = clamp01(m0, "block measure")
+            p0 = min(max(f0 / prev, 0.0), 1.0)
+            bit = 0 if draw < p0 else 1
+            chosen = f0 if bit == 0 else clamp01(m1, "block measure")
+            conds[last] = chosen / prev
+            bits[last] = bit
+            if chosen < sys.float_info.min and not warned:
+                warned = True
+                warnings.warn(
+                    f"block {index} (n={block.n}, offset {offset}) has subnormal measure "
+                    f"{chosen!r}; conditionals from here on lose precision",
+                    NumericHealthWarning,
+                    stacklevel=2,
                 )
-            if step == block.n - 1:
-                f0 = block_measure(block, system, offset, seg + [0])
-                p0 = min(max(f0 / prev, 0.0), 1.0)
-                bit = 0 if rng.random() < p0 else 1
-                chosen = f0 if bit == 0 else block_measure(block, system, offset, seg + [1])
-            else:
-                # both one-bit extensions halve the partial factor exactly
-                f0 = prev * 0.5
-                bit = 0 if rng.random() < 0.5 else 1
-                chosen = f0
-            conds[pos] = chosen / prev
-            bits[pos] = bit
-            prev = chosen
-            seg.append(bit)
+    if zero_prefix is not None:
+        raise zero_prefix
     return BitSample(bits, int(seed), system.label, state.label, conds)
+
+
+def _walk_groups(complete):
+    """Runs of consecutive complete blocks whose padded walk fits in ``_WALK_ENTRIES``."""
+    group, width = [], 0
+    for item in complete:
+        wider = max(width, item[1].n)
+        if group and 2 * (len(group) + 1) * wider > _WALK_ENTRIES:
+            yield group
+            group, wider = [], item[1].n
+        group.append(item)
+        width = wider
+    if group:
+        yield group
+
+
+def _last_bit_measures(system: MeasurementSystem, group, bits: np.ndarray) -> np.ndarray:
+    """Unclamped measures of both last-bit outcomes of complete blocks, shape (len(group), 2).
+
+    ``group`` lists (block, offset); every other bit comes from ``bits``.
+    All rows share one ``paired_coordinate_sum``.  A row narrower than the
+    widest block is padded below its first qubit with the factor (1, 1/2)
+    and its count shifted past the padding: the walk records nothing there,
+    and the pad's pair sum 1/2 + 1/2 is exactly 1, so the products over the
+    row's own positions are unchanged.
+    """
+    width = max(block.n for block, _ in group)
+    factors = np.empty((len(group), 2, width, 2), dtype=complex)
+    factors[..., 0], factors[..., 1] = 1.0, 0.5
+    counts = np.empty((len(group), 1), dtype=object)
+    for row, (block, offset) in enumerate(group):
+        outcomes = np.repeat(bits[None, offset : offset + block.n], 2, axis=0)
+        outcomes[:, -1] = (0, 1)
+        factors[row, :, width - block.n :] = system._chosen(outcomes, offset)
+        counts[row, 0] = block.corner_count << (width - block.n)
+    sums = paired_coordinate_sum(factors, counts)
+    diag = np.array([[block.diag_value] for block, _ in group])
+    corner = np.array([[block.corner_value] for block, _ in group])
+    return diag + corner * 2.0 * np.real(sums)
 
 
 __all__ = [

@@ -1,12 +1,12 @@
-"""Pinned stdout bytes of CLI invocations whose payloads involve no BLAS call.
+"""Pinned bytes of CLI invocations whose payloads involve no BLAS call.
 
 Factored tables, lifted evaluations on the factored state and the witness
 report are built from closed forms and exact sums, so their bytes are fixed
 across machines and across rewrites of the arithmetic behind them.  Each
 digest is the SHA-256 of the full stdout, payload config and hash included.
-Input files are written into a temporary working directory and named by
-relative path, so the recorded config (and its hash) does not depend on
-where the test runs.
+The sampler's output files are pinned the same way.  Input files are
+written into a temporary working directory and named by relative path, so
+the recorded config (and its hash) does not depend on where the test runs.
 """
 
 import hashlib
@@ -54,6 +54,35 @@ def test_stdout_bytes_are_pinned(name, capsys, tmp_path, monkeypatch):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+# SHA-256 of the .bits and .json files of ``sample --bits 100000 --out-prefix s``
+SAMPLE_FILES = {
+    "hadamard": (
+        "8c3b85c72d49d489c0af6e3ac05e86cb2a39f5d61797101b87bb854f5352ba43",
+        "abb292c8c94d5a5bd27dbf232c43c157072a29ea793deb7df121d8ca692a7795",
+    ),
+    "standard": (
+        "48d4e883894a8171221f72b6a21f672548df62d8f7947a9168084993bcbdfb86",
+        "075e172865959b48051afd5db88f9c1a3b24664d115174a0bac810bc974e2a40",
+    ),
+    "rot.json": (
+        "54b007c415d54c514e752566e104678a4b9144f742ac1341022c7c8f0c83ad5b",
+        "494dda1efe7c2ab77ede0878e2e71f465229517a1509334fe007628fb28b5d2b",
+    ),
+}
+
+
+@pytest.mark.parametrize("basis", sorted(SAMPLE_FILES))
+def test_sample_files_are_pinned(basis, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rot.json").write_text(json.dumps(ROTATION), encoding="ascii")
+    assert main(["sample", "--bits", "100000", "--basis", basis, "--out-prefix", "s"]) == 0
+    capsys.readouterr()
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("s.bits", "s.json")
+    )
+    assert digests == SAMPLE_FILES[basis]
 
 
 def test_depth_zero_table_has_the_empty_key(capsys):
