@@ -20,18 +20,15 @@ from .errors import (
     InsufficientData,
     MeasureZeroPrefix,
     MissingStage,
-    NotHermitian,
     NotOrthonormal,
     NumericHealthWarning,
     QmeasError,
 )
 from .matrixcore import (
-    hermitian_eigensystem,
     is_density_matrix,
     kron,
     kron_all,
     partial_trace_last_qubit,
-    projector_from_vectors,
 )
 from .measurement import (
     BitSample,
@@ -106,7 +103,6 @@ __all__ = [
     "MeasureZeroPrefix",
     "MeasurementSystem",
     "MissingStage",
-    "NotHermitian",
     "NotOrthonormal",
     "NumericHealthWarning",
     "QmeasError",
@@ -125,7 +121,6 @@ __all__ = [
     "eigenvalue_groups",
     "evaluate_state",
     "failure_report",
-    "hermitian_eigensystem",
     "is_density_matrix",
     "kron",
     "kron_all",
@@ -139,7 +134,6 @@ __all__ = [
     "premeasure_factored",
     "premeasure_table_dense",
     "premeasure_table_factored",
-    "projector_from_vectors",
     "required_witness_blocks",
     "run_battery",
     "sample_bits",

@@ -272,18 +272,18 @@ def cmd_battery(args) -> tuple[dict, int]:
 
 def cmd_qmlt_witness(args) -> tuple[dict, int]:
     cls, last = qmlt_mod.build_witness_test(args.m, block_budget=args.budget)
-    depth = qmlt_mod.witness_depth(last)
     state = _load_state(args.state)
     test = qmlt_mod.QuantumMLT({args.m: cls})
     test.validate_tau_bounds()
     failure = qmlt_mod.failure_report(test, state, delta=args.delta)
+    (entry,) = failure.entries  # the one level, at the witness depth
     report = {
         "m": args.m,
         "n_blocks": last,
-        "depth": depth,
-        "rank": cls.rank_at(depth),
-        "tau": cls.tau_at(depth),
-        "evaluation": qmlt_mod.evaluate_state(cls, state, depth),
+        "depth": entry.depth,
+        "rank": entry.rank,
+        "tau": entry.tau,
+        "evaluation": entry.value,
         "failure": failure.payload(),
     }
     return report, EXIT_OK

@@ -14,7 +14,6 @@ from .errors import CapExceeded
 DENSE_CAP_ENV = "QMEAS_DENSE_CAP"
 DEFAULT_DENSE_CAP_EXP = 12
 
-TOL_HERMITIAN = 1e-9
 TOL_NORM = 1e-9
 TOL_EIGEN = 1e-8
 TOL_ARITHMETIC = 1e-12

@@ -27,12 +27,6 @@ class NotOrthonormal(QmeasError):
     code = "not_orthonormal"
 
 
-class NotHermitian(QmeasError):
-    """A matrix deviates from its conjugate transpose beyond tolerance."""
-
-    code = "not_hermitian"
-
-
 class BadBlock(QmeasError):
     """Structured block parameters are out of range."""
 

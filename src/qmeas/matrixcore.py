@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_HERMITIAN, TOL_NORM, dense_cap_exponent
-from .errors import BadShape, CapExceeded, NotHermitian, NotOrthonormal
+from .config import TOL_NORM, dense_cap_exponent
+from .errors import BadShape, CapExceeded, NotOrthonormal
 
 
 def is_power_of_two(n: int) -> bool:
@@ -82,34 +82,6 @@ def require_unit_vector(v: np.ndarray, tol: float = TOL_NORM, what: str = "vecto
     return v
 
 
-def projector_from_vectors(vectors, tol: float = TOL_NORM) -> np.ndarray:
-    """Orthogonal projector onto the span of orthonormal column vectors."""
-    cols = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    if not cols:
-        raise BadShape("projector_from_vectors needs at least one vector")
-    dim = cols[0].shape[0]
-    if any(c.shape[0] != dim for c in cols):
-        raise BadShape("all vectors must share one dimension")
-    V = np.stack(cols, axis=1)
-    gram = V.conj().T @ V
-    dev = np.max(np.abs(gram - np.eye(len(cols))))
-    if dev > tol:
-        raise NotOrthonormal(f"vectors are not orthonormal (gram deviation {dev:.3e})")
-    return V @ V.conj().T
-
-
-def hermitian_eigensystem(m: np.ndarray, tol: float = TOL_HERMITIAN):
-    """Ascending eigenvalues and eigenvector columns of a Hermitian matrix."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise BadShape(f"expected a square matrix, got shape {m.shape}")
-    dev = hermitian_deviation(m)
-    if dev > tol:
-        raise NotHermitian(f"matrix deviates from Hermitian by {dev:.3e}")
-    values, vectors = np.linalg.eigh(m)
-    return values, vectors
-
-
 @dataclass(frozen=True)
 class DensityCheck:
     """Diagnostic result of a density-matrix validation."""
@@ -149,13 +121,11 @@ def is_density_matrix(m: np.ndarray, tol: float = 1e-9) -> DensityCheck:
 __all__ = [
     "DensityCheck",
     "hermitian_deviation",
-    "hermitian_eigensystem",
     "is_density_matrix",
     "is_power_of_two",
     "kron",
     "kron_all",
     "num_qubits_of",
     "partial_trace_last_qubit",
-    "projector_from_vectors",
     "require_unit_vector",
 ]

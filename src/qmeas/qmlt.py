@@ -7,6 +7,16 @@ p_i; its rank density tau = rank / 2**i plays the role of the uniform
 measure and tr(rho_i p_i) the role of membership mass.  Lifting a classical
 test under a product basis sends each prefix to its basis product vector.
 
+Every stage answers one protocol: ``qubits``, ``rank``, ``density()``,
+``matrix()`` and ``mass(state)`` = tr(rho_qubits p).  ``mass`` takes the
+stage's closed form where one exists (product of per-block traces for an
+aligned eigen-span stage, a sum of factored premeasures for a lifted stage)
+and the dense expectation against ``state.prefix(qubits)`` otherwise.  A
+class padded above its top stage returns that stage at deeper depths:
+identity padding multiplies the rank by 2 per qubit, keeps the density, and
+traces out of the mass.  A lifted stage stores its prefixes and basis and
+builds its product-vector columns only for a dense presentation.
+
 The witness test certifies non-randomness of the built-in block-product
 state: level m keeps, for every block of the first N(m) sizes, the span of
 the block's nonzero-eigenvalue eigenvectors, where N(m) is the first N with
@@ -18,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -30,7 +41,7 @@ from .errors import (
     CapExceeded,
     MissingStage,
 )
-from .matrixcore import kron_all, num_qubits_of
+from .matrixcore import kron_all
 from .measurement import MeasurementSystem, clamp01, premeasure_table_factored
 from .states import DensityBlock, FactoredState, analytic_eigensystem, build_corner_block
 
@@ -52,7 +63,10 @@ class StagedSigmaClass:
                 raise BadSpec(f"stage depths must be positive, got {depth}")
             seen = []
             for p in prefixes:
-                s = p if isinstance(p, str) else "".join(str(b) for b in p)
+                try:
+                    s = p if isinstance(p, str) else "".join(str(b) for b in p)
+                except TypeError:
+                    raise BadSpec(f"prefix {p!r} is not a {depth}-bit string") from None
                 if len(s) != depth or any(c not in "01" for c in s):
                     raise BadSpec(f"prefix {p!r} is not a {depth}-bit string")
                 seen.append(s)
@@ -117,10 +131,11 @@ class ClassicalMLT:
             if not isinstance(stages, dict):
                 raise BadSpec(f"level {m} must map depths to prefix lists")
             try:
+                level = int(m)
                 parsed = {int(d): tuple(ps) for d, ps in stages.items()}
             except (TypeError, ValueError):
-                raise BadSpec(f"level {m} has malformed stage keys") from None
-            levels[int(m)] = StagedSigmaClass(parsed)
+                raise BadSpec(f"level {m!r} has a malformed key or prefix list") from None
+            levels[level] = StagedSigmaClass(parsed)
         test = cls(levels)
         test.validate()
         return test
@@ -155,25 +170,14 @@ class ZeroProjection:
         require_dense_qubits(self.qubits, "projection matrix")
         return np.zeros((1 << self.qubits, 1 << self.qubits), dtype=complex)
 
-    def expectation(self, rho: np.ndarray) -> float:
+    def mass(self, state) -> float:
         return 0.0
 
 
 class SpanProjection:
-    """Projection onto the span of explicit orthonormal columns.
+    """Projection onto the span of explicit orthonormal columns."""
 
-    A lifted stage also keeps its ``prefixes`` and the basis ``system`` that
-    sent them to the columns, so its mass on a factored state is a sum of
-    closed-form premeasures (see ``evaluate_state``).
-    """
-
-    def __init__(
-        self,
-        qubits: int,
-        columns: np.ndarray,
-        prefixes: tuple[str, ...] | None = None,
-        system: MeasurementSystem | None = None,
-    ):
+    def __init__(self, qubits: int, columns: np.ndarray):
         columns = np.asarray(columns, dtype=complex)
         if columns.ndim != 2 or columns.shape[0] != 1 << qubits:
             raise BadQuery(f"columns must be ({1 << qubits}, k), got {columns.shape}")
@@ -183,8 +187,6 @@ class SpanProjection:
             raise BadQuery(f"projection columns are not orthonormal (deviation {dev:.3e})")
         self.qubits = qubits
         self.columns = columns
-        self.prefixes = prefixes
-        self.system = system
 
     @property
     def rank(self) -> int:
@@ -198,9 +200,43 @@ class SpanProjection:
         return self.columns @ self.columns.conj().T
 
     def expectation(self, rho: np.ndarray) -> float:
+        """tr(rho p) against a dense density matrix on ``qubits`` qubits."""
         if not self.rank:
             return 0.0
         return float(np.real(np.vdot(self.columns, rho @ self.columns)))
+
+    def mass(self, state) -> float:
+        return self.expectation(state.prefix(self.qubits).rho)
+
+
+class LiftedProjection(SpanProjection):
+    """Span of the basis product vectors of one stage's prefixes.
+
+    ``MeasurementSystem`` admits only orthonormal basis pairs, so distinct
+    prefixes give orthonormal product vectors and the columns need no Gram
+    check.  They are built only when a dense presentation asks for them:
+    on a factored state the mass is a sum of closed-form premeasures.
+    """
+
+    def __init__(self, qubits: int, prefixes: tuple[str, ...], system: MeasurementSystem):
+        self.qubits = qubits
+        self.prefixes = prefixes
+        self.system = system
+
+    @property
+    def rank(self) -> int:
+        return len(self.prefixes)
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        return np.stack([self.system.product_vector(p) for p in self.prefixes], axis=1)
+
+    def mass(self, state) -> float:
+        if isinstance(state, FactoredState):
+            # one table, its entries summed and rounded once by fsum
+            table = premeasure_table_factored(state, self.system, self.qubits)
+            return math.fsum(table[int(p[::-1], 2)] for p in self.prefixes)
+        return super().mass(state)
 
 
 @dataclass(frozen=True)
@@ -297,46 +333,16 @@ class FactoredEigenProjection:
             factors.append(cols @ cols.conj().T)
         return kron_all(factors)
 
-    def expectation(self, rho: np.ndarray) -> float:
-        m = self.matrix()
-        return float(np.real(np.trace(rho @ m)))
-
-    def expectation_blockwise(self, blocks: list[DensityBlock]) -> float:
-        """Product of per-block traces against aligned structured blocks."""
-        if len(blocks) != len(self.spans):
-            raise BadQuery("block count does not match the projection's spans")
-        value = 1.0
-        for span, block in zip(self.spans, blocks):
-            value *= span.trace_against(block)
-        return value
-
-
-class PaddedProjection:
-    """A stored projection tensored with identity on additional qubits."""
-
-    def __init__(self, base, extra: int):
-        if extra < 1:
-            raise BadQuery("padding needs at least one extra qubit")
-        self.base = base
-        self.extra = extra
-        self.qubits = base.qubits + extra
-
-    @property
-    def rank(self) -> int:
-        return self.base.rank << self.extra
-
-    def density(self) -> float:
-        return self.base.density()
-
-    def matrix(self) -> np.ndarray:
-        require_dense_qubits(self.qubits, "projection matrix")
-        # identity padding acts on the later (slower) qubits
-        return np.kron(np.eye(1 << self.extra, dtype=complex), self.base.matrix())
-
-    def expectation(self, rho: np.ndarray) -> float:
-        if num_qubits_of(rho.shape[0]) != self.qubits:
-            raise BadQuery("state prefix does not match the padded dimension")
-        return float(np.real(np.trace(rho @ self.matrix())))
+    def mass(self, state) -> float:
+        if isinstance(state, FactoredState):
+            head = [block for block, _, _ in state.segments(self.qubits)]
+            aligned = _regroup_blocks(head, [s.block.n for s in self.spans])
+            if aligned is not None:
+                value = 1.0
+                for span, block in zip(self.spans, aligned):
+                    value *= span.trace_against(block)
+                return value
+        return float(np.real(np.trace(state.prefix(self.qubits).rho @ self.matrix())))
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +376,14 @@ class QuantumSigmaClass:
         return max(self.stages)
 
     def stage_at(self, depth: int):
+        """The stage that defines p_depth.
+
+        Below the lowest stored stage of a ``zero_below`` class this is a
+        zero stage on ``depth`` qubits.  Above the top stage of a
+        ``pad_above`` class it is the top stage itself: p_depth is that
+        stage tensored with identity on the extra qubits, so its qubits are
+        fewer than ``depth``.
+        """
         if depth in self.stages:
             return self.stages[depth]
         lo, hi = min(self.stages), max(self.stages)
@@ -379,12 +393,13 @@ class QuantumSigmaClass:
             raise MissingStage(f"no stage at depth {depth} (stored: {self.depths()})")
         if depth > hi:
             if self.pad_above:
-                return PaddedProjection(self.stages[hi], depth - hi)
+                return self.stages[hi]
             raise MissingStage(f"no stage at depth {depth} (stored: {self.depths()})")
         raise MissingStage(f"no stage at depth {depth} (stored: {self.depths()})")
 
     def rank_at(self, depth: int) -> int:
-        return self.stage_at(depth).rank
+        stage = self.stage_at(depth)
+        return stage.rank << (depth - stage.qubits)
 
     def tau_at(self, depth: int) -> float:
         return self.stage_at(depth).density()
@@ -444,26 +459,7 @@ def _regroup_blocks(blocks: list[DensityBlock], sizes: list[int]) -> list[Densit
 
 def evaluate_state(cls: QuantumSigmaClass, state, depth: int) -> float:
     """tr(rho_depth p_depth) for any supported state presentation."""
-    stage = cls.stage_at(depth)
-    while isinstance(stage, PaddedProjection):
-        # identity padding traces out against the deeper prefix, so the
-        # stored stage evaluated at its own depth gives the same number
-        stage = stage.base
-    if isinstance(stage, ZeroProjection):
-        return 0.0
-    eff_depth = stage.qubits
-    if isinstance(state, FactoredState):
-        if isinstance(stage, FactoredEigenProjection):
-            head = [block for block, _, _ in state.segments(eff_depth)]
-            aligned = _regroup_blocks(head, [s.block.n for s in stage.spans])
-            if aligned is not None:
-                return clamp01(stage.expectation_blockwise(aligned))
-        elif isinstance(stage, SpanProjection) and stage.prefixes is not None:
-            # orthonormal product vectors: the mass is the sum of the prefixes'
-            # closed-form premeasures, rounded once by fsum
-            table = premeasure_table_factored(state, stage.system, eff_depth)
-            return clamp01(math.fsum(table[int(p[::-1], 2)] for p in stage.prefixes))
-    return clamp01(stage.expectation(state.prefix(eff_depth).rho))
+    return clamp01(cls.stage_at(depth).mass(state))
 
 
 @dataclass
@@ -505,10 +501,7 @@ def lift_classical_mlt(test: ClassicalMLT, system: MeasurementSystem) -> Quantum
             if not prefixes:
                 stages[depth] = ZeroProjection(depth)
             else:
-                cols = np.stack(
-                    [system.product_vector(p) for p in prefixes], axis=1
-                )
-                stages[depth] = SpanProjection(depth, cols, prefixes, system)
+                stages[depth] = LiftedProjection(depth, prefixes, system)
         if not stages:
             # a level with no stages covers nothing: the all-zero class
             levels[m] = QuantumSigmaClass(
@@ -675,7 +668,7 @@ __all__ = [
     "FactoredEigenProjection",
     "FailureReport",
     "LevelEvaluation",
-    "PaddedProjection",
+    "LiftedProjection",
     "QuantumMLT",
     "QuantumSigmaClass",
     "SpanProjection",

@@ -122,8 +122,8 @@ def test_criterion_06_lifting_identity():
         rho = random_density(rng, 1 << i)
         classical = qmlt.ClassicalMLT({1: qmlt.StagedSigmaClass({i: prefixes})})
         stage = qmlt.lift_classical_mlt(classical, system).levels[1].stage_at(i)
-        lhs = stage.expectation(rho)
         chain = DenseStateChain.from_top(rho)
+        lhs = stage.mass(chain)
         rhs = sum(premeasure_dense(chain.prefix(i), system, p) for p in prefixes)
         worst = max(worst, abs(lhs - rhs))
         assert stage.rank == n_prefixes

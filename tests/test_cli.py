@@ -352,6 +352,23 @@ def test_qmlt_eval_accepts_lifted_alias(capsys, tmp_path):
     assert entry["value"] == pytest.approx(0.25, rel=1e-12)
 
 
+@pytest.mark.parametrize("subcommand", ["lift", "eval"])
+@pytest.mark.parametrize(
+    "levels",
+    [{"x": {"2": ["00"]}}, {"1.5": {"2": ["00"]}}, {"1": {"2": [0, 1]}}],
+    ids=["word-level", "fractional-level", "integer-prefixes"],
+)
+def test_qmlt_malformed_mlt_document_is_bad_spec(capsys, tmp_path, subcommand, levels):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"levels": levels}))
+    code, out, err = run_cli(
+        capsys, ["qmlt", subcommand, "--mlt", str(path), "--state", "mixed"]
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "bad_spec"
+
+
 # ---------------------------------------------------------------------------
 # verify subcommands
 

@@ -16,6 +16,7 @@ import random
 import pytest
 
 from qmeas.cli import main
+from qmeas.measurement import MeasurementSystem
 
 ROTATION = {"kind": "rotation", "theta": [0.41, 0.93, 1.17, 0.62, 0.85]}
 
@@ -41,19 +42,39 @@ PINNED = {
         ["qmlt", "lift", "--mlt", "gen.json", "--basis", "hadamard", "--state", "paper-rho"],
         "86426f52da1d36d5401e5f58dfc7c7891925fc9d58185ca9cf36d02aa2788f48",
     ),
+    "lift_mixed": (
+        ["qmlt", "lift", "--mlt", "gen.json", "--basis", "hadamard", "--state", "mixed"],
+        "5936c7b841fd08d758b4d63f18cc11e042288df06af3716b2cad57e03750b87e",
+    ),
     "witness3": (["qmlt", "witness", "--m", "3"], "b58f0f01a1e574ff4c90e4716cce4053e10a12479e86b6eb4e49eca4af045a31"),
+    "witness3_mixed": (
+        ["qmlt", "eval", "--witness", "3", "--state", "mixed"],
+        "c06e634f5548e997334493476ea13ccf9dba764e70bb1fdced4a015e8d93a9ea",
+    ),
 }
+
+
+def stdout_digest(argv, capsys, tmp_path, monkeypatch) -> str:
+    monkeypatch.chdir(tmp_path)
+    for filename, doc in INPUTS.items():
+        (tmp_path / filename).write_text(json.dumps(doc), encoding="ascii")
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_stdout_bytes_are_pinned(name, capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    for filename, doc in INPUTS.items():
-        (tmp_path / filename).write_text(json.dumps(doc), encoding="ascii")
     argv, digest = PINNED[name]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+    assert stdout_digest(argv, capsys, tmp_path, monkeypatch) == digest
+
+
+def test_lift_on_the_factored_state_builds_no_product_vector(capsys, tmp_path, monkeypatch):
+    def refuse(self, bits, offset=0):
+        raise AssertionError("a dense product vector was built")
+
+    monkeypatch.setattr(MeasurementSystem, "product_vector", refuse)
+    argv, digest = PINNED["lift"]
+    assert stdout_digest(argv, capsys, tmp_path, monkeypatch) == digest
 
 
 # SHA-256 of the .bits and .json files of ``sample --bits 100000 --out-prefix s``

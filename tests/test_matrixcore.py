@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeas.errors import BadShape, CapExceeded, NotHermitian, NotOrthonormal
+from qmeas.errors import BadShape, CapExceeded
 from qmeas.matrixcore import (
-    hermitian_eigensystem,
     is_density_matrix,
     kron,
     kron_all,
     num_qubits_of,
     partial_trace_last_qubit,
-    projector_from_vectors,
 )
 
 from conftest import random_density
@@ -90,36 +88,6 @@ def test_partial_trace_preserves_trace():
     rng = np.random.default_rng(9)
     rho = random_density(rng, 32)
     assert np.trace(partial_trace_last_qubit(rho)) == pytest.approx(1.0)
-
-
-def test_projector_from_vectors():
-    rng = np.random.default_rng(13)
-    basis, _ = np.linalg.qr(rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)))
-    p = projector_from_vectors(list(basis.T))
-    assert np.allclose(p, p.conj().T, atol=1e-12)
-    assert np.allclose(p @ p, p, atol=1e-12)
-    assert np.trace(p).real == pytest.approx(3.0)
-
-
-def test_projector_rejects_skewed_columns():
-    v0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    v1 = np.array([0.9, np.sqrt(1 - 0.81), 0.0], dtype=complex)
-    with pytest.raises(NotOrthonormal):
-        projector_from_vectors([v0, v1])
-
-
-def test_hermitian_eigensystem_matches_numpy():
-    rng = np.random.default_rng(17)
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    h = (a + a.conj().T) / 2
-    values, vectors = hermitian_eigensystem(h)
-    assert np.allclose(values, np.linalg.eigvalsh(h), atol=1e-12)
-    assert np.allclose(vectors @ np.diag(values) @ vectors.conj().T, h, atol=1e-10)
-
-
-def test_hermitian_eigensystem_rejects_skew():
-    with pytest.raises(NotHermitian):
-        hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_is_density_matrix_accepts_and_rejects():

@@ -12,7 +12,6 @@ from qmeas.qmlt import (
     BlockEigenSpan,
     ClassicalMLT,
     FactoredEigenProjection,
-    PaddedProjection,
     QuantumMLT,
     QuantumSigmaClass,
     SpanProjection,
@@ -151,12 +150,51 @@ def test_span_projection_requires_orthonormal_columns():
         SpanProjection(1, cols)
 
 
-def test_padded_projection_small_golden():
+def test_padded_projection_small_golden(rng):
+    """|0><0| padded by one identity qubit is diag(1, 0, 1, 0)."""
     base = SpanProjection(1, np.array([[1.0], [0.0]], dtype=complex))
-    padded = PaddedProjection(base, 1)
-    assert padded.rank == 2
-    assert padded.density() == base.density() == 0.5
-    assert np.allclose(padded.matrix(), np.diag([1.0, 0.0, 1.0, 0.0]))
+    cls = QuantumSigmaClass({1: base}, pad_above=True)
+    assert cls.rank_at(2) == 2
+    assert cls.tau_at(2) == base.density() == 0.5
+    chain = DenseStateChain.from_top(random_density(rng, 4))
+    padded = np.diag([1.0, 0.0, 1.0, 0.0])
+    oracle = float(np.real(np.trace(chain.prefix(2).rho @ padded)))
+    assert evaluate_state(cls, chain, 2) == pytest.approx(oracle, abs=1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_padding_is_depth_arithmetic(k, rng):
+    """Above the top stage: rank << k, the same density, the same value bit for bit."""
+    test = ClassicalMLT({1: StagedSigmaClass({3: ("000", "011", "101")})})
+    lifted = lift_classical_mlt(test, MeasurementSystem.hadamard()).levels[1]
+    padded_lift = QuantumSigmaClass({3: lifted.stage_at(3)}, pad_above=True)
+    witness, last = build_witness_test(1)
+    chain = DenseStateChain.from_top(random_density(rng, 8))
+    cases = [
+        (padded_lift, 3, FactoredState.witness_state()),
+        (padded_lift, 3, FactoredState.maximally_mixed()),
+        (padded_lift, 3, chain),
+        (witness, witness_depth(last), FactoredState.witness_state()),
+        (witness, witness_depth(last), FactoredState.maximally_mixed()),
+    ]
+    for cls, d, state in cases:
+        assert cls.rank_at(d + k) == cls.rank_at(d) << k
+        assert cls.tau_at(d + k) == cls.tau_at(d)
+        assert evaluate_state(cls, state, d + k) == evaluate_state(cls, state, d)
+
+
+def test_lifted_stage_dense_presentation_is_its_product_vector_span(rng):
+    """matrix() and the dense mass equal a SpanProjection of the stacked product vectors."""
+    system = random_basis(rng, periods=3)
+    prefixes = ("0000", "0101", "0110", "1011", "1111")
+    test = ClassicalMLT({1: StagedSigmaClass({4: prefixes})})
+    stage = lift_classical_mlt(test, system).levels[1].stage_at(4)
+    explicit = SpanProjection(4, np.stack([system.product_vector(p) for p in prefixes], axis=1))
+    chain = DenseStateChain.from_top(random_density(rng, 16))
+    assert stage.rank == explicit.rank == 5
+    assert stage.density() == explicit.density()
+    assert np.array_equal(stage.matrix(), explicit.matrix())
+    assert stage.mass(chain) == explicit.mass(chain)
 
 
 def test_block_eigen_span_rank_and_density():
@@ -188,8 +226,8 @@ def test_factored_projection_rank_golden():
     spans = tuple(BlockEigenSpan.nonzero(build_corner_block(n)) for n in (5, 6))
     proj = FactoredEigenProjection(spans)
     assert proj.rank == (32 - 6) * (64 - 10) == 1404
-    mixed_blocks = [build_corner_block(5), build_corner_block(6)]
-    assert proj.expectation_blockwise(mixed_blocks) == pytest.approx(1.0, abs=1e-15)
+    aligned = FactoredState([build_corner_block(5), build_corner_block(6)])
+    assert proj.mass(aligned) == pytest.approx(1.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
