@@ -67,6 +67,7 @@ from .states import (
     build_corner_block,
     build_corner_block_general,
     check_coherence,
+    check_density,
     eigenvalue_groups,
     parse_state_spec,
     prefix_density,
@@ -117,6 +118,7 @@ __all__ = [
     "build_corner_block_general",
     "build_witness_test",
     "check_coherence",
+    "check_density",
     "dense_cap_exponent",
     "eigenvalue_groups",
     "evaluate_state",

@@ -22,7 +22,6 @@ from . import qmlt as qmlt_mod
 from . import verify as verify_mod
 from .errors import BadQuery, BudgetExceeded, CapExceeded, QmeasError
 from .jsonio import canonical_dumps, config_hash, load_document
-from .matrixcore import is_density_matrix
 from .measurement import (
     MeasurementSystem,
     additivity_check,
@@ -32,7 +31,13 @@ from .measurement import (
     sample_bits,
 )
 from .randlab import aggregate, run_battery
-from .states import FactoredState, check_coherence, eigenvalue_groups, parse_state_spec
+from .states import (
+    FactoredState,
+    check_coherence,
+    check_density,
+    eigenvalue_groups,
+    parse_state_spec,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -104,7 +109,7 @@ def cmd_state(args) -> tuple[dict, int]:
     code = EXIT_OK
     if args.check_depth is not None:
         coherence = check_coherence(state, args.check_depth)
-        density = is_density_matrix(state.prefix(args.check_depth).rho)
+        density = check_density(state, args.check_depth)
         report["coherence"] = coherence.payload()
         report["density"] = density.payload()
         if not (coherence.ok and density.ok):

@@ -57,8 +57,13 @@ class StagedSigmaClass:
 
     def __post_init__(self):
         norm: dict[int, tuple[str, ...]] = {}
-        for depth, prefixes in self.stages.items():
-            depth = int(depth)
+        for key, prefixes in self.stages.items():
+            try:
+                depth = int(key)
+            except (TypeError, ValueError):
+                raise BadSpec(f"stage depth {key!r} is not an integer") from None
+            if depth in norm:
+                raise BadSpec(f"stage depth {depth} is given twice")
             if depth < 1:
                 raise BadSpec(f"stage depths must be positive, got {depth}")
             seen = []
@@ -107,10 +112,18 @@ class ClassicalMLT:
     levels: dict[int, StagedSigmaClass]
 
     def __post_init__(self):
-        self.levels = {int(m): sc for m, sc in self.levels.items()}
-        for m in self.levels:
+        levels: dict[int, StagedSigmaClass] = {}
+        for key, sc in self.levels.items():
+            try:
+                m = int(key)
+            except (TypeError, ValueError):
+                raise BadSpec(f"level {key!r} is not an integer") from None
+            if m in levels:
+                raise BadSpec(f"level {m} is given twice")
             if m < 1:
                 raise BadSpec(f"levels are indexed from 1, got {m}")
+            levels[m] = sc
+        self.levels = levels
 
     def validate(self) -> None:
         for m, sc in sorted(self.levels.items()):
@@ -131,11 +144,10 @@ class ClassicalMLT:
             if not isinstance(stages, dict):
                 raise BadSpec(f"level {m} must map depths to prefix lists")
             try:
-                level = int(m)
-                parsed = {int(d): tuple(ps) for d, ps in stages.items()}
-            except (TypeError, ValueError):
-                raise BadSpec(f"level {m!r} has a malformed key or prefix list") from None
-            levels[level] = StagedSigmaClass(parsed)
+                parsed = {d: tuple(ps) for d, ps in stages.items()}
+            except TypeError:
+                raise BadSpec(f"level {m!r} has a malformed prefix list") from None
+            levels[m] = StagedSigmaClass(parsed)
         test = cls(levels)
         test.validate()
         return test

@@ -19,7 +19,13 @@ import numpy as np
 from . import jsonio
 from .config import require_dense_qubits
 from .errors import BadBlock, BadFamilyParams, BadQuery, BadShape, BadSpec
-from .matrixcore import is_density_matrix, kron, num_qubits_of, partial_trace_last_qubit
+from .matrixcore import (
+    DensityCheck,
+    is_density_matrix,
+    kron,
+    num_qubits_of,
+    partial_trace_last_qubit,
+)
 
 
 @dataclass(frozen=True)
@@ -342,22 +348,83 @@ class CoherenceReport:
 
 
 def check_coherence(state, depth: int, tol: float = 1e-10) -> CoherenceReport:
-    """Verify that tracing the last qubit of each prefix yields the one below."""
+    """Verify that tracing the last qubit of each prefix yields the one below.
+
+    The deviation at depth j is max|tr_last(rho_j) - rho_(j-1)|.  On a
+    ``FactoredState`` it is computed block by block: if qubit j is the t-th
+    qubit of its block and P_t is that block traced down to its first t
+    qubits, rho_j = A (x) P_t with A the complete blocks before it, so the
+    deviation is max|A| * max|tr_last(P_t) - P_(t-1)|, and max|A| is the
+    product of their diagonal values (corners never exceed the diagonal), a
+    power of two.  Each touched block is materialized once, so the dense cap
+    bounds the block size, not the depth.  Any other state compares its
+    dense prefixes depth by depth.
+    """
     if depth < 1:
         raise BadQuery("coherence needs depth >= 1")
-    deviations = []
+    if isinstance(state, FactoredState):
+        deviations = _factored_deviations(state, depth)
+    else:
+        deviations = [
+            (j, _trace_deviation(state.prefix(j).rho, state.prefix(j - 1).rho))
+            for j in range(1, depth + 1)
+        ]
     worst = 0.0
     failed_at = None
-    for j in range(1, depth + 1):
-        upper = state.prefix(j).rho
-        lower = state.prefix(j - 1).rho
-        dev = float(np.max(np.abs(partial_trace_last_qubit(upper) - lower)))
-        deviations.append((j, dev))
+    for j, dev in deviations:
         if dev > worst:
             worst = dev
         if failed_at is None and dev > tol:
             failed_at = j
     return CoherenceReport(failed_at is None, worst, tuple(deviations), failed_at, tol)
+
+
+def _trace_deviation(upper: np.ndarray, lower: np.ndarray) -> float:
+    return float(np.max(np.abs(partial_trace_last_qubit(upper) - lower)))
+
+
+def _factored_deviations(state: FactoredState, depth: int) -> list[tuple[int, float]]:
+    deviations = []
+    scale = 1.0
+    for block, offset, take in state.segments(depth):
+        traced = [block.to_dense()]  # traced[i] is P_(n-i)
+        for _ in range(block.n - 1):
+            traced.append(partial_trace_last_qubit(traced[-1]))
+        traced.append(np.eye(1))  # P_0, the empty prefix
+        for t in range(1, take + 1):
+            dev = _trace_deviation(traced[block.n - t], traced[block.n - t + 1])
+            deviations.append((offset + t, scale * dev))
+        scale *= block.diag_value
+    return deviations
+
+
+def check_density(state, depth: int, tol: float = 1e-9) -> DensityCheck:
+    """Check that the depth-k prefix is Hermitian, of unit trace and PSD.
+
+    On a ``FactoredState`` the answer is closed form: the prefix is the
+    Kronecker product of its complete blocks and I/2^take for a straddled
+    block, so its least eigenvalue is the product of the blocks' least
+    eigen-group values (2^-take for the straddled one) and its trace the
+    product of the blocks' traces diag_value * 2^n.  Blocks are real
+    symmetric, so the Hermitian deviation is 0.  No dense matrix is built
+    and no dense cap applies.  Any other state is checked densely with
+    ``is_density_matrix`` of its prefix.
+    """
+    if not isinstance(state, FactoredState):
+        return is_density_matrix(state.prefix(depth).rho, tol)
+    if depth < 0:
+        raise BadQuery(f"prefix depth must be non-negative, got {depth}")
+    min_eig = 1.0
+    trace = 1.0
+    for block, _, take in state.segments(depth):
+        if take == block.n:
+            min_eig *= min(g.value for g in eigenvalue_groups(block))
+            trace *= math.ldexp(block.diag_value, block.n)  # 2^n overflows a float past n = 1023
+        else:
+            min_eig *= 2.0 ** -take
+    trace_dev = abs(trace - 1.0)
+    ok = trace_dev <= tol and min_eig >= -tol
+    return DensityCheck(ok, 0.0, trace_dev, min_eig, 1 << depth)
 
 
 def parse_state_spec(doc: dict):
@@ -430,6 +497,7 @@ __all__ = [
     "build_corner_block",
     "build_corner_block_general",
     "check_coherence",
+    "check_density",
     "eigenvalue_groups",
     "family_tables",
     "parse_state_spec",

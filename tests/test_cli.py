@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from qmeas.cli import main
+from qmeas.matrixcore import is_density_matrix
 from qmeas.measurement import MeasurementSystem, sample_bits
-from qmeas.states import FactoredState
+from qmeas.states import DenseStateChain, FactoredState, parse_state_spec
 
 
 def run_cli(capsys, argv):
@@ -180,6 +181,47 @@ def test_state_checks_pass_for_default(capsys):
     assert eigen["zero_multiplicity"] == 6
     kinds = {g["kind"] for g in eigen["groups"]}
     assert kinds == {"pair_plus", "pair_minus", "middle"}
+
+
+def test_state_checks_reach_past_the_dense_cap(capsys):
+    code, out, _ = run_cli(capsys, ["state", "--paper-rho", "--check-depth", "30"])
+    assert code == 0
+    report = payload_of(out)["report"]
+    assert report["coherence"]["ok"] and len(report["coherence"]["deviations"]) == 30
+    assert report["density"] == {
+        "ok": True,
+        "hermitian_deviation": 0,
+        "trace_deviation": 0,
+        "min_eigenvalue": 0,
+        "dim": 1 << 30,
+    }
+
+
+def test_state_check_cap_bounds_the_touched_block(capsys, monkeypatch):
+    monkeypatch.setenv("QMEAS_DENSE_CAP", "6")
+    code, _, _ = run_cli(capsys, ["state", "--paper-rho", "--check-depth", "11"])
+    assert code == 0  # blocks 5 and 6 fit under the cap
+    code, _, err = run_cli(capsys, ["state", "--paper-rho", "--check-depth", "12"])
+    assert code == 3
+    assert json.loads(err)["error"]["code"] == "cap_exceeded"
+
+
+def test_state_checks_a_dense_prefix_densely(capsys, tmp_path):
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    chain = DenseStateChain.from_top(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    mats = [
+        [[[z.real, z.imag] for z in row] for row in chain.prefix(k).rho.tolist()]
+        for k in range(1, 4)
+    ]
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"kind": "dense_prefix", "matrices": mats}))
+    loaded = parse_state_spec(json.loads(path.read_text()))
+    for k in range(1, 4):
+        code, out, _ = run_cli(capsys, ["state", "--state", str(path), "--check-depth", str(k)])
+        assert code == 0
+        density = payload_of(out)["report"]["density"]
+        assert density == is_density_matrix(loaded.prefix(k).rho).payload()
 
 
 def test_state_mixed_has_no_zero_eigenvalues(capsys):
@@ -355,8 +397,14 @@ def test_qmlt_eval_accepts_lifted_alias(capsys, tmp_path):
 @pytest.mark.parametrize("subcommand", ["lift", "eval"])
 @pytest.mark.parametrize(
     "levels",
-    [{"x": {"2": ["00"]}}, {"1.5": {"2": ["00"]}}, {"1": {"2": [0, 1]}}],
-    ids=["word-level", "fractional-level", "integer-prefixes"],
+    [
+        {"x": {"2": ["00"]}},
+        {"1.5": {"2": ["00"]}},
+        {"1": {"2": [0, 1]}},
+        {"1": {"2": ["00", "01"]}, "01": {"2": ["11"]}},
+        {"1": {"2": ["00", "01"], "02": ["11"]}},
+    ],
+    ids=["word-level", "fractional-level", "integer-prefixes", "duplicate-level", "duplicate-depth"],
 )
 def test_qmlt_malformed_mlt_document_is_bad_spec(capsys, tmp_path, subcommand, levels):
     path = tmp_path / "bad.json"

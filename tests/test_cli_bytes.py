@@ -1,9 +1,10 @@
 """Pinned bytes of CLI invocations whose payloads involve no BLAS call.
 
-Factored tables, lifted evaluations on the factored state and the witness
-report are built from closed forms and exact sums, so their bytes are fixed
-across machines and across rewrites of the arithmetic behind them.  Each
-digest is the SHA-256 of the full stdout, payload config and hash included.
+Factored tables, lifted evaluations on the factored state, the witness
+report and the state checks on factored states are built from closed forms
+and exact sums, so their bytes are fixed across machines and across rewrites
+of the arithmetic behind them.  Each digest is the SHA-256 of the full
+stdout, payload config and hash included.
 The sampler's output files are pinned the same way.  Input files are
 written into a temporary working directory and named by relative path, so
 the recorded config (and its hash) does not depend on where the test runs.
@@ -45,6 +46,18 @@ PINNED = {
     "lift_mixed": (
         ["qmlt", "lift", "--mlt", "gen.json", "--basis", "hadamard", "--state", "mixed"],
         "5936c7b841fd08d758b4d63f18cc11e042288df06af3716b2cad57e03750b87e",
+    ),
+    "state11": (
+        ["state", "--paper-rho", "--check-depth", "11", "--eigen", "5"],
+        "1e1ba0a81ec8e52d6f0969a76330f54fccee8a4de40eee5f31ca43a21456616e",
+    ),
+    "state8": (
+        ["state", "--paper-rho", "--check-depth", "8", "--eigen", "5"],
+        "25ff64b54c7dc3f402d4a575de3aa10d88ba9dfa29970841deb28970dba64499",
+    ),
+    "state11_mixed": (
+        ["state", "--mixed", "--check-depth", "11"],
+        "3a6e23526719d4b4cc53f4a6354c33f1fc30d035d51176e4871da5eadfd4a927",
     ),
     "witness3": (["qmlt", "witness", "--m", "3"], "b58f0f01a1e574ff4c90e4716cce4053e10a12479e86b6eb4e49eca4af045a31"),
     "witness3_mixed": (

@@ -1,11 +1,16 @@
 """Structured blocks, the product state, coherence, and spec parsing."""
 
+import json
+
 import numpy as np
 import pytest
 
 from qmeas.errors import BadBlock, BadFamilyParams, BadQuery, BadSpec, CapExceeded
 from qmeas.matrixcore import is_density_matrix, kron, partial_trace_last_qubit
+from qmeas import states
+from qmeas.cli import main
 from qmeas.states import (
+    CoherenceReport,
     DenseStateChain,
     DensityBlock,
     FactoredState,
@@ -13,6 +18,7 @@ from qmeas.states import (
     build_corner_block,
     build_corner_block_general,
     check_coherence,
+    check_density,
     eigenvalue_groups,
     parse_state_spec,
     prefix_density,
@@ -226,3 +232,82 @@ def test_lazy_extension_materializes_growing_blocks():
     state = FactoredState.witness_state()
     assert state.block(3).n == 8
     assert [b.n for b in state.blocks] == [5, 6, 7, 8]
+
+
+# ---------------------------------------------------------------------------
+# closed-form checks against the dense prefixes
+
+
+def general_state():
+    """A family state whose corners (0.7 of the diagonal) leave no zero eigenvalue."""
+    sizes = range(5, 9)
+    return FactoredState.general_family(
+        {n: (1 << n) // n for n in sizes}, {n: 0.7 * 2.0**-n for n in sizes}
+    )
+
+
+CHECKED_STATES = {
+    "witness": FactoredState.witness_state,
+    "mixed": FactoredState.maximally_mixed,
+    "general": general_state,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_STATES))
+def test_check_density_is_the_dense_check(name):
+    state = CHECKED_STATES[name]()
+    for k in range(0, 12):
+        fast = check_density(state, k)
+        dense = is_density_matrix(state.prefix(k).rho)
+        assert (fast.ok, fast.hermitian_deviation, fast.trace_deviation, fast.dim) == (
+            dense.ok,
+            dense.hermitian_deviation,
+            dense.trace_deviation,
+            dense.dim,
+        )
+        assert abs(fast.min_eigenvalue - dense.min_eigenvalue) <= 1e-15
+
+
+def test_check_density_min_eigenvalue_is_the_block_product():
+    assert check_density(FactoredState.witness_state(), 11).min_eigenvalue == 0.0
+    assert check_density(FactoredState.maximally_mixed(), 11).min_eigenvalue == 2.0**-11
+    # complete blocks 5 and 6 contribute (1 - 0.7) 2^-n each, block 7 cut at one qubit 1/2
+    expected = (2.0**-5 - 0.7 * 2.0**-5) * (2.0**-6 - 0.7 * 2.0**-6) * 0.5
+    assert check_density(general_state(), 12).min_eigenvalue == expected
+
+
+def dense_coherence(prefixes, depth, tol=1e-10) -> dict:
+    """The depth-by-depth dense loop that check_coherence ran on every state."""
+    deviations = []
+    worst = 0.0
+    failed_at = None
+    for j in range(1, depth + 1):
+        upper = prefixes[j]
+        lower = prefixes[j - 1]
+        dev = float(np.max(np.abs(partial_trace_last_qubit(upper) - lower)))
+        deviations.append((j, dev))
+        if dev > worst:
+            worst = dev
+        if failed_at is None and dev > tol:
+            failed_at = j
+    return CoherenceReport(failed_at is None, worst, tuple(deviations), failed_at, tol).payload()
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_STATES))
+def test_check_coherence_is_the_dense_loop(name):
+    state = CHECKED_STATES[name]()
+    prefixes = [state.prefix(j).rho for j in range(13)]
+    for k in range(1, 13):
+        assert check_coherence(state, k).payload() == dense_coherence(prefixes, k)
+
+
+def test_state_checks_build_no_dense_prefix(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense prefix or a dense eigensolver was used")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(states, "prefix_density", refuse)
+    assert main(["state", "--paper-rho", "--check-depth", "11", "--eigen", "5"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["coherence"]["ok"] and report["density"]["ok"]
+
