@@ -15,8 +15,6 @@ DENSE_CAP_ENV = "QMEAS_DENSE_CAP"
 DEFAULT_DENSE_CAP_EXP = 12
 
 TOL_NORM = 1e-9
-TOL_EIGEN = 1e-8
-TOL_ARITHMETIC = 1e-12
 
 
 def dense_cap_exponent() -> int:

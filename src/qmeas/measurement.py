@@ -11,7 +11,11 @@ the closed form
 where w is the product vector of the block's chosen basis vectors.  Paired
 coordinates sit at bitwise-complementary indices, so the sum collapses to a
 product structure evaluated in O(n) by a binary prefix walk, independent of
-how many corner pairs there are.
+how many corner pairs there are.  A block cut after ``take`` qubits
+contributes exactly 2**-take.  Blocks of different sizes share one padded
+walk (``_block_measures``) in ``premeasure``, the sampler and
+``block_measure``; batches of one block (tables, the quadratic-bounds check)
+call ``product_quadratic_form`` directly.
 """
 
 from __future__ import annotations
@@ -215,14 +219,14 @@ def paired_coordinate_sum(factors: np.ndarray, count):
     """sum_{k=1}^{count} conj(w_k) * w_{2^n-k+1} for a product vector w.
 
     ``factors`` holds the per-qubit 2-vectors, shape (..., n, 2), qubit 1
-    first.  ``count`` is one int, or ints of any size (one per row) whose
-    array shape broadcasts against the batch shape.  Paired coordinates
-    have bitwise-complementary indices, so the sum over the first ``count``
-    coordinates factorizes along the binary digits of ``count``: walking its
-    bits from the top, a set bit at position p adds locked(p) * f0[p] *
-    low(p), with f0 = conj(a) * b.  locked(p) multiplies, top first, f0 at
-    the unset and conj(f0) at the set digits above p; low(p) is the product
-    of the pair sums f0 + conj(f0) below p.
+    first.  ``count`` is ints of any size whose array shape broadcasts
+    against the batch shape; one int, the 0-d case, serves every row.
+    Paired coordinates have bitwise-complementary indices, so the sum over
+    the first ``count`` coordinates factorizes along the binary digits of
+    ``count``: walking its bits from the top, a set bit at position p adds
+    locked(p) * f0[p] * low(p), with f0 = conj(a) * b.  locked(p)
+    multiplies, top first, f0 at the unset and conj(f0) at the set digits
+    above p; low(p) is the product of the pair sums f0 + conj(f0) below p.
 
     The lows are one cumulative product and the contributions are added top
     first in one cumulative sum.  The locked chain is multiplied in position
@@ -239,18 +243,12 @@ def paired_coordinate_sum(factors: np.ndarray, count):
         raise BadQuery(f"count {count} out of range [0, 2^{n}]")
     f0 = np.conj(factors[..., 0]) * factors[..., 1]  # conj(a_q) * b_q
     full = counts == 1 << n  # the whole sum: every position is free
-    if counts.ndim == 0:
-        if full:
-            out = np.prod(f0 + np.conj(f0), axis=-1)
-            return out if factors.ndim > 2 else complex(out)
-        batch, digits = f0.shape[:-1], _count_digits(count, n)
-        tops = np.flatnonzero(digits)[::-1]  # set positions, top first
-    else:
-        batch = np.broadcast_shapes(f0.shape[:-1], counts.shape)
-        digits = np.array(
-            [_count_digits(0 if c == 1 << n else c, n) for c in counts.flat]
-        ).reshape(counts.shape + (n,))
-        tops = np.flatnonzero(np.any(digits.reshape(-1, n), axis=0))[::-1]
+    batch = np.broadcast_shapes(f0.shape[:-1], counts.shape)
+    # a full count walks as 0 and is swapped for the product of pair sums below
+    digits = np.array(
+        [_count_digits(0 if c == 1 << n else c, n) for c in counts.flat]
+    ).reshape(counts.shape + (n,))
+    tops = np.flatnonzero(np.any(digits.reshape(counts.size, n), axis=0))[::-1]
     terms = np.zeros(batch + (tops.size + 1,), dtype=complex)
     if tops.size:
         high, lo = int(tops[0]), int(tops[-1])
@@ -269,11 +267,11 @@ def paired_coordinate_sum(factors: np.ndarray, count):
                 # like the cumulative one
                 np.multiply(locked * f0[..., p], low[..., p], out=terms[..., column[p]])
             locked = locked * chain[..., p - lo]
-        if counts.ndim:
-            np.copyto(terms[..., 1:], 0.0, where=~digits[..., tops])
+        # a row records only at its own set digits
+        np.copyto(terms[..., 1:], 0.0, where=~digits[..., tops])
         np.cumsum(terms, axis=-1, out=terms)
     total = terms[..., -1]
-    if counts.ndim and np.any(full):
+    if np.any(full):
         total = np.where(full, np.prod(f0 + np.conj(f0), axis=-1), total)
     return total if batch else complex(total)
 
@@ -283,7 +281,8 @@ def _count_digits(count: int, n: int) -> np.ndarray:
 
     Read from the binary string: ``count >> np.arange(n)`` overflows past 63 bits.
     """
-    return np.frombuffer(format(count, f"0{n}b").encode("ascii"), dtype=np.uint8)[::-1] == ord("1")
+    text = format(count, f"0{n}b")[::-1][:n]  # format pads 0 to one digit even when n = 0
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord("1")
 
 
 def product_quadratic_form(block: DensityBlock, factors: np.ndarray):
@@ -299,14 +298,11 @@ def block_measure(
     block: DensityBlock, system: MeasurementSystem, block_offset: int, sigma
 ) -> float:
     """Measure of a complete block outcome sigma under the basis schedule."""
-    return _block_measure(block, system, block_offset, as_bits(sigma))
-
-
-def _block_measure(block: DensityBlock, system: MeasurementSystem, block_offset: int, bits) -> float:
+    bits = as_bits(sigma)
     if len(bits) != block.n:
         raise BadQuery(f"block of size {block.n} needs {block.n} bits, got {len(bits)}")
-    factors = system._chosen(np.array(bits, dtype=np.intp), block_offset)
-    return clamp01(float(product_quadratic_form(block, factors)), "block measure")
+    factors = system._chosen(np.array(bits, dtype=np.intp)[None], block_offset)
+    return clamp01(_block_measures([(block, factors)]).item(), "block measure")
 
 
 def partial_block_factor(
@@ -318,22 +314,15 @@ def partial_block_factor(
     Corner entries pair an index with its bitwise complement, so as long as
     at least one qubit stays unmeasured the corner terms carry a Kronecker
     delta between a slow index and its complement and vanish; only the
-    constant diagonal survives.
+    constant diagonal survives, and 2**-n summed over the 2**(n - j)
+    unmeasured indices is exactly 2**-j, whatever the bits.
     """
-    return _partial_block_factor(block, system, block_offset, as_bits(prefix))
-
-
-def _partial_block_factor(
-    block: DensityBlock, system: MeasurementSystem, block_offset: int, bits
-) -> float:
-    j = len(bits)
-    if j > block.n:
-        raise BadQuery(f"prefix of length {j} exceeds block size {block.n}")
-    if j == block.n:
-        return _block_measure(block, system, block_offset, bits)
-    if j == 0:
-        return 1.0
-    return block.diag_value * float(1 << (block.n - j))
+    bits = as_bits(prefix)
+    if len(bits) > block.n:
+        raise BadQuery(f"prefix of length {len(bits)} exceeds block size {block.n}")
+    if len(bits) < block.n:
+        return math.ldexp(1.0, -len(bits))
+    return block_measure(block, system, block_offset, bits)
 
 
 def premeasure_factored(state: FactoredState, system: MeasurementSystem, tau) -> float:
@@ -342,12 +331,19 @@ def premeasure_factored(state: FactoredState, system: MeasurementSystem, tau) ->
 
 
 def _premeasure_factored(state: FactoredState, system: MeasurementSystem, bits) -> float:
-    return clamp01(
-        math.prod(
-            _partial_block_factor(block, system, offset, bits[offset : offset + take])
-            for block, offset, take in state.segments(len(bits))
-        )
-    )
+    complete, cut = [], 1.0
+    for block, offset, take in state.segments(len(bits)):
+        if take == block.n:
+            complete.append((block, offset))
+        else:
+            cut = math.ldexp(1.0, -take)
+    chosen = system._chosen(np.array(bits, dtype=np.intp), 0)
+    measures = []
+    for group in _walk_groups([block for block, _ in complete], 1):
+        rows = [(b, chosen[None, o : o + b.n]) for b, o in complete[group]]
+        measures += [clamp01(m, "block measure") for m in _block_measures(rows)[:, 0].tolist()]
+    # block order, the cut block last: the order shows in the subnormal range
+    return clamp01(math.prod(measures) * cut)
 
 
 def premeasure_dense(prefix: DenseStatePrefix, system: MeasurementSystem, tau) -> float:
@@ -385,7 +381,7 @@ def premeasure_table_factored(
             factors = system.outcome_factors(block.n, offset)
             part = _clip_table(product_quadratic_form(block, factors), "block measure table")
         else:
-            part = np.full(1 << take, block.diag_value * float(1 << (block.n - take)))
+            part = np.full(1 << take, math.ldexp(1.0, -take))
         # products of values in [0, 1] stay in [0, 1], so no second clamp
         table = np.multiply.outer(part, table).reshape(-1)
     return table
@@ -535,9 +531,15 @@ def sample_bits(
     if zero_step is not None:
         conds[zero_step] = 0.0
     warned = False
-    for group in _walk_groups(complete):
-        measures = _last_bit_measures(system, [(b, o) for _, b, o, _ in group], bits)
-        for (index, block, offset, draw), (m0, m1) in zip(group, measures.tolist()):
+    for group in _walk_groups([block for _, block, _, _ in complete], 2):
+        rows = []
+        for _, block, offset, _ in complete[group]:
+            outcomes = np.repeat(bits[None, offset : offset + block.n], 2, axis=0)
+            outcomes[:, -1] = (0, 1)
+            rows.append((block, system._chosen(outcomes, offset)))
+        for (index, block, offset, draw), (m0, m1) in zip(
+            complete[group], _block_measures(rows).tolist()
+        ):
             last = offset + block.n - 1
             prev = math.ldexp(1.0, 1 - block.n)
             f0 = clamp01(m0, "block measure")
@@ -559,42 +561,39 @@ def sample_bits(
     return BitSample(bits, int(seed), system.label, state.label, conds)
 
 
-def _walk_groups(complete):
-    """Runs of consecutive complete blocks whose padded walk fits in ``_WALK_ENTRIES``."""
-    group, width = [], 0
-    for item in complete:
-        wider = max(width, item[1].n)
-        if group and 2 * (len(group) + 1) * wider > _WALK_ENTRIES:
-            yield group
-            group, wider = [], item[1].n
-        group.append(item)
-        width = wider
-    if group:
-        yield group
+def _walk_groups(blocks, k: int):
+    """Slices of consecutive blocks whose padded walk of k outcomes fits in ``_WALK_ENTRIES``."""
+    start, width = 0, 0
+    for stop, block in enumerate(blocks):
+        width = max(width, block.n)
+        if stop > start and k * (stop - start + 1) * width > _WALK_ENTRIES:
+            yield slice(start, stop)
+            start, width = stop, block.n
+    if start < len(blocks):
+        yield slice(start, len(blocks))
 
 
-def _last_bit_measures(system: MeasurementSystem, group, bits: np.ndarray) -> np.ndarray:
-    """Unclamped measures of both last-bit outcomes of complete blocks, shape (len(group), 2).
+def _block_measures(rows) -> np.ndarray:
+    """Unclamped block measures of k outcomes per row, shape (len(rows), k).
 
-    ``group`` lists (block, offset); every other bit comes from ``bits``.
-    All rows share one ``paired_coordinate_sum``.  A row narrower than the
-    widest block is padded below its first qubit with the factor (1, 1/2)
-    and its count shifted past the padding: the walk records nothing there,
-    and the pad's pair sum 1/2 + 1/2 is exactly 1, so the products over the
-    row's own positions are unchanged.
+    ``rows`` lists (block, factors) with factors the chosen 2-vectors of k
+    complete outcomes of the block, shape (k, block.n, 2).  All rows share
+    one ``paired_coordinate_sum``.  A row narrower than the widest block is
+    padded below its first qubit with the factor (1, 1/2) and its count
+    shifted past the padding: the walk records nothing there, and the pad's
+    pair sum 1/2 + 1/2 is exactly 1, so the products over the row's own
+    positions are unchanged.
     """
-    width = max(block.n for block, _ in group)
-    factors = np.empty((len(group), 2, width, 2), dtype=complex)
+    width = max(block.n for block, _ in rows)
+    factors = np.empty((len(rows), rows[0][1].shape[0], width, 2), dtype=complex)
     factors[..., 0], factors[..., 1] = 1.0, 0.5
-    counts = np.empty((len(group), 1), dtype=object)
-    for row, (block, offset) in enumerate(group):
-        outcomes = np.repeat(bits[None, offset : offset + block.n], 2, axis=0)
-        outcomes[:, -1] = (0, 1)
-        factors[row, :, width - block.n :] = system._chosen(outcomes, offset)
+    counts = np.empty((len(rows), 1), dtype=object)
+    for row, (block, chosen) in enumerate(rows):
+        factors[row, :, width - block.n :] = chosen
         counts[row, 0] = block.corner_count << (width - block.n)
     sums = paired_coordinate_sum(factors, counts)
-    diag = np.array([[block.diag_value] for block, _ in group])
-    corner = np.array([[block.corner_value] for block, _ in group])
+    diag = np.array([[block.diag_value] for block, _ in rows])
+    corner = np.array([[block.corner_value] for block, _ in rows])
     return diag + corner * 2.0 * np.real(sums)
 
 

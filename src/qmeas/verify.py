@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadQuery, BadSpec
 from .matrixcore import is_density_matrix
-from .measurement import paired_coordinate_sum
+from .measurement import paired_coordinate_sum, product_quadratic_form
 from .states import build_corner_block, build_corner_block_general, family_tables
 
 IDENTITY_SLACK = 1e-12
@@ -113,8 +113,7 @@ def verify_quadratic_bounds(
     block = build_corner_block(n)
     rng = np.random.default_rng(seed)
     factors = random_product_factors(rng, trials, n)
-    pair_sum = paired_coordinate_sum(factors, block.corner_count)
-    values = block.diag_value + block.corner_value * 2.0 * np.real(pair_sum)
+    values = product_quadratic_form(block, factors)
     lo = block.diag_value * (1.0 - 2.0 / n)
     hi = block.diag_value * (1.0 + 2.0 / n)
     margin = float(min(np.min(values - lo), np.min(hi - values)))

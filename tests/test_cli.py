@@ -197,11 +197,16 @@ def test_state_checks_reach_past_the_dense_cap(capsys):
     }
 
 
-def test_state_check_cap_bounds_the_touched_block(capsys, monkeypatch):
+def test_state_checks_on_a_factored_state_ignore_the_cap(capsys, monkeypatch):
+    argv = ["state", "--paper-rho", "--check-depth", "12"]
+    code, uncapped, _ = run_cli(capsys, argv)
+    assert code == 0
     monkeypatch.setenv("QMEAS_DENSE_CAP", "6")
-    code, _, _ = run_cli(capsys, ["state", "--paper-rho", "--check-depth", "11"])
-    assert code == 0  # blocks 5 and 6 fit under the cap
-    code, _, err = run_cli(capsys, ["state", "--paper-rho", "--check-depth", "12"])
+    code, capped, _ = run_cli(capsys, argv)
+    assert code == 0  # block 7 is never materialized
+    assert payload_of(capped)["report"] == payload_of(uncapped)["report"]
+    # a dense query under the same cap still fails loudly
+    code, _, err = run_cli(capsys, ["measure", "--path", "dense", "--tau-depth", "7"])
     assert code == 3
     assert json.loads(err)["error"]["code"] == "cap_exceeded"
 

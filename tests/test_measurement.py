@@ -18,13 +18,20 @@ from qmeas.measurement import (
     block_measure,
     paired_coordinate_sum,
     partial_block_factor,
+    premeasure,
     premeasure_dense,
     premeasure_factored,
     premeasure_table_dense,
+    premeasure_table_factored,
     sample_bits,
     uniform_premeasure,
 )
-from qmeas.states import FactoredState, build_corner_block, build_corner_block_general
+from qmeas.states import (
+    DensityBlock,
+    FactoredState,
+    build_corner_block,
+    build_corner_block_general,
+)
 
 from conftest import random_basis, random_unit_pair
 
@@ -173,6 +180,31 @@ def test_partial_block_factor_rejects_long_prefix():
     block = build_corner_block(5)
     with pytest.raises(BadQuery):
         partial_block_factor(block, MeasurementSystem.standard(), 0, [0] * 6)
+
+
+# 2^(n - take) overflows a float and 2^-n underflows to 0, but a cut block's factor is 2^-take
+HUGE_BLOCK = DensityBlock(1100, 0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "query, expected",
+    [
+        (lambda system: partial_block_factor(HUGE_BLOCK, system, 0, "000"), 0.125),
+        (
+            lambda system: premeasure_table_factored(
+                FactoredState.from_blocks([HUGE_BLOCK]), system, 3
+            ).tolist(),
+            [0.125] * 8,
+        ),
+        (
+            lambda system: premeasure(FactoredState.from_blocks([HUGE_BLOCK]), system, "0" * 1000),
+            2.0**-1000,
+        ),
+    ],
+    ids=["partial_block_factor", "table", "premeasure"],
+)
+def test_cut_factor_of_a_huge_block_is_exact(query, expected):
+    assert query(MeasurementSystem.standard()) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,45 @@
+"""The README's library sketch runs as written and prints what its comments say."""
+
+import ast
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+ELEVEN_256 = 11 / 256
+
+
+def sketch_values() -> dict[str, object]:
+    """Run the README's python block; map each bare expression's source to its value."""
+    text = README.read_text(encoding="utf-8")
+    (source,) = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    namespace: dict = {}
+    values = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr):
+            values[ast.get_source_segment(source, node)] = eval(
+                compile(ast.Expression(node.value), "README", "eval"), namespace
+            )
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    return values
+
+
+def within_ulps(value, target, ulps):
+    return abs(float(value) - target) <= ulps * math.ulp(target)
+
+
+def test_library_sketch_values():
+    values = sketch_values()
+    # the factored path rounds fl(1/sqrt(2))^2 up, so the value sits 2 ulps low
+    assert within_ulps(values['premeasure(rho, B, "00000")'], ELEVEN_256, 4)
+    assert values["rho.prefix(7).rho.shape"] == (128, 128)
+    # the dense path runs through BLAS; the README promises agreement to 1e-10
+    assert values['premeasure(chain, B, "00000")'] == pytest.approx(ELEVEN_256, abs=1e-10)
+    assert within_ulps(values["table.reshape(-1, 32)[:, 0].sum()"], ELEVEN_256, 4)
+    assert isinstance(values["run_battery(sample, alpha=0.01).failures"], list)
+    tau = values["cls.tau_at(witness_depth(last))"]
+    assert repr(tau).startswith("0.45911639") and tau < 0.5
+    assert values["evaluate_state(cls, rho, witness_depth(last))"] == 1.0

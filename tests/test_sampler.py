@@ -1,10 +1,10 @@
 """The block-wise sampler and the batched digit walk against the per-bit code they replaced.
 
 The per-bit sampler, the per-position paired-sum loop, the per-qubit factor
-loop and the per-value JSON writer live on here as oracles.  The rewrite
-must reproduce them byte for byte: the same bits, the same conditionals,
-the same paired sums, batched or not, and the same error at the first
-prefix of measure zero.
+loop, the per-block premeasure product and the per-value JSON writer live on
+here as oracles.  The rewrite must reproduce them byte for byte: the same
+bits, the same conditionals, the same paired sums, batched or not, the same
+premeasures, and the same error at the first prefix of measure zero.
 """
 
 import json
@@ -17,12 +17,14 @@ import pytest
 
 from qmeas.errors import BadQuery, MeasureZeroPrefix, NumericHealthWarning
 from qmeas.jsonio import canonical_dumps
+from qmeas import measurement
 from qmeas.measurement import (
     BitSample,
     MeasurementSystem,
     block_measure,
     clamp01,
     paired_coordinate_sum,
+    premeasure,
     sample_bits,
 )
 from qmeas.states import DensityBlock, FactoredState, build_corner_block
@@ -259,6 +261,62 @@ def test_underflow_warning_leaves_the_output_alone(deep_oracle):
         )
     assert same_bytes(sample.bits, bits[:BLOCK_1023_END])
     assert same_bytes(sample.conditional_probs, conds[:BLOCK_1023_END])
+
+
+# ---------------------------------------------------------------------------
+# premeasure
+
+
+def per_block_premeasure(state, system, bits):
+    """The premeasure as one looped block measure per complete block, then 2^-take."""
+    measures, cut = [], 1.0
+    for block, offset, take in state.segments(len(bits)):
+        if take == block.n:
+            measures.append(looped_block_measure(block, system, offset, bits[offset : offset + take]))
+        else:
+            cut = math.ldexp(1.0, -take)
+    return clamp01(math.prod(measures) * cut)
+
+
+def general_state():
+    sizes = range(5, 81)  # 3,230 qubits
+    return FactoredState.general_family(
+        {n: (1 << n) // n // 2 for n in sizes}, {n: 0.7 * 2.0**-n for n in sizes}
+    )
+
+
+PREMEASURE_STATES = {
+    "witness": FactoredState.witness_state,
+    "mixed": FactoredState.maximally_mixed,
+    "general": general_state,
+}
+
+
+@pytest.mark.parametrize("state_name", sorted(PREMEASURE_STATES))
+@pytest.mark.parametrize("kind", ["standard", "hadamard", "rotation", "explicit"])
+def test_premeasure_is_the_per_block_product(kind, state_name, rng):
+    state, system = PREMEASURE_STATES[state_name](), systems()[kind]
+    for length in list(range(60)) + [100, 500, 700, 1000, 3000]:
+        bits = [int(b) for b in rng.integers(0, 2, size=length)]
+        expected = per_block_premeasure(state, system, bits)
+        assert same_bytes(premeasure(state, system, bits), expected), length
+
+
+def test_premeasure_walks_all_complete_blocks_at_once(monkeypatch):
+    calls = []
+
+    def counted(factors, count):
+        calls.append(np.shape(factors))
+        return paired_coordinate_sum(factors, count)
+
+    monkeypatch.setattr(measurement, "paired_coordinate_sum", counted)
+    bits = [int(b) for b in np.random.default_rng(3).integers(0, 2, size=2000)]
+    value = premeasure(FactoredState.witness_state(), MeasurementSystem.hadamard(), bits)
+    # blocks 5..62 are complete, 58 rows padded to 62 qubits; block 63 is cut after 57 qubits
+    assert calls == [(58, 1, 62, 2)]
+    assert value == per_block_premeasure(
+        FactoredState.witness_state(), MeasurementSystem.hadamard(), bits
+    )
 
 
 # ---------------------------------------------------------------------------

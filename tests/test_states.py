@@ -311,3 +311,19 @@ def test_state_checks_build_no_dense_prefix(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)["report"]
     assert report["coherence"]["ok"] and report["density"]["ok"]
 
+
+def test_coherence_of_a_factored_state_builds_no_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block was materialized or traced")
+
+    monkeypatch.setattr(DensityBlock, "to_dense", refuse)
+    monkeypatch.setattr(states, "partial_trace_last_qubit", refuse)
+    for make in CHECKED_STATES.values():
+        report = check_coherence(make(), 26)
+        assert report.ok and report.max_deviation == 0.0 and len(report.deviations) == 26
+    # the diagonal 2^-1100 of the second block underflows to 0, so its trace reads 0: the
+    # deviation 1 is reported at its first qubit, scaled by block 5's diagonal, and 0 elsewhere
+    state = FactoredState.from_blocks([build_corner_block(5), DensityBlock(1100, 0, 0.0)])
+    report = check_coherence(state, 9)
+    assert report.deviations[5] == (6, 2.0**-5)
+    assert report.failed_at == 6 and all(v == 0.0 for j, v in report.deviations if j != 6)
