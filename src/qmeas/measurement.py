@@ -331,19 +331,37 @@ def premeasure_factored(state: FactoredState, system: MeasurementSystem, tau) ->
 
 
 def _premeasure_factored(state: FactoredState, system: MeasurementSystem, bits) -> float:
-    complete, cut = [], 1.0
-    for block, offset, take in state.segments(len(bits)):
-        if take == block.n:
-            complete.append((block, offset))
-        else:
-            cut = math.ldexp(1.0, -take)
+    """Product of the block factors in block order, the cut block last.
+
+    The order shows in the subnormal range.  When every complete block's
+    measure is positive (a cut block's factor 2**-take always is) and the
+    product still falls below the normal range, one ``NumericHealthWarning``
+    names the first block at which it did.
+    """
+    segments = list(state.segments(len(bits)))
+    complete = [(block, offset) for block, offset, take in segments if take == block.n]
     chosen = system._chosen(np.array(bits, dtype=np.intp), 0)
-    measures = []
+    factors = []
     for group in _walk_groups([block for block, _ in complete], 1):
         rows = [(b, chosen[None, o : o + b.n]) for b, o in complete[group]]
-        measures += [clamp01(m, "block measure") for m in _block_measures(rows)[:, 0].tolist()]
-    # block order, the cut block last: the order shows in the subnormal range
-    return clamp01(math.prod(measures) * cut)
+        factors += [clamp01(m, "block measure") for m in _block_measures(rows)[:, 0].tolist()]
+    positive = all(f > 0.0 for f in factors)
+    if len(complete) < len(segments):
+        factors.append(math.ldexp(1.0, -segments[-1][2]))
+    value, tiny_at = 1.0, None
+    for index, factor in enumerate(factors):
+        value *= factor
+        if tiny_at is None and value < sys.float_info.min:
+            tiny_at = index
+    if positive and tiny_at is not None:
+        block, offset, _ = segments[tiny_at]
+        warnings.warn(
+            f"premeasure underflows at block {tiny_at} (n={block.n}, offset {offset}): "
+            f"the product of positive block factors is {value!r}",
+            NumericHealthWarning,
+            stacklevel=3,
+        )
+    return clamp01(value)
 
 
 def premeasure_dense(prefix: DenseStatePrefix, system: MeasurementSystem, tau) -> float:

@@ -10,11 +10,11 @@ but never thresholded, since the choice of compressor is arbitrary.
 from __future__ import annotations
 
 import math
+import sys
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import InsufficientData
 from .measurement import BitSample
@@ -23,6 +23,9 @@ MIN_BITS = 1000
 BLOCK_FREQUENCY_M = 128
 SERIAL_M = 2
 APEN_M = 2
+_EPS = sys.float_info.epsilon
+_LENTZ_FLOOR = sys.float_info.min / _EPS
+_MAX_TERMS = 100_000  # the battery's shape parameters need a few hundred
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,57 @@ class BatteryReport:
         }
 
 
+def _ndtr(x: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _gammaincc(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma function Q(a, x) for a > 0.
+
+    Below x = a + 1 the power series of P(a, x) converges fast and Q is
+    1 - P; above it the continued fraction of Q, evaluated by the modified
+    Lentz method, does.  Both share the prefactor x**a e**-x / Gamma(a),
+    taken in logs; far in the tail (a degenerate stream) it underflows and Q
+    is 0.0.  Either loop stops within a few hundred terms for the shape
+    parameters the battery uses (integers and half-integers up to a few
+    thousand); a continued fraction still open after ``_MAX_TERMS`` terms
+    raises ``ArithmeticError``.  The relative error against a reference
+    implementation is below 1e-12 for a <= 400 and grows with a, from the
+    cancellation in a ln x - x.
+    """
+    if x <= 0.0:
+        return 1.0
+    prefactor = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while abs(term) > total * _EPS:
+            n += 1.0
+            term *= x / n
+            total += term
+        return 1.0 - prefactor * total
+    b = x + 1.0 - a
+    c = 1.0 / _LENTZ_FLOOR
+    d = 1.0 / b
+    h = d
+    for i in range(1, _MAX_TERMS):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _LENTZ_FLOOR:
+            d = _LENTZ_FLOOR
+        c = b + an / c
+        if abs(c) < _LENTZ_FLOOR:
+            c = _LENTZ_FLOOR
+        d = 1.0 / d
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return prefactor * h
+    raise ArithmeticError(f"gammaincc({a!r}, {x!r}): continued fraction did not converge")
+
+
 def _as_bit_array(bits) -> tuple[np.ndarray, str]:
     if isinstance(bits, BitSample):
         label = f"seed={bits.seed},basis={bits.basis_label},state={bits.state_label}"
@@ -92,7 +146,7 @@ def _as_bit_array(bits) -> tuple[np.ndarray, str]:
 def monobit_test(bits: np.ndarray, alpha: float) -> TestResult:
     n = bits.size
     s = float(2.0 * np.sum(bits, dtype=np.int64) - n)
-    p = float(special.erfc(abs(s) / math.sqrt(2.0 * n)))
+    p = math.erfc(abs(s) / math.sqrt(2.0 * n))
     return TestResult("monobit", s / math.sqrt(n), p, p >= alpha)
 
 
@@ -102,7 +156,7 @@ def block_frequency_test(bits: np.ndarray, alpha: float, m: int = BLOCK_FREQUENC
         raise InsufficientData(f"block frequency needs at least {m} bits")
     pi = bits[: n_blocks * m].reshape(n_blocks, m).mean(axis=1)
     chi2 = 4.0 * m * float(np.sum((pi - 0.5) ** 2))
-    p = float(special.gammaincc(n_blocks / 2.0, chi2 / 2.0))
+    p = _gammaincc(n_blocks / 2.0, chi2 / 2.0)
     return TestResult("block_frequency", chi2, p, p >= alpha, {"block_size": m})
 
 
@@ -113,7 +167,7 @@ def runs_test(bits: np.ndarray, alpha: float) -> TestResult:
         return TestResult("runs", 0.0, 0.0, False, {"note": "frequency precondition failed"})
     v = 1.0 + float(np.count_nonzero(bits[1:] != bits[:-1]))
     denom = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
-    p = float(special.erfc(abs(v - 2.0 * n * pi * (1.0 - pi)) / denom))
+    p = math.erfc(abs(v - 2.0 * n * pi * (1.0 - pi)) / denom)
     return TestResult("runs", v, p, p >= alpha)
 
 
@@ -142,8 +196,8 @@ def serial_tests(bits: np.ndarray, alpha: float, m: int = SERIAL_M) -> list[Test
     # both differences are non-negative up to rounding
     d1 = max(psi2 - psi1, 0.0)
     d2 = max(psi2 - 2.0 * psi1 + psi0, 0.0)
-    p1 = float(special.gammaincc(2.0 ** (m - 2), d1 / 2.0))
-    p2 = float(special.gammaincc(2.0 ** (m - 3), d2 / 2.0))
+    p1 = _gammaincc(2.0 ** (m - 2), d1 / 2.0)
+    p2 = _gammaincc(2.0 ** (m - 3), d2 / 2.0)
     return [
         TestResult("serial", d1, p1, p1 >= alpha, {"m": m}),
         TestResult("serial_second", d2, p2, p2 >= alpha, {"m": m}),
@@ -160,13 +214,15 @@ def cumulative_sums_test(bits: np.ndarray, alpha: float) -> TestResult:
     # loop bounds truncate toward zero, matching the reference implementation
     # (the skipped edge terms are Phi values at ~sqrt(n) sigma, negligible for
     # any stream long enough to be tested)
-    total = 0.0
-    for k in range(int((-n / z + 1) / 4), int((n / z - 1) / 4) + 1):
-        total += special.ndtr((4 * k + 1) * z / sn) - special.ndtr((4 * k - 1) * z / sn)
-    p = 1.0 - total
-    for k in range(int((-n / z - 3) / 4), int((n / z - 1) / 4) + 1):
-        p += special.ndtr((4 * k + 3) * z / sn) - special.ndtr((4 * k + 1) * z / sn)
-    p = float(min(max(p, 0.0), 1.0))
+    first = math.fsum(
+        _ndtr((4 * k + 1) * z / sn) - _ndtr((4 * k - 1) * z / sn)
+        for k in range(int((-n / z + 1) / 4), int((n / z - 1) / 4) + 1)
+    )
+    second = math.fsum(
+        _ndtr((4 * k + 3) * z / sn) - _ndtr((4 * k + 1) * z / sn)
+        for k in range(int((-n / z - 3) / 4), int((n / z - 1) / 4) + 1)
+    )
+    p = min(max(1.0 - first + second, 0.0), 1.0)
     return TestResult("cumulative_sums", z, p, p >= alpha)
 
 
@@ -182,7 +238,7 @@ def approximate_entropy_test(bits: np.ndarray, alpha: float, m: int = APEN_M) ->
 
     apen = phi(m) - phi(m + 1)
     chi2 = max(2.0 * n * (math.log(2.0) - apen), 0.0)
-    p = float(special.gammaincc(2.0 ** (m - 1), chi2 / 2.0))
+    p = _gammaincc(2.0 ** (m - 1), chi2 / 2.0)
     return TestResult("approximate_entropy", apen, p, p >= alpha, {"m": m})
 
 

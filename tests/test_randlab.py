@@ -1,18 +1,29 @@
-"""Battery behavior on degenerate, crafted, and calibrated streams."""
+"""Battery behavior on degenerate, crafted, and calibrated streams.
 
+scipy is a test-only oracle here: the package computes its p-values with
+``math.erfc`` and its own ``_gammaincc``, and these tests hold both, and
+every ``passed`` flag they decide, to scipy's special functions.
+"""
+
+import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from qmeas.errors import InsufficientData
+from qmeas.measurement import MeasurementSystem, sample_bits
 from qmeas.randlab import (
     BatteryReport,
     _binomial_quantile,
+    _gammaincc,
+    _ndtr,
     _pattern_psi_squared,
     aggregate,
     approximate_entropy_test,
@@ -24,6 +35,7 @@ from qmeas.randlab import (
     runs_test,
     serial_tests,
 )
+from qmeas.states import FactoredState
 
 
 def uniform_bits(seed, n):
@@ -174,10 +186,146 @@ def test_binomial_envelope_matches_scipy(alpha):
     assert [_binomial_quantile(0.99, int(k), alpha) for k in n] == list(expected)
 
 
-def test_import_does_not_load_scipy_stats():
+# ---------------------------------------------------------------------------
+# special functions, with scipy as the reference
+
+
+@pytest.mark.parametrize("a", [0.5, 1, 2, 4, 32, 64, 390.5, 4096])
+def test_gammaincc_matches_scipy(a):
+    # the prefactor's exponent a ln x - x cancels, so the error grows with a
+    rel = 1e-12 if a <= 400 else 1e-11
+    for x in np.geomspace(1e-3 * a, 50 * a, 1000).tolist():
+        expected = float(special.gammaincc(a, x))
+        # scipy flushes the subnormal tail to zero
+        assert math.isclose(_gammaincc(a, x), expected, rel_tol=rel, abs_tol=sys.float_info.min), x
+
+
+def test_gammaincc_edges():
+    assert _gammaincc(2.0, 0.0) == 1.0
+    assert _gammaincc(0.5, -1.0) == 1.0
+    # the prefactor underflows far in the tail, as for an all-zeros stream
+    assert _gammaincc(39.0, 5_000.0) == 0.0
+    with pytest.raises(ArithmeticError):
+        _gammaincc(2.0, math.nan)
+
+
+def test_erfc_and_ndtr_match_scipy():
+    for x in np.linspace(-26.0, 26.0, 10_001).tolist():
+        assert math.isclose(math.erfc(x), float(special.erfc(x)), rel_tol=1e-13), x
+    for x in np.linspace(-37.0, 37.0, 10_001).tolist():
+        assert math.isclose(_ndtr(x), float(special.ndtr(x)), rel_tol=1e-12), x
+
+
+def scipy_p_values(bits: np.ndarray, report: BatteryReport) -> dict[str, float]:
+    """Each test's p-value from its reported statistic through scipy's special functions."""
+    n = bits.size
+    stat = {r.name: r.statistic for r in report.results}
+    s = 2.0 * np.sum(bits, dtype=np.int64) - n
+    p = {"monobit": special.erfc(abs(s) / math.sqrt(2.0 * n))}
+    p["block_frequency"] = special.gammaincc(n // 128 / 2.0, stat["block_frequency"] / 2.0)
+    pi = float(np.mean(bits))
+    if report.result("runs").detail:
+        p["runs"] = 0.0
+    else:
+        denom = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
+        p["runs"] = special.erfc(abs(stat["runs"] - 2.0 * n * pi * (1.0 - pi)) / denom)
+    p["serial"] = special.gammaincc(1.0, stat["serial"] / 2.0)
+    p["serial_second"] = special.gammaincc(0.5, stat["serial_second"] / 2.0)
+    z, sn = stat["cumulative_sums"], math.sqrt(n)
+    cusum = 0.0
+    if z:
+        cusum = 1.0
+        for k in range(int((-n / z + 1) / 4), int((n / z - 1) / 4) + 1):
+            cusum -= special.ndtr((4 * k + 1) * z / sn) - special.ndtr((4 * k - 1) * z / sn)
+        for k in range(int((-n / z - 3) / 4), int((n / z - 1) / 4) + 1):
+            cusum += special.ndtr((4 * k + 3) * z / sn) - special.ndtr((4 * k + 1) * z / sn)
+    p["cumulative_sums"] = min(max(cusum, 0.0), 1.0)
+    chi2 = max(2.0 * n * (math.log(2.0) - stat["approximate_entropy"]), 0.0)
+    p["approximate_entropy"] = special.gammaincc(2.0, chi2 / 2.0)
+    return {name: float(value) for name, value in p.items()}
+
+
+def assert_flags_match_scipy(bits: np.ndarray) -> None:
+    report = run_battery(bits, alpha=0.01)
+    expected = scipy_p_values(bits, report)
+    assert set(expected) == {r.name for r in report.results}
+    for r in report.results:
+        assert r.passed == (expected[r.name] >= report.alpha), r.name
+        assert math.isclose(r.p_value, expected[r.name], rel_tol=1e-9, abs_tol=1e-300), r.name
+
+
+def bench_stream_inputs(seed: int) -> list[tuple[MeasurementSystem, int]]:
+    """The three sampled streams of the benchmark's ``stream`` workload for one seed.
+
+    The derivation mirrors ``bench/workloads.py:stream_ops``: seven rotation
+    angles, then one sampler seed per basis, from one seeded generator.
+    """
+    rng = random.Random(f"qmeas-bench:stream:{seed}")
+    thetas = [round(rng.uniform(0.35, 1.22), 6) for _ in range(7)]
+    systems = [
+        MeasurementSystem.hadamard(),
+        MeasurementSystem.standard(),
+        MeasurementSystem.from_spec({"kind": "rotation", "theta": thetas}),
+    ]
+    return [(system, rng.randrange(1 << 31)) for system in systems]
+
+
+def test_flags_match_scipy_on_the_calibration_streams():
+    state, system = FactoredState.witness_state(), MeasurementSystem.standard()
+    for seed in range(100):
+        assert_flags_match_scipy(sample_bits(state, system, 10_000, seed).bits)
+
+
+def test_flags_match_scipy_on_the_bench_streams():
+    state = FactoredState.witness_state()
+    for bench_seed in range(16):
+        for system, seed in bench_stream_inputs(bench_seed):
+            assert_flags_match_scipy(sample_bits(state, system, 100_000, seed).bits)
+
+
+def test_flags_match_scipy_on_degenerate_streams():
+    assert_flags_match_scipy(np.zeros(10_000, dtype=np.uint8))
+    assert_flags_match_scipy(np.tile([0, 1], 5_000).astype(np.uint8))
+    assert_flags_match_scipy(uniform_bits(11, 100_000))
+
+
+# ---------------------------------------------------------------------------
+# the runtime needs no scipy
+
+
+def _src_env() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, qmeas; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, qmeas, qmeas.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_sample_and_battery_run_with_scipy_blocked(tmp_path):
+    code = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from qmeas.cli import main
+sample = main(["sample", "--bits", "2000", "--seed", "1", "--out-prefix", "s"])
+battery = main(["battery", "s.bits", "--aggregate"])
+print(sample, battery)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), cwd=tmp_path, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    *payloads, codes = out.stdout.splitlines()
+    sample_code, battery_code = (int(c) for c in codes.split())
+    assert sample_code == 0 and battery_code in (0, 1)
+    sample, battery = (json.loads(line) for line in payloads)
+    assert sample["report"]["streams"][0]["n_bits"] == 2000
+    (stream,) = battery["report"]["reports"]
+    assert stream["n_bits"] == 2000 and len(stream["results"]) == 7
+    assert battery["report"]["aggregate"]["n_streams"] == 1

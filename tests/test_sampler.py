@@ -319,6 +319,24 @@ def test_premeasure_walks_all_complete_blocks_at_once(monkeypatch):
     )
 
 
+def test_premeasure_underflow_warns_once():
+    state, system = FactoredState.maximally_mixed(), MeasurementSystem.standard()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert premeasure(state, system, "0" * 40) == 2.0**-40
+    assert not [w for w in caught if issubclass(w.category, NumericHealthWarning)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = premeasure(state, system, "0" * 1100)
+    health = [w for w in caught if issubclass(w.category, NumericHealthWarning)]
+    assert value == per_block_premeasure(state, system, [0] * 1100) == 0.0
+    assert len(health) == 1
+    # one-qubit blocks: the factor of block 1022 takes the product to 2**-1023
+    assert str(health[0].message).startswith(
+        "premeasure underflows at block 1022 (n=1, offset 1022)"
+    )
+
+
 # ---------------------------------------------------------------------------
 # output files
 
