@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -23,6 +23,19 @@ def _float_repr(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError("cannot serialize a non-finite float")
     return format(x, ".17g")
+
+
+def _float_reprs(values: Sequence[float]) -> list[str]:
+    """``_float_repr`` of each value, formatting each distinct bit pattern once.
+
+    Sampler sidecars repeat a few hundred values (nearly all exactly 0.5)
+    across their whole length.  Keying on bit patterns keeps 0.0 and -0.0
+    apart; a non-finite value still raises ``ValueError``.
+    """
+    patterns = np.array(values, dtype=np.float64).view(np.uint64)
+    distinct, where = np.unique(patterns, return_inverse=True)
+    reprs = np.array([_float_repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+    return reprs[where].tolist()
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -48,11 +61,12 @@ def _write(obj: Any, out: list[str]) -> None:
         for key in keys:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-        if all(type(obj[key]) is float for key in keys):
+        if set(map(type, obj.values())) <= {float}:
             # flat {str: float} tables: one join instead of one call per value
+            reprs = _float_reprs([obj[key] for key in keys])
             out.append(
                 "{"
-                + ",".join(encode_basestring_ascii(k) + ":" + _float_repr(obj[k]) for k in keys)
+                + ",".join(encode_basestring_ascii(k) + ":" + r for k, r in zip(keys, reprs))
                 + "}"
             )
             return
@@ -65,9 +79,9 @@ def _write(obj: Any, out: list[str]) -> None:
             _write(obj[key], out)
         out.append("}")
     elif isinstance(obj, (list, tuple)) or (isinstance(obj, np.ndarray) and obj.ndim >= 1):
-        if all(type(item) is float for item in obj):
+        if set(map(type, obj)) <= {float}:
             # flat float lists (sampler sidecars): one join
-            out.append("[" + ",".join(map(_float_repr, obj)) + "]")
+            out.append("[" + ",".join(_float_reprs(obj)) + "]")
             return
         out.append("[")
         for i, item in enumerate(obj):

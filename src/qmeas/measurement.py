@@ -11,11 +11,15 @@ the closed form
 where w is the product vector of the block's chosen basis vectors.  Paired
 coordinates sit at bitwise-complementary indices, so the sum collapses to a
 product structure evaluated in O(n) by a binary prefix walk, independent of
-how many corner pairs there are.  A block cut after ``take`` qubits
-contributes exactly 2**-take.  Blocks of different sizes share one padded
-walk (``_block_measures``) in ``premeasure``, the sampler and
-``block_measure``; batches of one block (tables, the quadratic-bounds check)
-call ``product_quadratic_form`` directly.
+how many corner pairs there are.  On real bases (standard, Hadamard,
+rotation, real explicit pairs) the walk is whole-array float64 cumulative
+products and sums, byte-identical to the positional walk that complex
+bases keep (see ``paired_coordinate_sum``).  A block cut after ``take``
+qubits contributes exactly 2**-take.  Blocks of different sizes share one
+padded walk and one basis-table gather (``_block_measures``) in
+``premeasure`` and the sampler; single blocks (``block_measure``) and
+batches of one block (tables, the quadratic-bounds check) call
+``product_quadratic_form`` directly.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ _CLAMP_WARN = 1e-9
 # 2**-s halves exactly down to the smallest subnormal 2**-1074; one more
 # halving rounds to zero.
 _HALVINGS = sys.float_info.mant_dig - sys.float_info.min_exp
-# complex entries (outcomes x qubits) per array of one walk over several blocks' last bits
+# entries (outcomes x qubits) per array of one walk over several blocks: float64
+# on real bases, complex on the positional walk of complex ones
 _WALK_ENTRIES = 1 << 14
 
 
@@ -191,10 +196,15 @@ class MeasurementSystem:
         """Stacked 2-vectors chosen by ``bits`` at positions offset+1, offset+2, ..."""
         return self._chosen(np.array(as_bits(bits), dtype=np.intp), offset)
 
-    def _chosen(self, bits: np.ndarray, offset: int) -> np.ndarray:
-        """``chosen_factors`` of validated bits, shape (..., n) -> (..., n, 2)."""
+    def _chosen(self, bits: np.ndarray, offset) -> np.ndarray:
+        """``chosen_factors`` of validated bits, shape (..., n) -> (..., n, 2).
+
+        ``offset`` may be an int array that broadcasts against the batch shape
+        with a trailing axis of one: each row then starts at its own offset.
+        """
         positions = (offset + np.arange(bits.shape[-1])) % len(self._table)
-        return self._table[positions, bits]
+        # rows of the flattened [pair][bit] table: one take beats two index arrays
+        return np.take(self._table.reshape(-1, 2), 2 * positions + bits, axis=0)
 
     def product_vector(self, bits, offset: int = 0) -> np.ndarray:
         """Dense tensor product of the chosen basis vectors (first fastest)."""
@@ -227,12 +237,17 @@ def paired_coordinate_sum(factors: np.ndarray, count):
     locked(p) * f0[p] * low(p), with f0 = conj(a) * b.  locked(p)
     multiplies, top first, f0 at the unset and conj(f0) at the set digits
     above p; low(p) is the product of the pair sums f0 + conj(f0) below p.
+    The contributions are added top first in one cumulative sum.
 
-    The lows are one cumulative product and the contributions are added top
-    first in one cumulative sum.  The locked chain is multiplied in position
-    by position, vectorized over the batch: numpy's cumulative product
-    rounds complex products differently from its elementwise multiply
-    (which may fuse multiply and add), and the walk is pinned to the latter.
+    When no f0 has a nonzero imaginary part (the standard, Hadamard and
+    rotation bases, real explicit bases, and the (1, 1/2) padding) the walk
+    runs on float64 arrays with no loop over positions (``_real_walk``).
+    It is byte-identical to the complex walk: with zero imaginary parts the
+    real part of a complex product is the rounded real product fl(x * y),
+    whether or not numpy fuses multiply and add, so cumulative and
+    elementwise products agree, and only the signs of zeros can differ,
+    which the cumulative sum's leading +0 absorbs.  Factors with a nonzero
+    imaginary part take the positional walk (``_complex_walk``).
     """
     factors = np.asarray(factors, dtype=complex)
     if factors.ndim < 2 or factors.shape[-1] != 2:
@@ -248,7 +263,42 @@ def paired_coordinate_sum(factors: np.ndarray, count):
     digits = np.array(
         [_count_digits(0 if c == 1 << n else c, n) for c in counts.flat]
     ).reshape(counts.shape + (n,))
-    tops = np.flatnonzero(np.any(digits.reshape(counts.size, n), axis=0))[::-1]
+    if np.any(f0.imag):
+        total = _complex_walk(f0, digits, batch)
+    else:
+        total = _real_walk(f0.real, digits, batch).astype(complex)
+    if np.any(full):
+        total = np.where(full, np.prod(f0 + np.conj(f0), axis=-1), total)
+    return total if batch else complex(total)
+
+
+def _real_walk(f0: np.ndarray, digits: np.ndarray, batch: tuple) -> np.ndarray:
+    """The digit walk of real pair factors f0 (conj(f0) = f0) in whole-array steps.
+
+    locked(p) * f0[p] is f0 multiplied over positions n-1 down to p, one
+    inclusive cumulative product from the top; low(p) is the cumulative
+    product of the pair sums 2 f0 below p.  Unset digits contribute 0.
+    """
+    locked = np.cumprod(f0[..., ::-1], axis=-1)[..., ::-1]
+    low = np.ones_like(f0)
+    np.cumprod(2.0 * f0[..., :-1], axis=-1, out=low[..., 1:])
+    terms = np.zeros(batch + (f0.shape[-1] + 1,))  # a leading +0, then top first
+    np.copyto(terms[..., 1:], (locked * low)[..., ::-1], where=digits[..., ::-1])
+    np.cumsum(terms, axis=-1, out=terms)
+    return terms[..., -1]
+
+
+def _complex_walk(f0: np.ndarray, digits: np.ndarray, batch: tuple) -> np.ndarray:
+    """The digit walk of complex pair factors, one vectorized step per position.
+
+    The lows are one cumulative product.  The locked chain is multiplied in
+    position by position, vectorized over the batch: numpy's cumulative
+    product rounds complex products differently from its elementwise
+    multiply (which may fuse multiply and add), and the walk is pinned to
+    the latter.
+    """
+    n = f0.shape[-1]
+    tops = np.flatnonzero(np.any(digits, axis=tuple(range(digits.ndim - 1))))[::-1]
     terms = np.zeros(batch + (tops.size + 1,), dtype=complex)
     if tops.size:
         high, lo = int(tops[0]), int(tops[-1])
@@ -270,10 +320,7 @@ def paired_coordinate_sum(factors: np.ndarray, count):
         # a row records only at its own set digits
         np.copyto(terms[..., 1:], 0.0, where=~digits[..., tops])
         np.cumsum(terms, axis=-1, out=terms)
-    total = terms[..., -1]
-    if np.any(full):
-        total = np.where(full, np.prod(f0 + np.conj(f0), axis=-1), total)
-    return total if batch else complex(total)
+    return terms[..., -1]
 
 
 def _count_digits(count: int, n: int) -> np.ndarray:
@@ -301,8 +348,8 @@ def block_measure(
     bits = as_bits(sigma)
     if len(bits) != block.n:
         raise BadQuery(f"block of size {block.n} needs {block.n} bits, got {len(bits)}")
-    factors = system._chosen(np.array(bits, dtype=np.intp)[None], block_offset)
-    return clamp01(_block_measures([(block, factors)]).item(), "block measure")
+    factors = system.chosen_factors(bits, block_offset)
+    return clamp01(float(product_quadratic_form(block, factors)), "block measure")
 
 
 def partial_block_factor(
@@ -340,11 +387,11 @@ def _premeasure_factored(state: FactoredState, system: MeasurementSystem, bits) 
     """
     segments = list(state.segments(len(bits)))
     complete = [(block, offset) for block, offset, take in segments if take == block.n]
-    chosen = system._chosen(np.array(bits, dtype=np.intp), 0)
+    string = np.array(bits, dtype=np.intp)
     factors = []
     for group in _walk_groups([block for block, _ in complete], 1):
-        rows = [(b, chosen[None, o : o + b.n]) for b, o in complete[group]]
-        factors += [clamp01(m, "block measure") for m in _block_measures(rows)[:, 0].tolist()]
+        measures = _block_measures(system, string, complete[group], 1)
+        factors += [clamp01(m, "block measure") for m in measures[:, 0].tolist()]
     positive = all(f > 0.0 for f in factors)
     if len(complete) < len(segments):
         factors.append(math.ldexp(1.0, -segments[-1][2]))
@@ -550,13 +597,9 @@ def sample_bits(
         conds[zero_step] = 0.0
     warned = False
     for group in _walk_groups([block for _, block, _, _ in complete], 2):
-        rows = []
-        for _, block, offset, _ in complete[group]:
-            outcomes = np.repeat(bits[None, offset : offset + block.n], 2, axis=0)
-            outcomes[:, -1] = (0, 1)
-            rows.append((block, system._chosen(outcomes, offset)))
+        rows = [(block, offset) for _, block, offset, _ in complete[group]]
         for (index, block, offset, draw), (m0, m1) in zip(
-            complete[group], _block_measures(rows).tolist()
+            complete[group], _block_measures(system, bits, rows, 2).tolist()
         ):
             last = offset + block.n - 1
             prev = math.ldexp(1.0, 1 - block.n)
@@ -591,24 +634,31 @@ def _walk_groups(blocks, k: int):
         yield slice(start, len(blocks))
 
 
-def _block_measures(rows) -> np.ndarray:
+def _block_measures(system: MeasurementSystem, bits: np.ndarray, rows, k: int) -> np.ndarray:
     """Unclamped block measures of k outcomes per row, shape (len(rows), k).
 
-    ``rows`` lists (block, factors) with factors the chosen 2-vectors of k
-    complete outcomes of the block, shape (k, block.n, 2).  All rows share
-    one ``paired_coordinate_sum``.  A row narrower than the widest block is
+    ``rows`` lists (block, offset) of complete blocks whose qubits are
+    ``bits[offset : offset + block.n]``.  With k = 1 the outcome is those
+    bits; with k = 2 the two outcomes set the block's last bit to 0 and to 1.
+    All rows share one gather from the basis table and one
+    ``paired_coordinate_sum``.  A row narrower than the widest block is
     padded below its first qubit with the factor (1, 1/2) and its count
     shifted past the padding: the walk records nothing there, and the pad's
     pair sum 1/2 + 1/2 is exactly 1, so the products over the row's own
     positions are unchanged.
     """
     width = max(block.n for block, _ in rows)
-    factors = np.empty((len(rows), rows[0][1].shape[0], width, 2), dtype=complex)
-    factors[..., 0], factors[..., 1] = 1.0, 0.5
+    pads = np.array([[width - block.n] for block, _ in rows])
+    starts = np.array([[offset] for _, offset in rows]) - pads  # qubit of column 0, pad included
+    columns = np.arange(width)
+    # pad columns read some valid bit; their factors are overwritten below
+    outcomes = np.repeat(bits[np.maximum(starts + columns, 0)][:, None], k, axis=1)
+    if k == 2:
+        outcomes[..., -1] = (0, 1)
+    factors = system._chosen(outcomes, starts[:, None])
+    np.copyto(factors, (1.0, 0.5), where=(columns < pads)[:, None, :, None])
     counts = np.empty((len(rows), 1), dtype=object)
-    for row, (block, chosen) in enumerate(rows):
-        factors[row, :, width - block.n :] = chosen
-        counts[row, 0] = block.corner_count << (width - block.n)
+    counts[:, 0] = [block.corner_count << (width - block.n) for block, _ in rows]
     sums = paired_coordinate_sum(factors, counts)
     diag = np.array([[block.diag_value] for block, _ in rows])
     corner = np.array([[block.corner_value] for block, _ in rows])

@@ -134,11 +134,25 @@ def same_bytes(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def real_factors(rng, kind, shape):
+    """Real per-qubit 2-vectors of shape ``shape + (2,)``, the inputs of the whole-array walk."""
+    if kind == "hadamard":
+        return rng.choice([-1.0, 1.0], size=shape + (2,)) / math.sqrt(2.0) + 0j
+    if kind == "rotation":
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=shape)
+        return np.stack([np.cos(theta), np.sin(theta)], axis=-1) + 0j
+    # standard: 0/1 components with zeros of both signs
+    return rng.choice([0.0, -0.0, 1.0, -1.0], size=shape + (2,)) + 0j
+
+
+REAL_KINDS = ["hadamard", "rotation", "standard"]
+
+
 # ---------------------------------------------------------------------------
 # the digit walk
 
 
-@pytest.mark.parametrize("n", [5, 10, 64, 70, 1100])
+@pytest.mark.parametrize("n", [1, 5, 10, 64, 70, 1100])
 def test_paired_sum_is_the_loop_bit_for_bit(n, rng):
     counts = {0, 1, (1 << n) // n, (1 << (n - 1)) - 1, 1 << (n - 1), (1 << n) - 1}
     counts |= {int(rng.integers(0, 1 << min(n, 62))) for _ in range(3)}
@@ -150,6 +164,19 @@ def test_paired_sum_is_the_loop_bit_for_bit(n, rng):
         assert same_bytes(paired_coordinate_sum(batched, count), looped_paired_sum(batched, count))
         for row in batched[:3]:
             assert same_bytes(paired_coordinate_sum(row, count), looped_paired_sum(row, count))
+    # real factors take the whole-array walk; the full count 2^n joins them
+    for kind in REAL_KINDS:
+        real = real_factors(rng, kind, (7, n))
+        for count in sorted(counts | {1 << n}):
+            assert same_bytes(paired_coordinate_sum(real, count), looped_paired_sum(real, count))
+            for row in real[:3]:
+                assert same_bytes(paired_coordinate_sum(row, count), looped_paired_sum(row, count))
+        # one count per row, as the padded walks pass them
+        cycle = sorted(counts | {1 << n}, reverse=True)
+        per_row = np.array([cycle[i % len(cycle)] for i in range(7)], dtype=object)
+        sums = paired_coordinate_sum(real, per_row)
+        for row, count, value in zip(real, per_row, sums):
+            assert same_bytes(value, looped_paired_sum(row, count)), (kind, count)
 
 
 def test_paired_sum_matches_on_signed_zeros_and_one_row(rng):
@@ -159,6 +186,12 @@ def test_paired_sum_matches_on_signed_zeros_and_one_row(rng):
         assert same_bytes(paired_coordinate_sum(factors, count), looped_paired_sum(factors, count))
         one = factors[0]
         assert same_bytes(paired_coordinate_sum(one, count), looped_paired_sum(one, count))
+    # the same on the real walk: rounded reals and 0/1 factors with signed zeros
+    for real in (np.round(rng.normal(size=(1, 9, 2))) + 0j, real_factors(rng, "standard", (1, 9))):
+        for count in list(range(0, 1 << 9, 7)) + [(1 << 9) - 1, 1 << 9]:
+            assert same_bytes(paired_coordinate_sum(real, count), looped_paired_sum(real, count))
+            one = real[0]
+            assert same_bytes(paired_coordinate_sum(one, count), looped_paired_sum(one, count))
 
 
 def test_chosen_factors_index_the_periodic_table(rng):
@@ -361,6 +394,26 @@ def test_flat_float_payloads_match_the_per_value_writer(rng):
     table = {format(i, "06b")[::-1]: v for i, v in enumerate(values)}
     for doc in (values, table, {"t": table, "v": values, "n": [1, 2.5], "e": [], "o": {}}):
         assert canonical_dumps(doc) == per_value_dumps(doc)
+    # the writer formats each distinct bit pattern once and indexes the results back
+    hadamard14 = measurement.premeasure_table_factored(
+        FactoredState.witness_state(), MeasurementSystem.hadamard(), 14
+    ).tolist()
+    assert len(set(hadamard14)) == 4
+    docs = [
+        [0.0, -0.0, 0.0, -0.0],
+        [5e-324, -5e-324, 0.5, 5e-324],
+        [0.5] * 100_000,
+        rng.normal(size=1000).tolist(),
+        [],
+        {format(i, "014b")[::-1]: v for i, v in enumerate(hadamard14)},
+    ]
+    for doc in docs:
+        assert canonical_dumps(doc) == per_value_dumps(doc)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            canonical_dumps([0.5, bad, 0.5])
+        with pytest.raises(ValueError):
+            canonical_dumps({"a": 0.5, "b": bad})
     with pytest.raises(ValueError):
         canonical_dumps([0.5, math.inf])
     with pytest.raises(ValueError):
