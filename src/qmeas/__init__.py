@@ -42,7 +42,6 @@ from .measurement import (
     premeasure_table_dense,
     premeasure_table_factored,
     sample_bits,
-    uniform_premeasure,
 )
 from .qmlt import (
     ClassicalMLT,
@@ -140,7 +139,6 @@ __all__ = [
     "run_battery",
     "sample_bits",
     "tau",
-    "uniform_premeasure",
     "verify_corner_block_bound",
     "verify_family",
     "verify_kron_pairing",

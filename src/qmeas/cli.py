@@ -123,14 +123,17 @@ def cmd_state(args) -> tuple[dict, int]:
 def _eigen_report(state, block_size: int) -> dict:
     if not isinstance(state, FactoredState):
         raise BadQuery("eigen summaries need a factored state")
+    # the built-in and general families put their size-N block at index N - 5; on
+    # the mixed state's one-qubit blocks the search ends at index N
     index = 0
     while True:
-        if index >= len(state.blocks) and not state.extendable:
-            raise BadQuery(f"state has no block of size {block_size}")
-        block = state.block(index)
+        try:
+            block = state.block(index)
+        except BadQuery:  # a finite state ran out of blocks
+            raise BadQuery(f"state has no block of size {block_size}") from None
         if block.n == block_size:
             break
-        if block.n > block_size or index > 256:
+        if block.n > block_size or index >= block_size:
             raise BadQuery(f"state has no block of size {block_size}")
         index += 1
     groups = eigenvalue_groups(block)

@@ -98,10 +98,6 @@ def config_hash(config: Any) -> str:
     return hashlib.sha256(canonical_dumps(config).encode("ascii")).hexdigest()
 
 
-def complex_to_json(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def complex_from_json(item: Any) -> complex:
     if (
         not isinstance(item, (list, tuple))

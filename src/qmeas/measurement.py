@@ -19,7 +19,9 @@ qubits contributes exactly 2**-take.  Blocks of different sizes share one
 padded walk and one basis-table gather (``_block_measures``) in
 ``premeasure`` and the sampler; single blocks (``block_measure``) and
 batches of one block (tables, the quadratic-bounds check) call
-``product_quadratic_form`` directly.
+``product_quadratic_form`` directly.  Every measure and table is clipped to
+[0, 1] by one ``clamp01``, which takes a float or a whole array: the sampler
+and ``premeasure`` clip each walk group's measures at once.
 """
 
 from __future__ import annotations
@@ -66,48 +68,53 @@ def as_bits(tau) -> tuple[int, ...]:
     return tuple(out)
 
 
-def bits_to_str(bits) -> str:
-    return "".join(str(b) for b in bits)
+def clamp01(values, context: str = "premeasure"):
+    """Clip a float, or an array elementwise, to [0, 1]; a float comes back a float.
 
-
-def clamp01(value: float, context: str = "premeasure") -> float:
-    if value < 0.0 or value > 1.0:
-        if value < -_CLAMP_WARN or value > 1.0 + _CLAMP_WARN:
+    Values already in [0, 1] come back unchanged, -0.0 included.  One
+    ``NumericHealthWarning`` per call names the largest move when it
+    exceeds the rounding scale.
+    """
+    values = np.asarray(values, dtype=float)
+    low, high = float(values.min(initial=0.0)), float(values.max(initial=1.0))
+    if not (low >= 0.0 and high <= 1.0):  # NaN clips too, and stays NaN
+        worst = max(-low, high - 1.0)
+        if worst > _CLAMP_WARN:
             warnings.warn(
-                f"{context} clamped from {value!r}, beyond the rounding scale",
+                f"{context} clamped by {worst:.3e}, beyond the rounding scale",
                 NumericHealthWarning,
                 stacklevel=3,
             )
-        value = min(max(value, 0.0), 1.0)
-    return float(value)
+        values = np.clip(values, 0.0, 1.0)
+    return values if values.ndim else float(values)
 
 
 class MeasurementSystem:
-    """Qubit-wise orthonormal basis schedule, queried by 1-based position."""
+    """Qubit-wise orthonormal basis schedule, queried by 1-based position.
 
-    def __init__(self, kind: str, pairs, label: str, spec: dict):
-        self.kind = kind
-        self._pairs = pairs  # list of (b0, b1) tuples, extended periodically
+    The schedule is one [pair][bit] table of 2-vectors, extended periodically.
+    """
+
+    def __init__(self, pairs, label: str):
+        self._table = np.array(pairs, dtype=complex)  # [pair][bit] -> 2-vector
         self.label = label
-        self._spec = spec
-        for b0, b1 in pairs:
+        for b0, b1 in self._table:
             require_unit_vector(b0, what="basis vector")
             require_unit_vector(b1, what="basis vector")
             overlap = abs(np.vdot(b0, b1))
             if overlap > 1e-9:
                 raise NotOrthonormal(f"basis pair has overlap {overlap:.3e}")
-        self._table = np.array(pairs, dtype=complex)  # [pair][bit] -> 2-vector
 
     @classmethod
     def standard(cls) -> "MeasurementSystem":
         pair = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
-        return cls("standard", [pair], "standard", {"kind": "standard"})
+        return cls([pair], "standard")
 
     @classmethod
     def hadamard(cls) -> "MeasurementSystem":
         s = 1.0 / math.sqrt(2.0)
         pair = (np.array([s, s], dtype=complex), np.array([s, -s], dtype=complex))
-        return cls("hadamard", [pair], "hadamard", {"kind": "hadamard"})
+        return cls([pair], "hadamard")
 
     @classmethod
     def rotation(cls, thetas) -> "MeasurementSystem":
@@ -121,9 +128,7 @@ class MeasurementSystem:
             pairs.append(
                 (np.array([c, s], dtype=complex), np.array([-s, c], dtype=complex))
             )
-        return cls(
-            "rotation", pairs, f"rotation[{len(thetas)}]", {"kind": "rotation", "theta": thetas}
-        )
+        return cls(pairs, f"rotation[{len(thetas)}]")
 
     @classmethod
     def explicit(cls, pairs) -> "MeasurementSystem":
@@ -138,17 +143,7 @@ class MeasurementSystem:
             )
         if not norm:
             raise BadSpec("explicit basis list must not be empty")
-        spec = {
-            "kind": "explicit",
-            "pairs": [
-                [
-                    [jsonio.complex_to_json(z) for z in b0],
-                    [jsonio.complex_to_json(z) for z in b1],
-                ]
-                for b0, b1 in norm
-            ],
-        }
-        return cls("explicit", norm, f"explicit[{len(norm)}]", spec)
+        return cls(norm, f"explicit[{len(norm)}]")
 
     @classmethod
     def from_spec(cls, doc: dict) -> "MeasurementSystem":
@@ -180,17 +175,11 @@ class MeasurementSystem:
             return cls.explicit(pairs)
         raise BadSpec(f"unknown basis kind {kind!r}")
 
-    def to_spec(self) -> dict:
-        return dict(self._spec)
-
-    def basis_at(self, q: int):
-        """Basis pair (b0, b1) measured at 1-based qubit position q."""
+    def basis_at(self, q: int) -> np.ndarray:
+        """Basis pair (b0, b1), the rows of a 2x2 array, measured at 1-based qubit position q."""
         if q < 1:
             raise BadQuery(f"qubit positions are 1-based, got {q}")
-        return self._pairs[(q - 1) % len(self._pairs)]
-
-    def chosen_vector(self, q: int, bit: int) -> np.ndarray:
-        return self.basis_at(q)[bit]
+        return self._table[(q - 1) % len(self._table)]
 
     def chosen_factors(self, bits, offset: int = 0) -> np.ndarray:
         """Stacked 2-vectors chosen by ``bits`` at positions offset+1, offset+2, ..."""
@@ -391,7 +380,7 @@ def _premeasure_factored(state: FactoredState, system: MeasurementSystem, bits) 
     factors = []
     for group in _walk_groups([block for block, _ in complete], 1):
         measures = _block_measures(system, string, complete[group], 1)
-        factors += [clamp01(m, "block measure") for m in measures[:, 0].tolist()]
+        factors += clamp01(measures[:, 0], "block measure").tolist()
     positive = all(f > 0.0 for f in factors)
     if len(complete) < len(segments):
         factors.append(math.ldexp(1.0, -segments[-1][2]))
@@ -444,7 +433,7 @@ def premeasure_table_factored(
     for block, offset, take in state.segments(depth):
         if take == block.n:
             factors = system.outcome_factors(block.n, offset)
-            part = _clip_table(product_quadratic_form(block, factors), "block measure table")
+            part = clamp01(product_quadratic_form(block, factors), "block measure table")
         else:
             part = np.full(1 << take, math.ldexp(1.0, -take))
         # products of values in [0, 1] stay in [0, 1], so no second clamp
@@ -470,24 +459,7 @@ def premeasure_table_dense(
         B = np.stack(system.basis_at(offset + q), axis=1)  # columns are b0, b1
         half = 1 << (q - 1)
         T = np.einsum("rt,rasb,st->abt", np.conj(B), T.reshape(2, half, 2, -1), B)
-    return _clip_table(np.real(T.reshape(-1)), "premeasure table")
-
-
-def _clip_table(values: np.ndarray, context: str) -> np.ndarray:
-    """Vector form of ``clamp01``: warn beyond the rounding scale, then clip."""
-    worst = max(float(-values.min(initial=0.0)), float(values.max(initial=1.0) - 1.0))
-    if worst > _CLAMP_WARN:
-        warnings.warn(
-            f"{context} clamped by {worst:.3e}, beyond the rounding scale",
-            NumericHealthWarning,
-            stacklevel=3,
-        )
-    return np.clip(values, 0.0, 1.0)
-
-
-def uniform_premeasure(tau) -> float:
-    """The uniform reference measure 2**-|tau|."""
-    return 2.0 ** -len(as_bits(tau))
+    return clamp01(np.real(T.reshape(-1)), "premeasure table")
 
 
 def premeasure(state, system: MeasurementSystem, tau, path: str = "auto") -> float:
@@ -571,42 +543,43 @@ def sample_bits(
     block's last bit depends on the block's other bits; its two outcomes are
     divided by 2**-(n-1).  The first block whose chosen measure is subnormal
     emits one ``NumericHealthWarning``: from there on the conditionals lose
-    precision.
+    precision.  A length whose prefix reaches measure zero raises
+    ``MeasureZeroPrefix`` before any draw or walk.
     """
     if length < 0:
         raise BadQuery(f"length must be non-negative, got {length}")
     if not isinstance(state, FactoredState):
         raise BadQuery("sampling is defined for factored states")
-    conds = np.random.default_rng(seed).random(length)  # the draws, until overwritten
-    bits = (conds >= 0.5).view(np.uint8)
-    complete, zero_step, zero_prefix = [], None, None
+    complete, zero_step = [], None
     for index, (block, offset, take) in enumerate(state.segments(length)):
         if take > _HALVINGS + 1:
             # the partial factor before step _HALVINGS + 1 is 2**-1075, which is zero
-            zero_prefix = MeasureZeroPrefix(
+            raise MeasureZeroPrefix(
                 f"prefix of measure zero inside block {index} (offset {offset})"
             )
-            break
         if take == block.n:
-            complete.append((index, block, offset, float(conds[offset + block.n - 1])))
+            complete.append((index, block, offset))
         elif take > _HALVINGS:
             # a cut block: halving 2**-1074 rounds to zero, so that step's conditional is 0
             zero_step = offset + _HALVINGS
+    conds = np.random.default_rng(seed).random(length)  # the draws, until overwritten
+    bits = (conds >= 0.5).view(np.uint8)
+    draws = conds[[offset + block.n - 1 for _, block, offset in complete]].tolist()
     conds.fill(0.5)
     if zero_step is not None:
         conds[zero_step] = 0.0
     warned = False
-    for group in _walk_groups([block for _, block, _, _ in complete], 2):
-        rows = [(block, offset) for _, block, offset, _ in complete[group]]
-        for (index, block, offset, draw), (m0, m1) in zip(
-            complete[group], _block_measures(system, bits, rows, 2).tolist()
+    for group in _walk_groups([block for _, block, _ in complete], 2):
+        rows = [(block, offset) for _, block, offset in complete[group]]
+        measures = clamp01(_block_measures(system, bits, rows, 2), "block measure")
+        for (index, block, offset), draw, (f0, f1) in zip(
+            complete[group], draws[group], measures.tolist()
         ):
             last = offset + block.n - 1
             prev = math.ldexp(1.0, 1 - block.n)
-            f0 = clamp01(m0, "block measure")
             p0 = min(max(f0 / prev, 0.0), 1.0)
             bit = 0 if draw < p0 else 1
-            chosen = f0 if bit == 0 else clamp01(m1, "block measure")
+            chosen = f0 if bit == 0 else f1
             conds[last] = chosen / prev
             bits[last] = bit
             if chosen < sys.float_info.min and not warned:
@@ -617,8 +590,6 @@ def sample_bits(
                     NumericHealthWarning,
                     stacklevel=2,
                 )
-    if zero_prefix is not None:
-        raise zero_prefix
     return BitSample(bits, int(seed), system.label, state.label, conds)
 
 
@@ -670,7 +641,6 @@ __all__ = [
     "MeasurementSystem",
     "additivity_check",
     "as_bits",
-    "bits_to_str",
     "block_measure",
     "clamp01",
     "paired_coordinate_sum",
@@ -682,5 +652,4 @@ __all__ = [
     "premeasure_table_factored",
     "product_quadratic_form",
     "sample_bits",
-    "uniform_premeasure",
 ]

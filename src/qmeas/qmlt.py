@@ -12,22 +12,25 @@ Every stage answers one protocol: ``qubits``, ``rank``, ``density()``,
 stage's closed form where one exists (product of per-block traces for an
 aligned eigen-span stage, a sum of factored premeasures for a lifted stage)
 and the dense expectation against ``state.prefix(qubits)`` otherwise.  A
-class padded above its top stage returns that stage at deeper depths:
-identity padding multiplies the rank by 2 per qubit, keeps the density, and
-traces out of the mass.  A lifted stage stores its prefixes and basis and
-builds its product-vector columns only for a dense presentation.
+padded class is zero below its lowest stage and returns its top stage at
+deeper depths: identity padding multiplies the rank by 2 per qubit, keeps
+the density, and traces out of the mass.  A lifted stage stores its
+prefixes and basis and builds its product-vector columns only for a dense
+presentation.
 
 The witness test certifies non-randomness of the built-in block-product
 state: level m keeps, for every block of the first N(m) sizes, the span of
-the block's nonzero-eigenvalue eigenvectors, where N(m) is the first N with
-prod_{n=5}^{N} (1 - 1/n + 2**-n) < 2**-m.  The state evaluates to 1 on every
-level while the rank density drops below 2**-m.
+the block's eigen groups with positive eigenvalue, where N(m) is the first
+N with prod_{n=5}^{N} (1 - 1/n + 2**-n) < 2**-m.  A span stores the groups
+it selects (``states.eigenvalue_groups``, the one home of a block's
+spectrum), and its rank, density, trace and columns read them.  The state
+evaluates to 1 on every level while the rank density drops below 2**-m.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
@@ -43,7 +46,14 @@ from .errors import (
 )
 from .matrixcore import kron_all
 from .measurement import MeasurementSystem, clamp01, premeasure_table_factored
-from .states import DensityBlock, FactoredState, analytic_eigensystem, build_corner_block
+from .states import (
+    DensityBlock,
+    EigenGroup,
+    FactoredState,
+    analytic_eigensystem,
+    build_corner_block,
+    eigenvalue_groups,
+)
 
 # ---------------------------------------------------------------------------
 # classical side
@@ -152,14 +162,6 @@ class ClassicalMLT:
         test.validate()
         return test
 
-    def to_doc(self) -> dict:
-        return {
-            "levels": {
-                str(m): {str(d): list(ps) for d, ps in sc.stages.items()}
-                for m, sc in self.levels.items()
-            }
-        }
-
 
 # ---------------------------------------------------------------------------
 # projections
@@ -253,34 +255,19 @@ class LiftedProjection(SpanProjection):
 
 @dataclass(frozen=True)
 class BlockEigenSpan:
-    """Selected analytic eigenspaces of one structured block."""
+    """Span of selected eigen groups (``eigenvalue_groups``) of one structured block."""
 
     block: DensityBlock
-    plus: bool
-    minus: bool
-    middle: bool
+    groups: tuple[EigenGroup, ...]
+    rank: int = field(init=False)  # summed once: rank_at and every density() read it
+
+    def __post_init__(self):
+        object.__setattr__(self, "rank", sum([g.multiplicity for g in self.groups]))
 
     @classmethod
     def nonzero(cls, block: DensityBlock) -> "BlockEigenSpan":
         """Span of all eigenvectors with strictly positive eigenvalue."""
-        return cls(
-            block,
-            plus=block.diag_value + block.corner_value > 0.0,
-            minus=block.diag_value - block.corner_value > 0.0,
-            middle=block.dim - 2 * block.corner_count > 0,
-        )
-
-    @property
-    def rank(self) -> int:
-        r = self.block.corner_count
-        total = 0
-        if self.plus:
-            total += r
-        if self.minus:
-            total += r
-        if self.middle:
-            total += self.block.dim - 2 * r
-        return total
+        return cls(block, tuple([g for g in eigenvalue_groups(block) if g.value > 0.0]))
 
     def density(self) -> float:
         return self.rank * 2.0 ** -self.block.n
@@ -294,22 +281,19 @@ class BlockEigenSpan:
         """
         if other.n != self.block.n:
             raise BadQuery(f"block sizes differ: {other.n} vs {self.block.n}")
-        r = self.block.corner_count
-        shared = min(r, other.corner_count)
+        diag = other.diag_value
+        corners = min(self.block.corner_count, other.corner_count) * other.corner_value
+        sign = {"pair_plus": 1.0, "pair_minus": -1.0, "middle": 0.0}
         total = 0.0
-        if self.plus:
-            total += r * other.diag_value + shared * other.corner_value
-        if self.minus:
-            total += r * other.diag_value - shared * other.corner_value
-        if self.middle:
-            total += float(self.block.dim - 2 * r) * other.diag_value
+        for g in self.groups:
+            total += g.multiplicity * diag + sign[g.kind] * corners
         return total
 
     def columns(self) -> np.ndarray:
         """Dense orthonormal columns (small blocks only)."""
         require_dense_qubits(self.block.n, "eigen span columns")
-        keep = {"pair_plus": self.plus, "pair_minus": self.minus, "middle": self.middle}
-        cols = [p.vector() for p in analytic_eigensystem(self.block) if keep[p.kind]]
+        kinds = {g.kind for g in self.groups}
+        cols = [p.vector() for p in analytic_eigensystem(self.block) if p.kind in kinds]
         if not cols:
             return np.zeros((self.block.dim, 0), dtype=complex)
         return np.stack(cols, axis=1).astype(complex)
@@ -362,12 +346,11 @@ class FactoredEigenProjection:
 
 
 class QuantumSigmaClass:
-    """Depth-indexed nested projections, with optional zero/identity extension."""
+    """Depth-indexed nested projections; a padded class also answers every other depth."""
 
     def __init__(
         self,
         stages: dict[int, object],
-        zero_below: bool = False,
         pad_above: bool = False,
         label: str = "",
     ):
@@ -377,7 +360,6 @@ class QuantumSigmaClass:
         for depth, proj in self.stages.items():
             if proj.qubits != depth:
                 raise BadQuery(f"stage at depth {depth} acts on {proj.qubits} qubits")
-        self.zero_below = zero_below
         self.pad_above = pad_above
         self.label = label
 
@@ -390,23 +372,18 @@ class QuantumSigmaClass:
     def stage_at(self, depth: int):
         """The stage that defines p_depth.
 
-        Below the lowest stored stage of a ``zero_below`` class this is a
-        zero stage on ``depth`` qubits.  Above the top stage of a
-        ``pad_above`` class it is the top stage itself: p_depth is that
+        A ``pad_above`` class answers depths its stored stages do not.
+        Below its lowest stage this is a zero stage on ``depth`` qubits.
+        Above its top stage it is the top stage itself: p_depth is that
         stage tensored with identity on the extra qubits, so its qubits are
         fewer than ``depth``.
         """
         if depth in self.stages:
             return self.stages[depth]
-        lo, hi = min(self.stages), max(self.stages)
-        if depth < lo:
-            if self.zero_below and depth >= 0:
-                return ZeroProjection(depth)
-            raise MissingStage(f"no stage at depth {depth} (stored: {self.depths()})")
-        if depth > hi:
-            if self.pad_above:
-                return self.stages[hi]
-            raise MissingStage(f"no stage at depth {depth} (stored: {self.depths()})")
+        if self.pad_above and 0 <= depth < min(self.stages):
+            return ZeroProjection(depth)
+        if self.pad_above and depth > max(self.stages):
+            return self.stages[max(self.stages)]
         raise MissingStage(f"no stage at depth {depth} (stored: {self.depths()})")
 
     def rank_at(self, depth: int) -> int:
@@ -518,7 +495,6 @@ def lift_classical_mlt(test: ClassicalMLT, system: MeasurementSystem) -> Quantum
             # a level with no stages covers nothing: the all-zero class
             levels[m] = QuantumSigmaClass(
                 {1: ZeroProjection(1)},
-                zero_below=True,
                 pad_above=True,
                 label=f"lifted[{m}]",
             )
@@ -578,7 +554,6 @@ def build_witness_test(m: int, block_budget: int = 64) -> tuple[QuantumSigmaClas
     depth = witness_depth(last)
     cls = QuantumSigmaClass(
         {depth: FactoredEigenProjection(spans)},
-        zero_below=True,
         pad_above=True,
         label=f"witness[{m}]",
     )

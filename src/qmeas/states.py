@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -115,40 +115,43 @@ class EigenPair:
         return v
 
 
-@dataclass(frozen=True)
-class EigenGroup:
+class EigenGroup(NamedTuple):
+    """One eigenvalue of a block and its multiplicity; cheap to build for every span."""
+
     kind: str
     value: float
     multiplicity: int
 
 
 def eigenvalue_groups(block: DensityBlock) -> list[EigenGroup]:
-    """Eigenvalue multiplicities of a block, computed without materializing it."""
-    r = block.corner_count
+    """The block's spectrum without materializing it, groups of zero multiplicity left out.
+
+    Corner pairs contribute (e_i +- e_{2^n-i+1})/sqrt(2) with eigenvalues
+    diag +- corner ("pair_plus", "pair_minus"); the untouched middle indices
+    keep eigenvalue diag ("middle").
+    """
+    r, diag, corner = block.corner_count, block.diag_value, block.corner_value
     groups = []
     if r:
-        groups.append(EigenGroup("pair_plus", block.diag_value + block.corner_value, r))
-        groups.append(EigenGroup("pair_minus", block.diag_value - block.corner_value, r))
+        groups.append(EigenGroup("pair_plus", diag + corner, r))
+        groups.append(EigenGroup("pair_minus", diag - corner, r))
     middle = block.dim - 2 * r
     if middle:
-        groups.append(EigenGroup("middle", block.diag_value, middle))
+        groups.append(EigenGroup("middle", diag, middle))
     return groups
 
 
 def analytic_eigensystem(block: DensityBlock) -> list[EigenPair]:
-    """Full closed-form eigensystem of a structured block.
+    """``eigenvalue_groups`` expanded into eigenpairs, group by group.
 
-    Corner pairs contribute (e_i +- e_{2^n-i+1})/sqrt(2) with eigenvalues
-    diag +- corner; the untouched middle indices keep eigenvalue diag.
+    Pair groups run over the corner indices 1..r, the middle group over
+    r+1..2^n-r.
     """
-    r = block.corner_count
     pairs = []
-    for i in range(1, r + 1):
-        pairs.append(EigenPair(block.diag_value + block.corner_value, "pair_plus", i, block.n))
-    for i in range(1, r + 1):
-        pairs.append(EigenPair(block.diag_value - block.corner_value, "pair_minus", i, block.n))
-    for i in range(r + 1, block.dim - r + 1):
-        pairs.append(EigenPair(block.diag_value, "middle", i, block.n))
+    for g in eigenvalue_groups(block):
+        first = block.corner_count + 1 if g.kind == "middle" else 1
+        for i in range(first, first + g.multiplicity):
+            pairs.append(EigenPair(g.value, g.kind, i, block.n))
     return pairs
 
 

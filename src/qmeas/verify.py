@@ -267,12 +267,8 @@ def verify_family(spec: FamilySpec, dense_check_max: int = 9) -> LemmaReport:
             notes.append(f"third product undefined at n={n}: 1 - 2gh vanishes")
         else:
             ratio_factors.append(1.0 - (gh2 * gh2) / (1.0 - gh2) ** 2)
-        block = build_corner_block_general(n, h, g)
-        if block.diag_value - block.corner_value < -1e-15:
-            psd_ok = False
-            notes.append(f"negative eigenvalue at n={n}")
         if n <= dense_check_max:
-            check = is_density_matrix(block.to_dense())
+            check = is_density_matrix(build_corner_block_general(n, h, g).to_dense())
             dense_checked = n
             if not check.ok:
                 psd_ok = False

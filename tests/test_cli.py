@@ -235,6 +235,15 @@ def test_state_mixed_has_no_zero_eigenvalues(capsys):
     assert payload_of(out)["report"]["eigen"]["zero_multiplicity"] == 0
 
 
+def test_state_eigen_finds_blocks_past_index_256(capsys):
+    code, out, _ = run_cli(capsys, ["state", "--paper-rho", "--eigen", "300"])
+    assert code == 0
+    eigen = payload_of(out)["report"]["eigen"]
+    assert (eigen["block_size"], eigen["block_index"]) == (300, 295)
+    minus = {g["kind"]: g for g in eigen["groups"]}["pair_minus"]
+    assert (minus["value"], minus["multiplicity"]) == (0, (1 << 300) // 300)
+
+
 def test_state_eigen_block_size_mismatch_is_bad_query(capsys):
     code, _, err = run_cli(capsys, ["state", "--mixed", "--eigen", "5"])
     assert code == 2

@@ -14,7 +14,6 @@ from qmeas.measurement import (
     MeasurementSystem,
     additivity_check,
     as_bits,
-    bits_to_str,
     block_measure,
     paired_coordinate_sum,
     partial_block_factor,
@@ -24,7 +23,6 @@ from qmeas.measurement import (
     premeasure_table_dense,
     premeasure_table_factored,
     sample_bits,
-    uniform_premeasure,
 )
 from qmeas.states import (
     DensityBlock,
@@ -242,11 +240,6 @@ def test_premeasure_table_matches_per_tau(rng):
     assert float(table.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_uniform_premeasure():
-    assert uniform_premeasure("0110") == 2.0**-4
-    assert uniform_premeasure("") == 1.0
-
-
 def test_standard_basis_uniformity_long_prefixes(rng):
     state = FactoredState.witness_state()
     system = MeasurementSystem.standard()
@@ -270,7 +263,6 @@ def test_additivity_property(seed, depth):
 def test_as_bits_and_round_trip():
     assert as_bits("0101") == (0, 1, 0, 1)
     assert as_bits([1, 0]) == (1, 0)
-    assert bits_to_str((1, 1, 0)) == "110"
     with pytest.raises(BadQuery):
         as_bits("01x1")
     with pytest.raises(BadQuery):
@@ -283,11 +275,14 @@ def test_explicit_basis_requires_orthonormal_pairs():
 
 
 def test_basis_spec_round_trip(rng):
-    system = random_basis(rng, periods=2)
-    again = MeasurementSystem.from_spec(system.to_spec())
+    pairs = [random_unit_pair(rng) for _ in range(2)]
+    doc = {
+        "kind": "explicit",
+        "pairs": [[[[z.real, z.imag] for z in vector] for vector in pair] for pair in pairs],
+    }
+    system, direct = MeasurementSystem.from_spec(doc), MeasurementSystem.explicit(pairs)
     for q in (1, 2, 3):
-        for bit in (0, 1):
-            assert np.allclose(again.chosen_vector(q, bit), system.chosen_vector(q, bit))
+        assert np.array_equal(system.basis_at(q), direct.basis_at(q))
 
 
 def test_rotation_schedule_is_periodic():

@@ -70,8 +70,7 @@ def test_classical_mlt_measure_bound():
 def test_classical_mlt_doc_round_trip():
     doc = {"levels": {"1": {"2": ["00", "01"], "3": ["000", "001", "010", "011"]}}}
     test = ClassicalMLT.from_doc(doc)
-    again = ClassicalMLT.from_doc(test.to_doc())
-    assert again.levels[1].stages == test.levels[1].stages
+    assert test.levels[1].stages == {2: ("00", "01"), 3: ("000", "001", "010", "011")}
     with pytest.raises(BadSpec):
         ClassicalMLT.from_doc({"levels": {"1": ["no", "stage", "map"]}})
 
@@ -200,7 +199,7 @@ def test_lifted_stage_dense_presentation_is_its_product_vector_span(rng):
 def test_block_eigen_span_rank_and_density():
     block = build_corner_block(5)
     span = BlockEigenSpan.nonzero(block)
-    assert span.plus and span.middle and not span.minus
+    assert [g.kind for g in span.groups] == ["pair_plus", "middle"]
     assert span.rank == 32 - 6
     assert span.density() == (32 - 6) / 32
 

@@ -1,4 +1,5 @@
-"""The README's library sketch runs as written and prints what its comments say."""
+"""The README's library sketch runs as written and prints what its comments say, and its
+cookbook runs from a fresh directory."""
 
 import ast
 import math
@@ -43,3 +44,18 @@ def test_library_sketch_values():
     tau = values["cls.tau_at(witness_depth(last))"]
     assert repr(tau).startswith("0.45911639") and tau < 0.5
     assert values["evaluate_state(cls, rho, witness_depth(last))"] == 1.0
+
+
+def test_cookbook_makes_each_output_directory_first():
+    """`--out-prefix DIR/name` exits 2 (`io`) unless DIR exists: `mkdir -p DIR` comes first."""
+    cookbook = README.read_text(encoding="utf-8").split("## CLI cookbook", 1)[1]
+    (block,) = re.findall(r"```sh\n(.*?)```", cookbook, flags=re.S)
+    made, prefixes, unmade = set(), [], []
+    for line in block.splitlines():
+        made.update(re.findall(r"^mkdir -p (\S+)$", line.strip()))
+        for prefix in re.findall(r"--out-prefix (\S+)", line):
+            prefixes.append(prefix)
+            directory = prefix.rpartition("/")[0]
+            if directory and directory not in made:
+                unmade.append(line)
+    assert prefixes and unmade == []

@@ -272,6 +272,21 @@ def test_sampler_fails_at_the_same_block(deep_oracle, length):
     assert str(failure.value) == message
 
 
+def test_doomed_length_fails_before_drawing_or_walking(deep_oracle, monkeypatch):
+    _, _, message = deep_oracle
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a doomed length must not draw or walk")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    monkeypatch.setattr(measurement, "_block_measures", forbidden)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NumericHealthWarning)  # no block is walked, so none warns
+        with pytest.raises(MeasureZeroPrefix) as failure:
+            sample_bits(FactoredState.witness_state(), MeasurementSystem.hadamard(), LONGEST + 1, 0)
+    assert str(failure.value) == message
+
+
 def test_underflow_warns_once_past_block_1022():
     system = MeasurementSystem.hadamard()
     with warnings.catch_warnings(record=True) as caught:

@@ -1,6 +1,7 @@
 """One state seam: every presentation answers ``prefix(k)``, and modules use public names."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from qmeas.states import (
 )
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qmeas"
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 DEPTH = 6
 
 
@@ -96,3 +98,20 @@ def test_segments_walk_blocks_in_order():
         (7, 11, 3),
     ]
     assert list(state.segments(0)) == []
+
+
+def test_every_traced_name_resolves():
+    """The bench tracer wraps these names by lookup, so a rename must fail here first."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module_name, names in tracing.TRACED.items():
+        module = importlib.import_module(f"qmeas.{module_name}")
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            home = getattr(module, owner, None) if owner else module
+            # methods are wrapped from the class's own __dict__, not an inherited one
+            if home is None or not callable(vars(home).get(attr)):
+                missing.append(f"{module_name}.{name}")
+    assert missing == []
