@@ -27,7 +27,6 @@ from .errors import (
 from .matrixcore import (
     is_density_matrix,
     kron,
-    kron_all,
     partial_trace_last_qubit,
 )
 from .measurement import (
@@ -124,7 +123,6 @@ __all__ = [
     "failure_report",
     "is_density_matrix",
     "kron",
-    "kron_all",
     "lift_classical_mlt",
     "paired_coordinate_sum",
     "parse_state_spec",

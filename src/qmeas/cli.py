@@ -26,8 +26,7 @@ from .measurement import (
     MeasurementSystem,
     additivity_check,
     premeasure,
-    premeasure_table_dense,
-    premeasure_table_factored,
+    premeasure_table,
     sample_bits,
 )
 from .randlab import aggregate, run_battery
@@ -123,9 +122,9 @@ def cmd_state(args) -> tuple[dict, int]:
 def _eigen_report(state, block_size: int) -> dict:
     if not isinstance(state, FactoredState):
         raise BadQuery("eigen summaries need a factored state")
-    # the built-in and general families put their size-N block at index N - 5; on
-    # the mixed state's one-qubit blocks the search ends at index N
-    index = 0
+    # block sizes grow by one in the built-in and general families and stay 1 in
+    # the mixed state, so the search ends at the first block no larger than the last
+    index, previous = 0, 0
     while True:
         try:
             block = state.block(index)
@@ -133,9 +132,9 @@ def _eigen_report(state, block_size: int) -> dict:
             raise BadQuery(f"state has no block of size {block_size}") from None
         if block.n == block_size:
             break
-        if block.n > block_size or index >= block_size:
+        if block.n > block_size or block.n <= previous:
             raise BadQuery(f"state has no block of size {block_size}")
-        index += 1
+        index, previous = index + 1, block.n
     groups = eigenvalue_groups(block)
     return {
         "block_size": block_size,
@@ -144,21 +143,12 @@ def _eigen_report(state, block_size: int) -> dict:
             {"kind": g.kind, "value": g.value, "multiplicity": g.multiplicity}
             for g in groups
         ],
-        "zero_multiplicity": sum(
-            g.multiplicity for g in groups if abs(g.value) < 1e-15
-        ),
+        "zero_multiplicity": sum(g.multiplicity for g in groups if g.value == 0.0),
     }
 
 
 # ---------------------------------------------------------------------------
 # measure
-
-
-def _direct_table(state, system: MeasurementSystem, depth: int, path: str) -> np.ndarray:
-    """Premeasure values for every string of the given length, index fastest-first."""
-    if path == "dense" or not isinstance(state, FactoredState):
-        return premeasure_table_dense(state.prefix(depth), system)
-    return premeasure_table_factored(state, system, depth)
 
 
 def _table_keys(depth: int) -> list[str]:
@@ -182,7 +172,7 @@ def cmd_measure(args) -> tuple[dict, int]:
                 additivity_check(state, system, tau, args.path) for tau in args.tau
             )
     if args.tau_depth is not None:
-        table = _direct_table(state, system, args.tau_depth, args.path)
+        table = premeasure_table(state, system, args.tau_depth, args.path)
         report["table"] = dict(zip(_table_keys(args.tau_depth), table.tolist()))
         report["sum"] = float(np.sum(table))
         if args.additivity:
@@ -191,8 +181,8 @@ def cmd_measure(args) -> tuple[dict, int]:
         depth = args.depth if args.depth is not None else args.tau_depth
         if depth is None:
             raise BadQuery("--oracle-compare needs --depth")
-        factored = _direct_table(state, system, depth, "factored")
-        dense = _direct_table(state, system, depth, "dense")
+        factored = premeasure_table(state, system, depth, "factored")
+        dense = premeasure_table(state, system, depth, "dense")
         report["oracle_max_deviation"] = float(np.max(np.abs(factored - dense)))
         report["depth"] = depth
     if not report:
@@ -202,9 +192,9 @@ def cmd_measure(args) -> tuple[dict, int]:
 
 def _table_additivity(state, system: MeasurementSystem, depth: int, path: str) -> float:
     worst = 0.0
-    upper = _direct_table(state, system, depth, path)
+    upper = premeasure_table(state, system, depth, path)
     for j in range(depth - 1, -1, -1):
-        lower = _direct_table(state, system, j, path)
+        lower = premeasure_table(state, system, j, path)
         split = upper.reshape(2, 1 << j)
         worst = max(worst, float(np.max(np.abs(lower - split[0] - split[1]))))
         upper = lower

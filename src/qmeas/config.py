@@ -15,6 +15,7 @@ DENSE_CAP_ENV = "QMEAS_DENSE_CAP"
 DEFAULT_DENSE_CAP_EXP = 12
 
 TOL_NORM = 1e-9
+TOL_DENSITY = 1e-9
 
 
 def dense_cap_exponent() -> int:

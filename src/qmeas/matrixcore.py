@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_NORM, dense_cap_exponent
+from .config import TOL_DENSITY, TOL_NORM, dense_cap_exponent
 from .errors import BadShape, CapExceeded, NotOrthonormal
 
 
@@ -43,17 +43,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if rows > cap:
         raise CapExceeded(f"kron result dimension {rows} exceeds the dense cap {cap}")
     return np.kron(b, a)
-
-
-def kron_all(factors) -> np.ndarray:
-    """Left-to-right kron chain of one or more factors (first factor fastest)."""
-    factors = list(factors)
-    if not factors:
-        raise BadShape("kron_all needs at least one factor")
-    out = np.asarray(factors[0])
-    for f in factors[1:]:
-        out = kron(out, f)
-    return out
 
 
 def partial_trace_last_qubit(rho: np.ndarray) -> np.ndarray:
@@ -105,8 +94,8 @@ class DensityCheck:
         }
 
 
-def is_density_matrix(m: np.ndarray, tol: float = 1e-9) -> DensityCheck:
-    """Check Hermiticity, unit trace and positive semidefiniteness."""
+def is_density_matrix(m: np.ndarray) -> DensityCheck:
+    """Check Hermiticity, unit trace and positive semidefiniteness to ``TOL_DENSITY``."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadShape(f"expected a square matrix, got shape {m.shape}")
@@ -114,7 +103,7 @@ def is_density_matrix(m: np.ndarray, tol: float = 1e-9) -> DensityCheck:
     herm = hermitian_deviation(m)
     trace = float(abs(np.trace(m) - 1.0))
     min_eig = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
-    ok = herm <= tol and trace <= tol and min_eig >= -tol
+    ok = herm <= TOL_DENSITY and trace <= TOL_DENSITY and min_eig >= -TOL_DENSITY
     return DensityCheck(ok, herm, trace, min_eig, int(m.shape[0]))
 
 
@@ -124,7 +113,6 @@ __all__ = [
     "is_density_matrix",
     "is_power_of_two",
     "kron",
-    "kron_all",
     "num_qubits_of",
     "partial_trace_last_qubit",
     "require_unit_vector",

@@ -462,17 +462,34 @@ def premeasure_table_dense(
     return clamp01(np.real(T.reshape(-1)), "premeasure table")
 
 
+def _takes_factored_path(state, path: str) -> bool:
+    """The one path rule: closed form on a factored state unless ``path`` is "dense".
+
+    "factored" on any other state, and an unknown path, raise ``BadQuery``.
+    """
+    factored = isinstance(state, FactoredState)
+    if path not in ("auto", "dense", "factored") or (path == "factored" and not factored):
+        raise BadQuery(f"no {path!r} premeasure path on a {type(state).__name__}")
+    return factored and path != "dense"
+
+
 def premeasure(state, system: MeasurementSystem, tau, path: str = "auto") -> float:
     """Premeasure of tau on any state presentation.
 
-    Factored states use the closed-form block factors unless ``path`` is
-    "dense"; every other query goes through the state's dense prefix at
-    depth |tau|.
+    The closed-form block factors on the factored path, the state's dense
+    prefix at depth |tau| otherwise (``_takes_factored_path``).
     """
     bits = as_bits(tau)
-    if isinstance(state, FactoredState) and path != "dense":
+    if _takes_factored_path(state, path):
         return _premeasure_factored(state, system, bits)
     return premeasure_dense(state.prefix(len(bits)), system, bits)
+
+
+def premeasure_table(state, system: MeasurementSystem, depth: int, path: str = "auto"):
+    """All 2**depth premeasures on ``premeasure``'s path, indexed qubit 1 least significant."""
+    if _takes_factored_path(state, path):
+        return premeasure_table_factored(state, system, depth)
+    return premeasure_table_dense(state.prefix(depth), system)
 
 
 def additivity_check(state, system: MeasurementSystem, tau, path: str = "auto") -> float:
@@ -648,6 +665,7 @@ __all__ = [
     "premeasure",
     "premeasure_dense",
     "premeasure_factored",
+    "premeasure_table",
     "premeasure_table_dense",
     "premeasure_table_factored",
     "product_quadratic_form",

@@ -7,16 +7,15 @@ p_i; its rank density tau = rank / 2**i plays the role of the uniform
 measure and tr(rho_i p_i) the role of membership mass.  Lifting a classical
 test under a product basis sends each prefix to its basis product vector.
 
-Every stage answers one protocol: ``qubits``, ``rank``, ``density()``,
-``matrix()`` and ``mass(state)`` = tr(rho_qubits p).  ``mass`` takes the
-stage's closed form where one exists (product of per-block traces for an
-aligned eigen-span stage, a sum of factored premeasures for a lifted stage)
-and the dense expectation against ``state.prefix(qubits)`` otherwise.  A
-padded class is zero below its lowest stage and returns its top stage at
-deeper depths: identity padding multiplies the rank by 2 per qubit, keeps
-the density, and traces out of the mass.  A lifted stage stores its
-prefixes and basis and builds its product-vector columns only for a dense
-presentation.
+Every stage answers one protocol: ``qubits``, ``rank``, ``density()`` and
+``mass(state)`` = tr(rho_qubits p).  A witness stage answers ``mass`` in
+closed form only (``FactoredEigenProjection.mass``) and has no ``matrix()``.
+A lifted stage sums factored premeasures on a factored state and takes the
+dense expectation against ``state.prefix(qubits)`` otherwise.  A padded
+class is zero below its lowest stage and returns its top stage at deeper
+depths: identity padding multiplies the rank by 2 per qubit, keeps the
+density, and traces out of the mass.  A lifted stage stores its prefixes and
+basis and builds its product-vector columns only for a dense presentation.
 
 The witness test certifies non-randomness of the built-in block-product
 state: level m keeps, for every block of the first N(m) sizes, the span of
@@ -29,6 +28,7 @@ evaluates to 1 on every level while the rank density drops below 2**-m.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -44,7 +44,6 @@ from .errors import (
     CapExceeded,
     MissingStage,
 )
-from .matrixcore import kron_all
 from .measurement import MeasurementSystem, clamp01, premeasure_table_factored
 from .states import (
     DensityBlock,
@@ -321,24 +320,31 @@ class FactoredEigenProjection:
             out *= s.density()
         return out
 
-    def matrix(self) -> np.ndarray:
-        require_dense_qubits(self.qubits, "projection matrix")
-        factors = []
-        for s in self.spans:
-            cols = s.columns()
-            factors.append(cols @ cols.conj().T)
-        return kron_all(factors)
-
     def mass(self, state) -> float:
-        if isinstance(state, FactoredState):
-            head = [block for block, _, _ in state.segments(self.qubits)]
-            aligned = _regroup_blocks(head, [s.block.n for s in self.spans])
-            if aligned is not None:
-                value = 1.0
-                for span, block in zip(self.spans, aligned):
-                    value *= span.trace_against(block)
-                return value
-        return float(np.real(np.trace(state.prefix(self.qubits).rho @ self.matrix())))
+        """tr(rho_qubits p) in closed form, span by span, left to right.
+
+        A span met by one block of its size multiplies in ``trace_against``
+        it.  A span met by a run of corner-free blocks multiplies in its
+        density: the run's product is I/2^n, and tr(I/2^n P) = rank / 2^n.
+        Any other state, or a block straddling a span, raises ``BadQuery``.
+        """
+        if not isinstance(state, FactoredState):
+            raise BadQuery(f"a witness stage needs a factored state, got {type(state).__name__}")
+        segments = state.segments(self.qubits)
+        value = 1.0
+        for span in self.spans:
+            block, offset, _ = next(segments)
+            if block.n == span.block.n:
+                value *= span.trace_against(block)
+                continue
+            width = block.n  # whole block sizes: a run exactly as wide as the span holds no cut block
+            while block.corner_count == 0 and width < span.block.n:
+                block = next(segments)[0]
+                width += block.n
+            if block.corner_count or width != span.block.n:
+                raise BadQuery(f"blocks from qubit {offset} straddle a {span.block.n}-qubit span")
+            value *= span.density()
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +399,7 @@ class QuantumSigmaClass:
     def tau_at(self, depth: int) -> float:
         return self.stage_at(depth).density()
 
-    def check_nesting(self, tol: float = 1e-9) -> float:
+    def check_nesting(self) -> float:
         """Max deviation of p_{i+1} (p_i x I) from (p_i x I) over stored stages.
 
         Dense-only diagnostic; stages beyond the cap cannot be checked here.
@@ -407,7 +413,7 @@ class QuantumSigmaClass:
             high = self.stages[hi].matrix()
             dev = float(np.max(np.abs(high @ low - low)))
             worst = max(worst, dev)
-        if worst > tol:
+        if worst > 1e-9:
             raise BadSpec(f"stages are not nested (deviation {worst:.3e})")
         return worst
 
@@ -415,35 +421,6 @@ class QuantumSigmaClass:
 def tau(cls: QuantumSigmaClass, depth: int) -> float:
     """Rank density rank(p_depth) / 2**depth."""
     return cls.tau_at(depth)
-
-
-def _regroup_blocks(blocks: list[DensityBlock], sizes: list[int]) -> list[DensityBlock] | None:
-    """Regroup a block list to the target sizes, merging diagonal-only runs.
-
-    A run of corner-free blocks tensors to a larger corner-free block; a
-    single block already matching the target passes through.  Returns None
-    when no such regrouping exists (a corner block straddling a boundary).
-    """
-    out: list[DensityBlock] = []
-    pos = 0
-    for target in sizes:
-        run: list[DensityBlock] = []
-        width = 0
-        while width < target:
-            if pos >= len(blocks):
-                return None
-            run.append(blocks[pos])
-            width += blocks[pos].n
-            pos += 1
-        if width != target:
-            return None
-        if len(run) == 1:
-            out.append(run[0])
-        elif all(b.corner_count == 0 for b in run):
-            out.append(DensityBlock(target, 0, 0.0))
-        else:
-            return None
-    return out
 
 
 def evaluate_state(cls: QuantumSigmaClass, state, depth: int) -> float:
@@ -460,11 +437,11 @@ class QuantumMLT:
     def __post_init__(self):
         self.levels = {int(m): g for m, g in self.levels.items()}
 
-    def validate_tau_bounds(self, tol: float = 1e-12) -> None:
+    def validate_tau_bounds(self) -> None:
         for m, g in sorted(self.levels.items()):
             for depth in g.depths():
                 density = g.tau_at(depth)
-                if density > 2.0 ** -m + tol:
+                if density > 2.0 ** -m + 1e-12:
                     raise BadSpec(
                         f"level {m} has rank density {density} > 2^-{m} at depth {depth}"
                     )
@@ -550,7 +527,7 @@ def build_witness_test(m: int, block_budget: int = 64) -> tuple[QuantumSigmaClas
             f"witness level {m} needs blocks up to size {last}, budget is {block_budget}",
             required=last,
         )
-    spans = tuple(BlockEigenSpan.nonzero(build_corner_block(n)) for n in range(5, last + 1))
+    spans = tuple(_canonical_span(n) for n in range(5, last + 1))
     depth = witness_depth(last)
     cls = QuantumSigmaClass(
         {depth: FactoredEigenProjection(spans)},
@@ -558,6 +535,12 @@ def build_witness_test(m: int, block_budget: int = 64) -> tuple[QuantumSigmaClas
         label=f"witness[{m}]",
     )
     return cls, last
+
+
+@functools.cache
+def _canonical_span(n: int) -> BlockEigenSpan:
+    """The nonzero eigen span of the canonical size-n block, built once per size."""
+    return BlockEigenSpan.nonzero(build_corner_block(n))
 
 
 def build_witness_mlt(levels, block_budget: int = 64) -> QuantumMLT:

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import jsonio
-from .config import require_dense_qubits
+from .config import TOL_DENSITY, require_dense_qubits
 from .errors import BadBlock, BadFamilyParams, BadQuery, BadShape, BadSpec
 from .matrixcore import (
     DensityCheck,
@@ -244,7 +244,8 @@ class FactoredState:
     @classmethod
     def maximally_mixed(cls) -> "FactoredState":
         """Product of single-qubit maximally mixed blocks: I / 2**k at depth k."""
-        return cls([], factory=lambda i: build_corner_block_general(1, 0, 0.0), label="max_mixed")
+        qubit = build_corner_block_general(1, 0, 0.0)  # frozen, so one block serves every qubit
+        return cls([], factory=lambda i: qubit, label="max_mixed")
 
     @classmethod
     def from_blocks(cls, blocks: list[DensityBlock], label: str = "factored") -> "FactoredState":
@@ -398,8 +399,8 @@ def _factored_deviations(state: FactoredState, depth: int) -> list[tuple[int, fl
     return deviations
 
 
-def check_density(state, depth: int, tol: float = 1e-9) -> DensityCheck:
-    """Check that the depth-k prefix is Hermitian, of unit trace and PSD.
+def check_density(state, depth: int) -> DensityCheck:
+    """Check that the depth-k prefix is Hermitian, of unit trace and PSD to ``TOL_DENSITY``.
 
     On a ``FactoredState`` the answer is closed form: the prefix is the
     Kronecker product of its complete blocks and I/2^take for a straddled
@@ -411,7 +412,7 @@ def check_density(state, depth: int, tol: float = 1e-9) -> DensityCheck:
     ``is_density_matrix`` of its prefix.
     """
     if not isinstance(state, FactoredState):
-        return is_density_matrix(state.prefix(depth).rho, tol)
+        return is_density_matrix(state.prefix(depth).rho)
     if depth < 0:
         raise BadQuery(f"prefix depth must be non-negative, got {depth}")
     min_eig = 1.0
@@ -423,7 +424,7 @@ def check_density(state, depth: int, tol: float = 1e-9) -> DensityCheck:
         else:
             min_eig *= 2.0 ** -take
     trace_dev = abs(trace - 1.0)
-    ok = trace_dev <= tol and min_eig >= -tol
+    ok = trace_dev <= TOL_DENSITY and min_eig >= -TOL_DENSITY
     return DensityCheck(ok, 0.0, trace_dev, min_eig, 1 << depth)
 
 

@@ -21,6 +21,8 @@ from .states import build_corner_block, build_corner_block_general, family_table
 IDENTITY_SLACK = 1e-12
 BOUND_SLACK = 1e-12
 ORACLE_TOL = 1e-10
+ORACLE_TRIALS = 1000  # dense cross-checks per quadratic-bounds run
+DENSE_CHECK_MAX = 9  # largest family block also checked densely
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ def verify_kron_pairing(n: int = 8, trials: int = 1000, seed: int = 0) -> LemmaR
 
 
 def verify_quadratic_bounds(
-    n: int = 8, trials: int = 100_000, seed: int = 0, oracle_trials: int = 1000
+    n: int = 8, trials: int = 100_000, seed: int = 0
 ) -> LemmaReport:
     """Product-vector expectations of a block stay inside the stated window.
 
@@ -125,8 +127,8 @@ def verify_quadratic_bounds(
         "max_value": float(np.max(values)),
     }
     oracle_ok = True
-    if n <= 10 and oracle_trials > 0:
-        m = min(trials, oracle_trials)
+    if n <= 10:
+        m = min(trials, ORACLE_TRIALS)
         dense = product_vectors_dense(factors[:m])
         d = block.to_dense()
         direct = np.real(np.sum((dense.conj() @ d) * dense, axis=1))
@@ -241,14 +243,14 @@ def _monotone_nonincreasing(partials: list[float | None]) -> bool:
     return all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
-def verify_family(spec: FamilySpec, dense_check_max: int = 9) -> LemmaReport:
+def verify_family(spec: FamilySpec) -> LemmaReport:
     """Check a corner family's constraints and report its partial products.
 
     Three running products are reported at n_max: the rank-density product
     prod(1 - h 2^-n), the kept-mass product prod(1 - h [2^-n - g]), and
     prod(1 - 4 g^2 h^2 / (1 - 2gh)^2).  Each block is also validated as a
     density matrix — analytically for all sizes, numerically up to
-    ``dense_check_max`` qubits.
+    ``DENSE_CHECK_MAX`` qubits.
     """
     spec.validate()
     rho_factors: list[float | None] = []
@@ -267,7 +269,7 @@ def verify_family(spec: FamilySpec, dense_check_max: int = 9) -> LemmaReport:
             notes.append(f"third product undefined at n={n}: 1 - 2gh vanishes")
         else:
             ratio_factors.append(1.0 - (gh2 * gh2) / (1.0 - gh2) ** 2)
-        if n <= dense_check_max:
+        if n <= DENSE_CHECK_MAX:
             check = is_density_matrix(build_corner_block_general(n, h, g).to_dense())
             dense_checked = n
             if not check.ok:

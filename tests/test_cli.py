@@ -161,6 +161,19 @@ def test_measure_oracle_compare(capsys):
     assert report["oracle_max_deviation"] < 1e-12
 
 
+@pytest.mark.parametrize(
+    "request_args",
+    [["--oracle-compare", "--depth", "3"], ["--path", "factored", "--tau-depth", "3"]],
+)
+def test_measure_factored_path_on_a_dense_state_is_bad_query(capsys, tmp_path, request_args):
+    """The factored path never falls back to the dense prefix it would be compared with."""
+    path = write_dense_state(tmp_path)
+    code, out, err = run_cli(capsys, ["measure", "--state", str(path)] + request_args)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "bad_query"
+
+
 def test_measure_without_request_is_bad_input(capsys):
     code, _, err = run_cli(capsys, ["measure"])
     assert code == 2
@@ -211,7 +224,8 @@ def test_state_checks_on_a_factored_state_ignore_the_cap(capsys, monkeypatch):
     assert json.loads(err)["error"]["code"] == "cap_exceeded"
 
 
-def test_state_checks_a_dense_prefix_densely(capsys, tmp_path):
+def write_dense_state(tmp_path):
+    """A three-qubit ``dense_prefix`` state document; returns its path."""
     rng = np.random.default_rng(5)
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     chain = DenseStateChain.from_top(a @ a.conj().T / np.trace(a @ a.conj().T).real)
@@ -221,6 +235,11 @@ def test_state_checks_a_dense_prefix_densely(capsys, tmp_path):
     ]
     path = tmp_path / "dense.json"
     path.write_text(json.dumps({"kind": "dense_prefix", "matrices": mats}))
+    return path
+
+
+def test_state_checks_a_dense_prefix_densely(capsys, tmp_path):
+    path = write_dense_state(tmp_path)
     loaded = parse_state_spec(json.loads(path.read_text()))
     for k in range(1, 4):
         code, out, _ = run_cli(capsys, ["state", "--state", str(path), "--check-depth", str(k)])
@@ -232,7 +251,29 @@ def test_state_checks_a_dense_prefix_densely(capsys, tmp_path):
 def test_state_mixed_has_no_zero_eigenvalues(capsys):
     code, out, _ = run_cli(capsys, ["state", "--mixed", "--eigen", "1"])
     assert code == 0
-    assert payload_of(out)["report"]["eigen"]["zero_multiplicity"] == 0
+    eigen = payload_of(out)["report"]["eigen"]
+    assert (eigen["block_index"], eigen["zero_multiplicity"]) == (0, 0)
+
+
+def test_state_eigen_counts_exact_zeros_past_size_49(capsys):
+    """The size-50 block's nonzero eigenvalues are 2^-50, about 8.9e-16: only exact zeros count."""
+    code, out, _ = run_cli(capsys, ["state", "--paper-rho", "--eigen", "50"])
+    assert code == 0
+    assert payload_of(out)["report"]["eigen"]["zero_multiplicity"] == (1 << 50) // 50
+
+
+def test_state_eigen_search_stops_when_blocks_stop_growing(capsys, monkeypatch):
+    built, real = [], FactoredState.maximally_mixed
+
+    def spy():
+        built.append(real())
+        return built[-1]
+
+    monkeypatch.setattr(FactoredState, "maximally_mixed", spy)
+    code, _, err = run_cli(capsys, ["state", "--mixed", "--eigen", "100000"])
+    assert code == 2
+    assert json.loads(err)["error"]["code"] == "bad_query"
+    assert len(built[0].blocks) <= 2
 
 
 def test_state_eigen_finds_blocks_past_index_256(capsys):
@@ -355,6 +396,17 @@ def test_qmlt_eval_mixed_state_passes_at_half(capsys):
     assert not failure["fails_at_order"]
     values = {e["level"]: e["value"] for e in failure["entries"]}
     assert values[2] < 0.5 < values[1] + 0.05  # level-1 tau is just under 1/2
+
+
+def test_qmlt_eval_mixed_state_mass_is_tau_bit_for_bit(capsys):
+    """I/2^n meets every span in its rank density, the very float tau prints."""
+    code, out, _ = run_cli(
+        capsys, ["qmlt", "eval", "--witness", "5", "--state", "mixed", "--budget", "2000"]
+    )
+    assert code == 0
+    entries = payload_of(out)["report"]["failure"]["entries"]
+    assert [e["level"] for e in entries] == [1, 2, 3, 4, 5]
+    assert all(e["value"] == e["tau"] for e in entries)
 
 
 def test_qmlt_lift_document(capsys, tmp_path):

@@ -9,7 +9,6 @@ from qmeas.errors import BadShape, CapExceeded
 from qmeas.matrixcore import (
     is_density_matrix,
     kron,
-    kron_all,
     num_qubits_of,
     partial_trace_last_qubit,
 )
@@ -35,16 +34,6 @@ def test_kron_matrix_index_oracle():
                 for ca in range(2):
                     # the first factor occupies the fast (low) index bits
                     assert k[rb * 2 + ra, cb * 2 + ca] == pytest.approx(b[rb, cb] * a[ra, ca])
-
-
-def test_kron_all_matches_iterated_kron():
-    rng = np.random.default_rng(11)
-    mats = [rng.normal(size=(2, 2)) for _ in range(4)]
-    direct = kron_all(mats)
-    step = mats[0]
-    for m in mats[1:]:
-        step = kron(step, m)
-    assert np.allclose(direct, step, atol=0, rtol=0)
 
 
 def test_kron_shape_and_cap_errors(monkeypatch):

@@ -229,6 +229,34 @@ def test_factored_projection_rank_golden():
     assert proj.mass(aligned) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_factored_projection_mass_is_closed_form_only(rng):
+    """A dense state, or blocks straddling a span, has no closed form: BadQuery, no fallback."""
+    spans = tuple(BlockEigenSpan.nonzero(build_corner_block(n)) for n in (5, 6))
+    proj = FactoredEigenProjection(spans)
+    assert not hasattr(proj, "matrix")
+    chain = DenseStateChain.from_top(random_density(rng, 8))
+    qubit = build_corner_block_general(1, 0, 0.0)
+    pair = build_corner_block_general(2, 0, 0.0)
+    misaligned = [
+        [build_corner_block(6), build_corner_block(5)],  # a corner block straddles qubit 5
+        [build_corner_block(3), pair, build_corner_block(6)],  # a run with corners
+        [qubit] * 4 + [pair] + [qubit] * 5,  # a corner-free block straddles qubit 5
+    ]
+    with pytest.raises(BadQuery):
+        proj.mass(chain)
+    for blocks in misaligned:
+        with pytest.raises(BadQuery):
+            proj.mass(FactoredState(blocks))
+    aligned_runs = FactoredState([qubit] * 3 + [pair] + [build_corner_block_general(6, 0, 0.0)])
+    assert proj.mass(aligned_runs) == proj.density()
+
+
+def test_witness_levels_share_their_spans():
+    test = build_witness_mlt([1, 3])
+    (low,), (high,) = (test.levels[m].stages.values() for m in (1, 3))
+    assert all(a is b for a, b in zip(low.spans, high.spans))
+
+
 # ---------------------------------------------------------------------------
 # witness test
 

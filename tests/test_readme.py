@@ -1,12 +1,17 @@
 """The README's library sketch runs as written and prints what its comments say, and its
-cookbook runs from a fresh directory."""
+cookbook parses and runs from a fresh directory."""
 
 import ast
+import contextlib
+import io
 import math
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from qmeas.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ELEVEN_256 = 11 / 256
@@ -46,10 +51,33 @@ def test_library_sketch_values():
     assert values["evaluate_state(cls, rho, witness_depth(last))"] == 1.0
 
 
-def test_cookbook_makes_each_output_directory_first():
-    """`--out-prefix DIR/name` exits 2 (`io`) unless DIR exists: `mkdir -p DIR` comes first."""
+def cookbook_block() -> str:
     cookbook = README.read_text(encoding="utf-8").split("## CLI cookbook", 1)[1]
     (block,) = re.findall(r"```sh\n(.*?)```", cookbook, flags=re.S)
+    return block
+
+
+def test_cookbook_commands_parse():
+    """Every `qmeas` command of the cookbook, each side of a pipe, is one the parser accepts."""
+    commands, rejected = [], []
+    for line in cookbook_block().splitlines():
+        for part in line.split("|"):
+            argv = shlex.split(part, comments=True)
+            if argv[:1] != ["qmeas"]:
+                continue
+            command = " ".join(argv)
+            commands.append(command)
+            try:
+                with contextlib.redirect_stderr(io.StringIO()):
+                    build_parser().parse_args(argv[1:])
+            except SystemExit:
+                rejected.append(command)
+    assert commands and rejected == []
+
+
+def test_cookbook_makes_each_output_directory_first():
+    """`--out-prefix DIR/name` exits 2 (`io`) unless DIR exists: `mkdir -p DIR` comes first."""
+    block = cookbook_block()
     made, prefixes, unmade = set(), [], []
     for line in block.splitlines():
         made.update(re.findall(r"^mkdir -p (\S+)$", line.strip()))

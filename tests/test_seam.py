@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qmeas.errors import BadQuery
-from qmeas.measurement import MeasurementSystem, premeasure
+from qmeas.measurement import MeasurementSystem, premeasure, premeasure_table
 from qmeas.qmlt import ClassicalMLT, evaluate_state, lift_classical_mlt
 from qmeas.states import (
     DenseStateChain,
@@ -80,6 +80,24 @@ def test_presentations_agree(kind, reference):
             [d for _, d in reference["coherence"].deviations],
             atol=1e-12,
         )
+
+
+@pytest.mark.parametrize("kind", ["factored", "dense_chain", "dense_prefix"])
+def test_one_path_rule_for_premeasures_and_tables(kind, reference):
+    """Only a factored state takes the factored path; an unknown path never runs."""
+    state = _presentations()[kind]
+    system = reference["system"]
+    tau = reference["taus"][1]
+    for path in ("auto", "dense", "factored", "fast"):
+        if path == "fast" or (path == "factored" and kind != "factored"):
+            with pytest.raises(BadQuery):
+                premeasure(state, system, tau, path=path)
+            with pytest.raises(BadQuery):
+                premeasure_table(state, system, DEPTH, path)
+        else:
+            table = premeasure_table(state, system, DEPTH, path)
+            expected = premeasure(state, system, tau, path=path)
+            assert table[int(tau[::-1], 2)] == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("k", [0, DEPTH - 1, DEPTH + 1])
