@@ -25,6 +25,16 @@ def _float_repr(x: float) -> str:
     return format(x, ".17g")
 
 
+def _int_repr(x: int) -> str:
+    """``str(x)``, through ``decimal`` where ``str`` refuses an int past Python's digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        import decimal  # only ints of thousands of digits need it
+
+        return str(decimal.Decimal(x))
+
+
 def _float_reprs(values: Sequence[float]) -> list[str]:
     """``_float_repr`` of each value, formatting each distinct bit pattern once.
 
@@ -51,7 +61,7 @@ def _write(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
+        out.append(_int_repr(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(_float_repr(float(obj)))
     elif isinstance(obj, str):

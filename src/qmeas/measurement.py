@@ -10,13 +10,13 @@ the closed form
 
 where w is the product vector of the block's chosen basis vectors.  Paired
 coordinates sit at bitwise-complementary indices, so the sum collapses to a
-product structure evaluated in O(n) by a binary prefix walk, independent of
-how many corner pairs there are.  On real bases (standard, Hadamard,
-rotation, real explicit pairs) the walk is whole-array float64 cumulative
-products and sums, byte-identical to the positional walk that complex
-bases keep (see ``paired_coordinate_sum``).  A block cut after ``take``
+product structure evaluated in O(n), independent of how many corner pairs
+there are.  On real bases (standard, Hadamard, rotation, real explicit
+pairs) every paired product is the same, and the sum is the closed form
+(count / 2^n) * prod(2 f0); complex bases walk the binary digits of the
+count (see ``paired_coordinate_sum``).  A block cut after ``take``
 qubits contributes exactly 2**-take.  Blocks of different sizes share one
-padded walk and one basis-table gather (``_block_measures``) in
+padded corner sum and one basis-table gather (``_block_measures``) in
 ``premeasure`` and the sampler; single blocks (``block_measure``) and
 batches of one block (tables, the quadratic-bounds check) call
 ``product_quadratic_form`` directly.  Every measure and table is clipped to
@@ -49,8 +49,8 @@ _CLAMP_WARN = 1e-9
 # 2**-s halves exactly down to the smallest subnormal 2**-1074; one more
 # halving rounds to zero.
 _HALVINGS = sys.float_info.mant_dig - sys.float_info.min_exp
-# entries (outcomes x qubits) per array of one walk over several blocks: float64
-# on real bases, complex on the positional walk of complex ones
+# entries (outcomes x qubits) per array of one batched corner sum over several
+# blocks: the closed form on real bases, the digit walk on complex ones
 _WALK_ENTRIES = 1 << 14
 
 
@@ -220,23 +220,22 @@ def paired_coordinate_sum(factors: np.ndarray, count):
     ``factors`` holds the per-qubit 2-vectors, shape (..., n, 2), qubit 1
     first.  ``count`` is ints of any size whose array shape broadcasts
     against the batch shape; one int, the 0-d case, serves every row.
-    Paired coordinates have bitwise-complementary indices, so the sum over
-    the first ``count`` coordinates factorizes along the binary digits of
-    ``count``: walking its bits from the top, a set bit at position p adds
-    locked(p) * f0[p] * low(p), with f0 = conj(a) * b.  locked(p)
-    multiplies, top first, f0 at the unset and conj(f0) at the set digits
-    above p; low(p) is the product of the pair sums f0 + conj(f0) below p.
-    The contributions are added top first in one cumulative sum.
+    With f0 = conj(a) * b, every paired product is the same number when no
+    f0 has a nonzero imaginary part (the standard, Hadamard and rotation
+    bases, real explicit bases, and the (1, 1/2) padding), so such a row's
+    sum is the closed form (count / 2^n) * prod(2 f0): an int true division,
+    correctly rounded at any n, times factors of magnitude at most 1 when
+    the 2-vectors are unit (past about a thousand qubits, larger factors
+    overflow the product).  Its zero sums are +0.0.
 
-    When no f0 has a nonzero imaginary part (the standard, Hadamard and
-    rotation bases, real explicit bases, and the (1, 1/2) padding) the walk
-    runs on float64 arrays with no loop over positions (``_real_walk``).
-    It is byte-identical to the complex walk: with zero imaginary parts the
-    real part of a complex product is the rounded real product fl(x * y),
-    whether or not numpy fuses multiply and add, so cumulative and
-    elementwise products agree, and only the signs of zeros can differ,
-    which the cumulative sum's leading +0 absorbs.  Factors with a nonzero
-    imaginary part take the positional walk (``_complex_walk``).
+    A row with a complex f0 walks the binary digits of ``count`` from the
+    top (``_complex_walk``): a set bit at position p adds locked(p) * f0[p]
+    * low(p), where locked(p) multiplies, top first, f0 at the unset and
+    conj(f0) at the set digits above p, and low(p) is the product of the
+    pair sums f0 + conj(f0) below p.  At the full count 2^n its sum is the
+    product of all pair sums, prod(2 Re f0), the closed form again.  Each
+    row takes its own branch, so a row's value does not depend on the rows
+    batched with it.
     """
     factors = np.asarray(factors, dtype=complex)
     if factors.ndim < 2 or factors.shape[-1] != 2:
@@ -246,35 +245,14 @@ def paired_coordinate_sum(factors: np.ndarray, count):
     if not all(0 <= c <= 1 << n for c in counts.flat):
         raise BadQuery(f"count {count} out of range [0, 2^{n}]")
     f0 = np.conj(factors[..., 0]) * factors[..., 1]  # conj(a_q) * b_q
-    full = counts == 1 << n  # the whole sum: every position is free
-    batch = np.broadcast_shapes(f0.shape[:-1], counts.shape)
-    # a full count walks as 0 and is swapped for the product of pair sums below
-    digits = np.array(
-        [_count_digits(0 if c == 1 << n else c, n) for c in counts.flat]
-    ).reshape(counts.shape + (n,))
-    if np.any(f0.imag):
-        total = _complex_walk(f0, digits, batch)
-    else:
-        total = _real_walk(f0.real, digits, batch).astype(complex)
-    if np.any(full):
-        total = np.where(full, np.prod(f0 + np.conj(f0), axis=-1), total)
-    return total if batch else complex(total)
-
-
-def _real_walk(f0: np.ndarray, digits: np.ndarray, batch: tuple) -> np.ndarray:
-    """The digit walk of real pair factors f0 (conj(f0) = f0) in whole-array steps.
-
-    locked(p) * f0[p] is f0 multiplied over positions n-1 down to p, one
-    inclusive cumulative product from the top; low(p) is the cumulative
-    product of the pair sums 2 f0 below p.  Unset digits contribute 0.
-    """
-    locked = np.cumprod(f0[..., ::-1], axis=-1)[..., ::-1]
-    low = np.ones_like(f0)
-    np.cumprod(2.0 * f0[..., :-1], axis=-1, out=low[..., 1:])
-    terms = np.zeros(batch + (f0.shape[-1] + 1,))  # a leading +0, then top first
-    np.copyto(terms[..., 1:], (locked * low)[..., ::-1], where=digits[..., ::-1])
-    np.cumsum(terms, axis=-1, out=terms)
-    return terms[..., -1]
+    ratios = np.array([int(c) / (1 << n) for c in counts.flat]).reshape(counts.shape)
+    total = (ratios * np.prod(2.0 * f0.real, axis=-1) + 0.0).astype(complex)
+    walked = np.any(f0.imag, axis=-1) & (counts != 1 << n)
+    if np.any(walked):
+        digits = np.array([_count_digits(c, n) for c in counts.flat])
+        walk = _complex_walk(f0, digits.reshape(counts.shape + (n,)), total.shape)
+        total = np.where(walked, walk, total)
+    return total if total.ndim else complex(total)
 
 
 def _complex_walk(f0: np.ndarray, digits: np.ndarray, batch: tuple) -> np.ndarray:
@@ -631,9 +609,9 @@ def _block_measures(system: MeasurementSystem, bits: np.ndarray, rows, k: int) -
     All rows share one gather from the basis table and one
     ``paired_coordinate_sum``.  A row narrower than the widest block is
     padded below its first qubit with the factor (1, 1/2) and its count
-    shifted past the padding: the walk records nothing there, and the pad's
-    pair sum 1/2 + 1/2 is exactly 1, so the products over the row's own
-    positions are unchanged.
+    shifted past the padding, which keeps count / 2^n: the pad's 2 f0, its
+    pair sum 1/2 + 1/2, is exactly 1, and the walk records nothing there,
+    so the products over the row's own positions are unchanged.
     """
     width = max(block.n for block, _ in rows)
     pads = np.array([[width - block.n] for block, _ in rows])

@@ -1,0 +1,78 @@
+"""Integers past Python's int-to-str digit limit print exactly in canonical JSON.
+
+Python 3.11 (and 3.10.7 on) refuses ``str`` of an int of more than 4,300
+digits; the writer then converts through ``decimal``.  Where no limit exists
+``str`` never refuses, and every assertion here holds all the same.
+"""
+
+import contextlib
+import sys
+
+import pytest
+
+from qmeas import qmlt
+from qmeas.cli import main
+from qmeas.jsonio import canonical_dumps
+
+
+@contextlib.contextmanager
+def digit_limit(limit):
+    """Python's int-to-str digit limit set to ``limit`` (0 lifts it), restored on exit."""
+    setter = getattr(sys, "set_int_max_str_digits", None)
+    if setter is None:  # Python 3.10.0-3.10.6: no limit to set
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    setter(limit)
+    try:
+        yield
+    finally:
+        setter(saved)
+
+
+def exact_str(value: int) -> str:
+    with digit_limit(0):
+        return str(value)
+
+
+def test_big_ints_print_exactly_under_any_digit_limit():
+    big = 7**20_000  # 16,902 digits
+    digits = exact_str(big)
+    for limit in (0, 640, 4300):  # 640 is the least limit Python accepts
+        with digit_limit(limit):
+            doc = canonical_dumps({"n": big, "m": [-big, 1, 10**639]})
+        assert doc == f'{{"m":[-{digits},1,1{"0" * 639}],"n":{digits}}}'
+
+
+def witness_rank(m):
+    cls, _ = qmlt.build_witness_test(m, block_budget=100_000)
+    return cls.rank_at(cls.max_depth())
+
+
+def eval_rank(levels):
+    cls = qmlt.build_witness_mlt(range(1, levels + 1), block_budget=100_000).levels[levels]
+    return cls.rank_at(cls.max_depth())
+
+
+@pytest.mark.parametrize(
+    "argv, field, value",
+    [
+        ("qmlt witness --m 6 --budget 100000", "rank", lambda: witness_rank(6)),
+        ("qmlt eval --witness 7 --state mixed --budget 100000", "rank", lambda: eval_rank(7)),
+        ("state --paper-rho --check-depth 14300", "dim", lambda: 1 << 14300),
+    ],
+    ids=["witness6", "eval7", "state14300"],
+)
+def test_commands_with_big_ints_exit_zero(capsys, argv, field, value):
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    number = value()
+    assert len(exact_str(number)) > 4300
+    assert f'"{field}":{exact_str(number)},' in out
+
+
+def test_level_eight_still_overflows():
+    # past block size 1,023 a span's density overflows rank * 2.0**-n; mending
+    # only the overflow printed evaluation 0 and tau 0, which is silently wrong
+    with pytest.raises(OverflowError):
+        main("qmlt witness --m 8 --budget 100000".split())

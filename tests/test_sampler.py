@@ -1,15 +1,19 @@
-"""The block-wise sampler and the batched digit walk against the per-bit code they replaced.
+"""The block-wise sampler and the batched corner sums against the per-bit code they replaced.
 
-The per-bit sampler, the per-position paired-sum loop, the per-qubit factor
+The per-bit sampler, the per-position paired-sum loops, the per-qubit factor
 loop, the per-block premeasure product and the per-value JSON writer live on
 here as oracles.  The rewrite must reproduce them byte for byte: the same
 bits, the same conditionals, the same paired sums, batched or not, the same
-premeasures, and the same error at the first prefix of measure zero.
+premeasures, and the same error at the first prefix of measure zero.  Real
+pair factors take the closed form r * prod(f0), which is also held to its
+exact ``Fraction`` value.
 """
 
 import json
 import math
+import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +33,7 @@ from qmeas.measurement import (
 )
 from qmeas.states import DensityBlock, FactoredState, build_corner_block
 
-from conftest import random_basis
+from conftest import random_basis, random_unit_pair
 
 # The witness state's block n=1076 starts at bit 578,340; its step 1075
 # would need a 1,076th halving of 1.0, past the smallest subnormal.
@@ -63,6 +67,50 @@ def looped_paired_sum(factors, count):
     return total if batch else complex(total)
 
 
+def looped_closed_form(factors, count):
+    """(count / 2^n) * prod(2 Re f0), one Python product per qubit position.
+
+    The sum itself for real pair factors f0, and for any factors at the full
+    count 2^n, where it is the product of all pair sums f0 + conj(f0).
+    """
+    factors = np.asarray(factors, dtype=complex)
+    n = factors.shape[-2]
+    f0 = (np.conj(factors[..., 0]) * factors[..., 1]).real
+    out = np.empty(f0.shape[:-1], dtype=complex)
+    for index in np.ndindex(out.shape):
+        product = 1.0
+        for x in f0[index].tolist():
+            product *= 2.0 * x
+        out[index] = int(count) / (1 << n) * product + 0.0
+    return out if out.ndim else complex(out[()])
+
+
+def exact_real_sum(factors, count):
+    """count * prod(a_q b_q) of one row of real float factors as an exact ``Fraction``."""
+    ratios = [x.as_integer_ratio() for x in np.asarray(factors, dtype=complex).real.ravel().tolist()]
+    return Fraction(int(count) * math.prod(p for p, _ in ratios), math.prod(q for _, q in ratios))
+
+
+def looped_sum(factors, count):
+    """The oracle of the branch one row takes: the walk on complex pair factors below the full count."""
+    factors = np.asarray(factors, dtype=complex)
+    if count < 1 << factors.shape[-2] and np.any((np.conj(factors[..., 0]) * factors[..., 1]).imag):
+        return looped_paired_sum(factors, count)
+    return looped_closed_form(factors, count)
+
+
+def assert_near_exact(value, exact, n):
+    """A real sum against its exact value: |value - exact| <= n u |exact| with u = 2^-53.
+
+    Zero is exact; the bound is checked where ``exact`` rounds into the
+    normal range (the largest seen is 0.54 n u, on Hadamard factors).
+    """
+    if exact == 0:
+        assert value == 0.0
+    elif abs(float(exact)) >= sys.float_info.min:
+        assert abs(Fraction(value) - exact) <= n * Fraction(1, 1 << 53) * abs(exact), (value, n)
+
+
 def looped_factors(system, bits, offset=0):
     out = np.empty((len(bits), 2), dtype=complex)
     for i, b in enumerate(bits):
@@ -70,8 +118,8 @@ def looped_factors(system, bits, offset=0):
     return out
 
 
-def looped_block_measure(block, system, offset, bits):
-    s = looped_paired_sum(looped_factors(system, bits, offset), block.corner_count)
+def looped_block_measure(block, system, offset, bits, paired_sum=looped_paired_sum):
+    s = paired_sum(looped_factors(system, bits, offset), block.corner_count)
     return clamp01(float(block.diag_value + block.corner_value * 2.0 * np.real(s)), "block measure")
 
 
@@ -135,7 +183,7 @@ def same_bytes(a, b):
 
 
 def real_factors(rng, kind, shape):
-    """Real per-qubit 2-vectors of shape ``shape + (2,)``, the inputs of the whole-array walk."""
+    """Real per-qubit 2-vectors of shape ``shape + (2,)``, the inputs of the closed form."""
     if kind == "hadamard":
         return rng.choice([-1.0, 1.0], size=shape + (2,)) / math.sqrt(2.0) + 0j
     if kind == "rotation":
@@ -164,19 +212,25 @@ def test_paired_sum_is_the_loop_bit_for_bit(n, rng):
         assert same_bytes(paired_coordinate_sum(batched, count), looped_paired_sum(batched, count))
         for row in batched[:3]:
             assert same_bytes(paired_coordinate_sum(row, count), looped_paired_sum(row, count))
-    # real factors take the whole-array walk; the full count 2^n joins them
+    # real factors take the closed form, full count 2^n included: its loop
+    # pins the bytes, and each sum stays near its exact value
     for kind in REAL_KINDS:
         real = real_factors(rng, kind, (7, n))
+        products = [exact_real_sum(row, 1) for row in real]
         for count in sorted(counts | {1 << n}):
-            assert same_bytes(paired_coordinate_sum(real, count), looped_paired_sum(real, count))
+            sums = paired_coordinate_sum(real, count)
+            assert same_bytes(sums, looped_closed_form(real, count))
+            assert np.all(np.isfinite(sums))
+            for product, value in zip(products, sums):
+                assert_near_exact(value.real, count * product, n)
             for row in real[:3]:
-                assert same_bytes(paired_coordinate_sum(row, count), looped_paired_sum(row, count))
+                assert same_bytes(paired_coordinate_sum(row, count), looped_closed_form(row, count))
         # one count per row, as the padded walks pass them
         cycle = sorted(counts | {1 << n}, reverse=True)
         per_row = np.array([cycle[i % len(cycle)] for i in range(7)], dtype=object)
         sums = paired_coordinate_sum(real, per_row)
         for row, count, value in zip(real, per_row, sums):
-            assert same_bytes(value, looped_paired_sum(row, count)), (kind, count)
+            assert same_bytes(value, looped_closed_form(row, count)), (kind, count)
 
 
 def test_paired_sum_matches_on_signed_zeros_and_one_row(rng):
@@ -186,12 +240,73 @@ def test_paired_sum_matches_on_signed_zeros_and_one_row(rng):
         assert same_bytes(paired_coordinate_sum(factors, count), looped_paired_sum(factors, count))
         one = factors[0]
         assert same_bytes(paired_coordinate_sum(one, count), looped_paired_sum(one, count))
-    # the same on the real walk: rounded reals and 0/1 factors with signed zeros
+    # the closed form on integer-valued real factors, signed zeros included, is
+    # exact; its zero sums are +0.0 (the walk's product of pair sums can give -0.0)
     for real in (np.round(rng.normal(size=(1, 9, 2))) + 0j, real_factors(rng, "standard", (1, 9))):
         for count in list(range(0, 1 << 9, 7)) + [(1 << 9) - 1, 1 << 9]:
-            assert same_bytes(paired_coordinate_sum(real, count), looped_paired_sum(real, count))
-            one = real[0]
-            assert same_bytes(paired_coordinate_sum(one, count), looped_paired_sum(one, count))
+            value = paired_coordinate_sum(real, count)
+            assert same_bytes(value, looped_closed_form(real, count))
+            assert value[0] == exact_real_sum(real[0], count)
+            one = paired_coordinate_sum(real[0], count)
+            assert same_bytes(one, looped_closed_form(real[0], count))
+            if one == 0:
+                assert math.copysign(1.0, one.real) == math.copysign(1.0, one.imag) == 1.0
+
+
+def real_pairs(rng, count):
+    """``count`` random real orthonormal basis pairs, explicit-basis input."""
+    pairs = []
+    for theta in rng.uniform(0.0, 2.0 * math.pi, size=count):
+        c, s = math.cos(theta), math.sin(theta)
+        pairs.append(((c, s), (s, -c)))
+    return pairs
+
+
+def test_real_rows_keep_their_bytes_beside_complex_rows(rng):
+    # a period of 40 real pairs and one complex pair: rows inside the real
+    # run take the closed form, rows that meet the complex pair walk
+    system = MeasurementSystem.explicit(real_pairs(rng, 40) + [random_unit_pair(rng)])
+    bits = [int(b) for b in rng.integers(0, 2, size=400)]
+    batch = np.stack([system.chosen_factors(bits[q : q + 9], q) for q in range(60)])
+    f0 = np.conj(batch[..., 0]) * batch[..., 1]
+    assert 0 < np.count_nonzero(np.any(f0.imag, axis=-1)) < 60
+    for count in (0, 1, 56, 255, 511, 512):
+        sums = paired_coordinate_sum(batch, count)
+        for row, value in zip(batch, sums):
+            assert same_bytes(value, paired_coordinate_sum(row, count))
+            assert same_bytes(value, looped_sum(row, count))
+    # premeasure batches every complete block into one call; the sampler
+    # batches the last-bit measures of its blocks
+    state = FactoredState.witness_state()
+    for length in (100, 400):
+        expected = per_block_premeasure(state, system, bits[:length])
+        assert same_bytes(premeasure(state, system, bits[:length]), expected)
+    sample = sample_bits(state, system, 400, 5)
+    for block, offset, take in state.segments(400):
+        if take == block.n:
+            chosen = sample.bits[offset : offset + take].tolist()
+            measure = block_measure(block, system, offset, chosen)
+            assert sample.conditional_probs[offset + take - 1] == measure / 2.0 ** (1 - block.n)
+
+
+@pytest.mark.parametrize("kind", ["hadamard", "rotation", "real-explicit"])
+def test_real_block_measures_are_within_one_ulp_of_exact(kind, rng):
+    system = {
+        "hadamard": MeasurementSystem.hadamard(),
+        "rotation": MeasurementSystem.rotation(rng.uniform(0.0, 2.0 * math.pi, size=7)),
+        "real-explicit": MeasurementSystem.explicit(real_pairs(rng, 5)),
+    }[kind]
+    for n in list(range(5, 41)) + list(range(41, 1021, 47)) + [1020]:
+        block = build_corner_block(n)
+        for _ in range(3):
+            bits = [int(b) for b in rng.integers(0, 2, size=n)]
+            offset = int(rng.integers(0, 10))
+            corner = exact_real_sum(system.chosen_factors(bits, offset), block.corner_count)
+            exact = Fraction(block.diag_value) + 2 * Fraction(block.corner_value) * corner
+            nearest = float(exact)  # correctly rounded
+            # Hadamard measures are sometimes one float off, the rest were all correctly rounded
+            steps = (math.nextafter(nearest, 0.0), nearest, math.nextafter(nearest, 1.0))
+            assert block_measure(block, system, offset, bits) in steps, (n, bits)
 
 
 def test_chosen_factors_index_the_periodic_table(rng):
@@ -316,11 +431,15 @@ def test_underflow_warning_leaves_the_output_alone(deep_oracle):
 
 
 def per_block_premeasure(state, system, bits):
-    """The premeasure as one looped block measure per complete block, then 2^-take."""
+    """The premeasure as one looped block measure per complete block, then 2^-take.
+
+    Each block's corner sum comes from the loop of its branch (``looped_sum``).
+    """
     measures, cut = [], 1.0
     for block, offset, take in state.segments(len(bits)):
         if take == block.n:
-            measures.append(looped_block_measure(block, system, offset, bits[offset : offset + take]))
+            part = bits[offset : offset + take]
+            measures.append(looped_block_measure(block, system, offset, part, looped_sum))
         else:
             cut = math.ldexp(1.0, -take)
     return clamp01(math.prod(measures) * cut)
