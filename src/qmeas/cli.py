@@ -143,7 +143,7 @@ def _eigen_report(state, block_size: int) -> dict:
             {"kind": g.kind, "value": g.value, "multiplicity": g.multiplicity}
             for g in groups
         ],
-        "zero_multiplicity": sum(g.multiplicity for g in groups if g.value == 0.0),
+        "zero_multiplicity": sum(g.multiplicity for g in groups if not g.positive),
     }
 
 
@@ -408,9 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_qmlt = sub.add_parser("qmlt", help="staged tests: witness construction, lifting, evaluation")
     qmlt_sub = p_qmlt.add_subparsers(dest="subcommand", required=True)
 
+    budget_help = "largest allowed block size; the default 64 reaches level 3: N(3) = 35 <= 64 < N(4) = 69"
     p_witness = qmlt_sub.add_parser("witness", help="build the witness test at one level")
     p_witness.add_argument("--m", type=int, required=True)
-    p_witness.add_argument("--budget", type=int, default=64, help="largest allowed block size")
+    p_witness.add_argument("--budget", type=int, default=64, help=budget_help)
     p_witness.add_argument("--state", default="paper-rho")
     p_witness.add_argument("--delta", type=float, default=0.0)
     p_witness.set_defaults(handler=cmd_qmlt_witness)
@@ -426,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--witness", type=int, metavar="M", help="witness levels 1..M")
     p_eval.add_argument("--mlt", "--lifted", dest="mlt", help="classical test document to lift")
     p_eval.add_argument("--basis", default="standard")
-    p_eval.add_argument("--budget", type=int, default=64)
+    p_eval.add_argument("--budget", type=int, default=64, help=budget_help)
     p_eval.add_argument("--state", default="paper-rho")
     p_eval.add_argument("--delta", type=float, default=0.0)
     p_eval.set_defaults(handler=cmd_qmlt_eval)

@@ -245,13 +245,16 @@ def paired_coordinate_sum(factors: np.ndarray, count):
     if not all(0 <= c <= 1 << n for c in counts.flat):
         raise BadQuery(f"count {count} out of range [0, 2^{n}]")
     f0 = np.conj(factors[..., 0]) * factors[..., 1]  # conj(a_q) * b_q
-    ratios = np.array([int(c) / (1 << n) for c in counts.flat]).reshape(counts.shape)
-    total = (ratios * np.prod(2.0 * f0.real, axis=-1) + 0.0).astype(complex)
     walked = np.any(f0.imag, axis=-1) & (counts != 1 << n)
+    total = np.zeros(walked.shape, dtype=complex)
+    closed = ~walked  # the closed form only where it is kept
+    ratios = np.array([int(c) / (1 << n) for c in counts.flat]).reshape(counts.shape)
+    pairs = 2.0 * np.broadcast_to(f0.real, walked.shape + (n,))[closed]
+    total[closed] = np.broadcast_to(ratios, walked.shape)[closed] * np.prod(pairs, axis=-1) + 0.0
     if np.any(walked):
         digits = np.array([_count_digits(c, n) for c in counts.flat])
         walk = _complex_walk(f0, digits.reshape(counts.shape + (n,)), total.shape)
-        total = np.where(walked, walk, total)
+        total[walked] = walk[walked]
     return total if total.ndim else complex(total)
 
 

@@ -22,8 +22,10 @@ state: level m keeps, for every block of the first N(m) sizes, the span of
 the block's eigen groups with positive eigenvalue, where N(m) is the first
 N with prod_{n=5}^{N} (1 - 1/n + 2**-n) < 2**-m.  A span stores the groups
 it selects (``states.eigenvalue_groups``, the one home of a block's
-spectrum), and its rank, density, trace and columns read them.  The state
-evaluates to 1 on every level while the rank density drops below 2**-m.
+spectrum), and its rank, density, trace and columns read them.  Each is an
+exact dyadic ratio of ints rounded once by int true division, and so are tau
+and a mass.  The state evaluates to 1 on every level while the rank density
+drops below 2**-m.
 """
 
 from __future__ import annotations
@@ -206,7 +208,7 @@ class SpanProjection:
         return int(self.columns.shape[1])
 
     def density(self) -> float:
-        return self.rank * 2.0 ** -self.qubits
+        return self.rank / (1 << self.qubits)
 
     def matrix(self) -> np.ndarray:
         require_dense_qubits(self.qubits, "projection matrix")
@@ -266,27 +268,31 @@ class BlockEigenSpan:
     @classmethod
     def nonzero(cls, block: DensityBlock) -> "BlockEigenSpan":
         """Span of all eigenvectors with strictly positive eigenvalue."""
-        return cls(block, tuple([g for g in eigenvalue_groups(block) if g.value > 0.0]))
+        return cls(block, tuple([g for g in eigenvalue_groups(block) if g.positive]))
 
     def density(self) -> float:
-        return self.rank * 2.0 ** -self.block.n
+        return self.rank / self.block.dim
 
-    def trace_against(self, other: DensityBlock) -> float:
-        """tr(other * P) for the span projector P, via the pair structure.
+    def trace_ratio(self, other: DensityBlock) -> tuple[int, int]:
+        """tr(other * P) for the span projector P exactly, as (k, e) with trace k / 2**e.
 
-        A paired eigenvector (e_i +- e_ibar)/sqrt(2) meets ``other`` in
-        diag' +- corner' when i is one of other's corner indices and diag'
-        otherwise; middle vectors contribute diag' each.
+        In units of other's diagonal, a paired eigenvector (e_i +- e_ibar)/sqrt(2)
+        meets ``other`` in 1 +- kappa' if i <= r' and in 1 otherwise; a middle
+        vector in 1.  With the float kappa' = p / q, the trace is
+        (rank * q + (#plus - #minus groups) * min(r, r') * p) / (q * 2^n).
         """
         if other.n != self.block.n:
             raise BadQuery(f"block sizes differ: {other.n} vs {self.block.n}")
-        diag = other.diag_value
-        corners = min(self.block.corner_count, other.corner_count) * other.corner_value
-        sign = {"pair_plus": 1.0, "pair_minus": -1.0, "middle": 0.0}
-        total = 0.0
-        for g in self.groups:
-            total += g.multiplicity * diag + sign[g.kind] * corners
-        return total
+        p, q = other.corner_ratio.as_integer_ratio()
+        kinds = [g.kind for g in self.groups]
+        sign = kinds.count("pair_plus") - kinds.count("pair_minus")
+        corners = min(self.block.corner_count, other.corner_count)
+        return self.rank * q + sign * corners * p, q.bit_length() - 1 + other.n
+
+    def trace_against(self, other: DensityBlock) -> float:
+        """``trace_ratio`` rounded once."""
+        k, e = self.trace_ratio(other)
+        return k / (1 << e)
 
     def columns(self) -> np.ndarray:
         """Dense orthonormal columns (small blocks only)."""
@@ -307,44 +313,41 @@ class FactoredEigenProjection:
         self.spans = tuple(spans)
         self.qubits = sum(s.block.n for s in spans)
 
-    @property
+    @cached_property
     def rank(self) -> int:
-        rank = 1
-        for s in self.spans:
-            rank *= s.rank
-        return rank
+        return math.prod(s.rank for s in self.spans)
 
     def density(self) -> float:
-        out = 1.0
-        for s in self.spans:
-            out *= s.density()
-        return out
+        return self.rank / (1 << self.qubits)
 
     def mass(self, state) -> float:
-        """tr(rho_qubits p) in closed form, span by span, left to right.
+        """tr(rho_qubits p) in closed form: the product of per-span ratios, rounded once.
 
-        A span met by one block of its size multiplies in ``trace_against``
-        it.  A span met by a run of corner-free blocks multiplies in its
-        density: the run's product is I/2^n, and tr(I/2^n P) = rank / 2^n.
-        Any other state, or a block straddling a span, raises ``BadQuery``.
+        A span met by one block of its size multiplies in ``trace_ratio``
+        against it.  A span met by a run of corner-free blocks multiplies in
+        its density: the run's product is I/2^n, and tr(I/2^n P) = rank / 2^n,
+        so the maximally mixed state's mass is tau bit for bit.  Any other
+        state, or a block straddling a span, raises ``BadQuery``.
         """
         if not isinstance(state, FactoredState):
             raise BadQuery(f"a witness stage needs a factored state, got {type(state).__name__}")
         segments = state.segments(self.qubits)
-        value = 1.0
+        numerator, exponent = 1, 0
         for span in self.spans:
             block, offset, _ = next(segments)
             if block.n == span.block.n:
-                value *= span.trace_against(block)
-                continue
-            width = block.n  # whole block sizes: a run exactly as wide as the span holds no cut block
-            while block.corner_count == 0 and width < span.block.n:
-                block = next(segments)[0]
-                width += block.n
-            if block.corner_count or width != span.block.n:
-                raise BadQuery(f"blocks from qubit {offset} straddle a {span.block.n}-qubit span")
-            value *= span.density()
-        return value
+                k, e = span.trace_ratio(block)
+            else:
+                width = block.n  # whole block sizes: a run exactly as wide as the span holds no cut block
+                while block.corner_count == 0 and width < span.block.n:
+                    block = next(segments)[0]
+                    width += block.n
+                if block.corner_count or width != span.block.n:
+                    raise BadQuery(f"blocks from qubit {offset} straddle a {span.block.n}-qubit span")
+                k, e = span.rank, span.block.n
+            numerator *= k
+            exponent += e
+        return numerator / (1 << exponent)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 A block on n qubits has constant diagonal 2**-n and ``corner_count`` pairs of
 equal off-diagonal entries placed symmetrically on the anti-diagonal: entry
-(i, 2**n - i + 1) holds ``corner_value`` for 1-based i <= corner_count, plus
-the mirror image.  The canonical block uses corner_count = floor(2**n / n)
-and corner_value = 2**-n.  A full state is an infinite tensor product of such
-blocks (sizes 5, 6, 7, ... for the built-in witness state), realized lazily.
+(i, 2**n - i + 1) holds kappa * 2**-n for 1-based i <= corner_count, plus
+the mirror image.  A block is stored scale-free, as (n, r, kappa) with kappa
+in [0, 1]; the canonical block has r = floor(2**n / n) and kappa = 1.  A full
+state is an infinite tensor product of such blocks (sizes 5, 6, 7, ... for
+the built-in witness state), realized lazily.
 """
 
 from __future__ import annotations
@@ -30,11 +31,14 @@ from .matrixcore import (
 
 @dataclass(frozen=True)
 class DensityBlock:
-    """Structured density block: diagonal 2**-n plus anti-diagonal corners."""
+    """Structured density block: diagonal 2**-n plus anti-diagonal corners kappa * 2**-n.
+
+    The derived floats ``diag_value`` and ``corner_value`` underflow to 0 past n = 1074.
+    """
 
     n: int
     corner_count: int
-    corner_value: float
+    corner_ratio: float
 
     def __post_init__(self):
         if self.n < 1:
@@ -43,12 +47,16 @@ class DensityBlock:
             raise BadBlock(
                 f"corner count {self.corner_count} out of range [0, {1 << (self.n - 1)}]"
             )
-        if not 0.0 <= self.corner_value <= self.diag_value:
-            raise BadBlock(f"corner value {self.corner_value} out of range [0, 2^-{self.n}]")
+        if not 0.0 <= self.corner_ratio <= 1.0:
+            raise BadBlock(f"corner ratio {self.corner_ratio} out of range [0, 1]")
 
     @property
     def diag_value(self) -> float:
         return 2.0 ** -self.n
+
+    @property
+    def corner_value(self) -> float:
+        return math.ldexp(self.corner_ratio, -self.n)
 
     @property
     def dim(self) -> int:
@@ -74,18 +82,20 @@ class DensityBlock:
 
 
 def build_corner_block(n: int) -> DensityBlock:
-    """Canonical block: floor(2**n / n) corner pairs of value 2**-n."""
+    """Canonical block: floor(2**n / n) corner pairs of value 2**-n (kappa = 1)."""
     if n < 3:
         raise BadBlock(f"canonical blocks need n >= 3, got {n}")
-    return DensityBlock(n, (1 << n) // n, 2.0 ** -n)
+    return DensityBlock(n, (1 << n) // n, 1.0)
 
 
 def build_corner_block_general(n: int, corner_count: int, corner_value: float) -> DensityBlock:
     """Family block with chosen corner count and value (value capped at 2**-n)."""
     try:
-        return DensityBlock(n, int(corner_count), float(corner_value))
+        return DensityBlock(n, int(corner_count), math.ldexp(float(corner_value), n))
     except BadBlock as exc:
         raise BadFamilyParams(f"{exc} at n={n}") from None
+    except OverflowError:  # kappa past the float range, far above its cap 1
+        raise BadFamilyParams(f"corner value {corner_value} out of range at n={n}") from None
 
 
 @dataclass(frozen=True)
@@ -116,11 +126,12 @@ class EigenPair:
 
 
 class EigenGroup(NamedTuple):
-    """One eigenvalue of a block and its multiplicity; cheap to build for every span."""
+    """One eigenvalue of a block, its multiplicity and whether it is positive, decided exactly."""
 
     kind: str
     value: float
     multiplicity: int
+    positive: bool
 
 
 def eigenvalue_groups(block: DensityBlock) -> list[EigenGroup]:
@@ -128,16 +139,17 @@ def eigenvalue_groups(block: DensityBlock) -> list[EigenGroup]:
 
     Corner pairs contribute (e_i +- e_{2^n-i+1})/sqrt(2) with eigenvalues
     diag +- corner ("pair_plus", "pair_minus"); the untouched middle indices
-    keep eigenvalue diag ("middle").
+    keep eigenvalue diag ("middle").  Relative to diag these are 1 + kappa,
+    1 - kappa and 1, so ``positive`` is exact: true but for pair_minus when kappa = 1.
     """
     r, diag, corner = block.corner_count, block.diag_value, block.corner_value
     groups = []
     if r:
-        groups.append(EigenGroup("pair_plus", diag + corner, r))
-        groups.append(EigenGroup("pair_minus", diag - corner, r))
+        groups.append(EigenGroup("pair_plus", diag + corner, r, True))
+        groups.append(EigenGroup("pair_minus", diag - corner, r, block.corner_ratio < 1.0))
     middle = block.dim - 2 * r
     if middle:
-        groups.append(EigenGroup("middle", diag, middle))
+        groups.append(EigenGroup("middle", diag, middle, True))
     return groups
 
 
@@ -355,48 +367,32 @@ def check_coherence(state, depth: int, tol: float = 1e-10) -> CoherenceReport:
     """Verify that tracing the last qubit of each prefix yields the one below.
 
     The deviation at depth j is max|tr_last(rho_j) - rho_(j-1)|.  On a
-    ``FactoredState`` it is closed form: if qubit j is the t-th qubit of its
-    block and P_t is that block traced down to its first t qubits, rho_j =
-    A (x) P_t with A the complete blocks before it, so the deviation is
-    max|A| * max|tr_last(P_t) - P_(t-1)|, and max|A| is the product of their
-    diagonal values (corners never exceed the diagonal), a power of two.
-    For t >= 2, P_(t-1) is tr_last(P_t) by definition and the deviation is
-    0; at t = 1 it is |tr(block) - 1|, with tr(block) = diag_value * 2^n.
-    No matrix is built and no dense cap applies.  Any other state compares
-    its dense prefixes depth by depth.
+    ``FactoredState`` every deviation is a structural zero: if qubit j is
+    the t-th qubit of its block and P_t is that block traced down to its
+    first t qubits, rho_j = A (x) P_t with A the complete blocks before it.
+    For t >= 2, P_(t-1) is tr_last(P_t) by definition; at t = 1 the
+    deviation is max|A| * |tr(block) - 1|, and a block's trace is
+    2^n * 2^-n = 1 by construction, since its diagonal is not stored.  No
+    matrix is built and no dense cap applies.  Any other state compares its
+    dense prefixes depth by depth.
     """
     if depth < 1:
         raise BadQuery("coherence needs depth >= 1")
     if isinstance(state, FactoredState):
-        deviations = _factored_deviations(state, depth)
+        state.ensure_covers(depth)
+        deviations = [(j, 0.0) for j in range(1, depth + 1)]
     else:
         deviations = [
             (j, _trace_deviation(state.prefix(j).rho, state.prefix(j - 1).rho))
             for j in range(1, depth + 1)
         ]
-    worst = 0.0
-    failed_at = None
-    for j, dev in deviations:
-        if dev > worst:
-            worst = dev
-        if failed_at is None and dev > tol:
-            failed_at = j
+    worst = max([0.0] + [dev for _, dev in deviations])
+    failed_at = next((j for j, dev in deviations if dev > tol), None)
     return CoherenceReport(failed_at is None, worst, tuple(deviations), failed_at, tol)
 
 
 def _trace_deviation(upper: np.ndarray, lower: np.ndarray) -> float:
     return float(np.max(np.abs(partial_trace_last_qubit(upper) - lower)))
-
-
-def _factored_deviations(state: FactoredState, depth: int) -> list[tuple[int, float]]:
-    deviations = []
-    scale = 1.0
-    for block, offset, take in state.segments(depth):
-        # 2^n overflows a float past n = 1023, so scale the diagonal instead
-        deviations.append((offset + 1, scale * abs(math.ldexp(block.diag_value, block.n) - 1.0)))
-        deviations += [(offset + t, 0.0) for t in range(2, take + 1)]
-        scale *= block.diag_value
-    return deviations
 
 
 def check_density(state, depth: int) -> DensityCheck:
@@ -405,10 +401,10 @@ def check_density(state, depth: int) -> DensityCheck:
     On a ``FactoredState`` the answer is closed form: the prefix is the
     Kronecker product of its complete blocks and I/2^take for a straddled
     block, so its least eigenvalue is the product of the blocks' least
-    eigen-group values (2^-take for the straddled one) and its trace the
-    product of the blocks' traces diag_value * 2^n.  Blocks are real
-    symmetric, so the Hermitian deviation is 0.  No dense matrix is built
-    and no dense cap applies.  Any other state is checked densely with
+    eigen-group values (2^-take for the straddled one), and its trace is 1,
+    the product of block traces 2^n * 2^-n = 1 by construction.  Blocks are
+    real symmetric, so the Hermitian deviation is 0.  No dense matrix is
+    built and no dense cap applies.  Any other state is checked densely with
     ``is_density_matrix`` of its prefix.
     """
     if not isinstance(state, FactoredState):
@@ -416,16 +412,9 @@ def check_density(state, depth: int) -> DensityCheck:
     if depth < 0:
         raise BadQuery(f"prefix depth must be non-negative, got {depth}")
     min_eig = 1.0
-    trace = 1.0
     for block, _, take in state.segments(depth):
-        if take == block.n:
-            min_eig *= min(g.value for g in eigenvalue_groups(block))
-            trace *= math.ldexp(block.diag_value, block.n)  # 2^n overflows a float past n = 1023
-        else:
-            min_eig *= 2.0 ** -take
-    trace_dev = abs(trace - 1.0)
-    ok = trace_dev <= TOL_DENSITY and min_eig >= -TOL_DENSITY
-    return DensityCheck(ok, 0.0, trace_dev, min_eig, 1 << depth)
+        min_eig *= 2.0 ** -take if take < block.n else min(g.value for g in eigenvalue_groups(block))
+    return DensityCheck(min_eig >= -TOL_DENSITY, 0.0, 0.0, min_eig, 1 << depth)
 
 
 def parse_state_spec(doc: dict):

@@ -6,7 +6,10 @@ digits; the writer then converts through ``decimal``.  Where no limit exists
 """
 
 import contextlib
+import json
+import math
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -71,8 +74,24 @@ def test_commands_with_big_ints_exit_zero(capsys, argv, field, value):
     assert f'"{field}":{exact_str(number)},' in out
 
 
-def test_level_eight_still_overflows():
-    # past block size 1,023 a span's density overflows rank * 2.0**-n; mending
-    # only the overflow printed evaluation 0 and tau 0, which is silently wrong
-    with pytest.raises(OverflowError):
-        main("qmlt witness --m 8 --budget 100000".split())
+def report_of(out):
+    with digit_limit(0):
+        return json.loads(out)["report"]
+
+
+def test_level_eight_certifies_exactly(capsys):
+    """Blocks from size 1,075 on have float scales 0.0; the witness reads their ratios exactly."""
+    assert main("qmlt witness --m 8 --budget 100000".split()) == 0
+    report = report_of(capsys.readouterr().out)
+    rank = math.prod((1 << n) - (1 << n) // n for n in range(5, report["n_blocks"] + 1))
+    assert report["rank"] == rank
+    assert report["tau"] == float(Fraction(rank, 2 ** report["depth"]))
+    assert report["evaluation"] == 1
+
+
+def test_mixed_mass_is_tau_through_level_eight(capsys):
+    assert main("qmlt eval --witness 8 --state mixed --budget 100000".split()) == 0
+    entries = report_of(capsys.readouterr().out)["failure"]["entries"]
+    assert [e["level"] for e in entries] == list(range(1, 9))
+    for e in entries:
+        assert e["value"] == e["tau"] == float(Fraction(e["rank"], 2 ** e["depth"]))

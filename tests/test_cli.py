@@ -256,10 +256,13 @@ def test_state_mixed_has_no_zero_eigenvalues(capsys):
 
 
 def test_state_eigen_counts_exact_zeros_past_size_49(capsys):
-    """The size-50 block's nonzero eigenvalues are 2^-50, about 8.9e-16: only exact zeros count."""
-    code, out, _ = run_cli(capsys, ["state", "--paper-rho", "--eigen", "50"])
-    assert code == 0
-    assert payload_of(out)["report"]["eigen"]["zero_multiplicity"] == (1 << 50) // 50
+    """The size-50 block's nonzero eigenvalues are 2^-50, about 8.9e-16: only exact zeros
+    count.  At size 1,100 every eigenvalue underflows to 0.0, and still only the r exact
+    zeros of the pair_minus group count."""
+    for n in (50, 1100):
+        code, out, _ = run_cli(capsys, ["state", "--paper-rho", "--eigen", str(n)])
+        assert code == 0
+        assert payload_of(out)["report"]["eigen"]["zero_multiplicity"] == (1 << n) // n
 
 
 def test_state_eigen_search_stops_when_blocks_stop_growing(capsys, monkeypatch):

@@ -59,10 +59,10 @@ PINNED = {
         ["state", "--mixed", "--check-depth", "11"],
         "3a6e23526719d4b4cc53f4a6354c33f1fc30d035d51176e4871da5eadfd4a927",
     ),
-    "witness3": (["qmlt", "witness", "--m", "3"], "b58f0f01a1e574ff4c90e4716cce4053e10a12479e86b6eb4e49eca4af045a31"),
+    "witness3": (["qmlt", "witness", "--m", "3"], "feb62b209f6b9fa7a4b01f4c238cf420455862edf60f8acbf78e1abe9a137d88"),
     "witness3_mixed": (
         ["qmlt", "eval", "--witness", "3", "--state", "mixed"],
-        "c06e634f5548e997334493476ea13ccf9dba764e70bb1fdced4a015e8d93a9ea",
+        "f3af315bb34b529648af2a70e1e7b695e5d8cec1b8e6a218f2f6ff6be3144531",
     ),
 }
 

@@ -1,5 +1,8 @@
 """Staged classes, lifting, and the witness test."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +35,9 @@ from qmeas.states import (
     FactoredState,
     build_corner_block,
     build_corner_block_general,
+    check_coherence,
+    check_density,
+    eigenvalue_groups,
 )
 
 from conftest import random_basis, random_density
@@ -221,6 +227,44 @@ def test_block_eigen_span_full_rank_when_no_zero_eigenvalue():
     assert span.rank == 32
 
 
+@pytest.mark.parametrize("n", [20, 1100])
+def test_block_trace_and_spectrum_are_exact_at_any_size(n):
+    """Past n = 1074 the block's floats underflow to 0.0; its trace, signs and span do not."""
+    block = build_corner_block(n)
+    assert (block.diag_value == block.corner_value == 0.0) == (n > 1074)
+    r = block.corner_count
+    groups = [(g.kind, g.multiplicity, g.positive) for g in eigenvalue_groups(block)]
+    assert groups == [("pair_plus", r, True), ("pair_minus", r, False), ("middle", block.dim - 2 * r, True)]
+    state = FactoredState.from_blocks([block])
+    assert check_density(state, n).trace_deviation == 0.0 and check_coherence(state, n).ok
+    span = BlockEigenSpan.nonzero(block)
+    assert span.rank == block.dim - r and span.trace_against(block) == 1.0
+    assert span.density() == float(Fraction(block.dim - r, block.dim))
+
+
+def exact_trace(span, other):
+    """tr(other P) summed group by group in Fractions."""
+    unit, corner = Fraction(1, other.dim), Fraction(other.corner_value)
+    paired = min(span.block.corner_count, other.corner_count)
+    sign = {"pair_plus": 1, "pair_minus": -1, "middle": 0}
+    return sum(g.multiplicity * unit + sign[g.kind] * paired * corner for g in span.groups)
+
+
+@pytest.mark.parametrize("n", [5, 9, 64, 1000])
+def test_trace_against_is_the_exact_trace_rounded_once(n):
+    draw = random.Random(n)
+    kappas = [0.0, 1.0] + [draw.random() for _ in range(6)]
+    blocks = [
+        build_corner_block_general(n, draw.randrange(1 << (n - 1)), math.ldexp(kappa, -n))
+        for kappa in kappas
+    ]
+    for block in blocks:
+        groups = eigenvalue_groups(block)
+        spans = [BlockEigenSpan.nonzero(block)] + [BlockEigenSpan(block, (g,)) for g in groups]
+        for span, other in itertools.product(spans, blocks):
+            assert span.trace_against(other) == float(exact_trace(span, other))
+
+
 def test_factored_projection_rank_golden():
     spans = tuple(BlockEigenSpan.nonzero(build_corner_block(n)) for n in (5, 6))
     proj = FactoredEigenProjection(spans)
@@ -289,13 +333,22 @@ def test_witness_tau_fraction_oracle():
     assert value < 0.5
 
 
-@pytest.mark.parametrize("m", [1, 2])
-def test_witness_evaluation_is_one(m):
-    cls, last = build_witness_test(m)
-    state = FactoredState.witness_state()
-    value = evaluate_state(cls, state, witness_depth(last))
-    assert value == pytest.approx(1.0, abs=1e-9)
-    assert tau(cls, witness_depth(last)) < 2.0**-m
+@pytest.fixture(scope="module")
+def witness_levels():
+    return build_witness_mlt(range(1, 9), block_budget=100_000)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_witness_evaluation_is_one(m, witness_levels):
+    """tau is rank / 2^depth rounded once, paper-rho evaluates to exactly 1, and the
+    maximally mixed state's mass is tau bit for bit, past the float range of 2^-n too."""
+    cls = witness_levels.levels[m]
+    depth = cls.max_depth()
+    value = tau(cls, depth)
+    assert value == float(Fraction(cls.rank_at(depth), 1 << depth))
+    assert value < 2.0**-m
+    assert evaluate_state(cls, FactoredState.witness_state(), depth) == 1.0
+    assert evaluate_state(cls, FactoredState.maximally_mixed(), depth) == value
 
 
 def test_witness_stage_extension_rules():

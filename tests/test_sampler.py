@@ -341,7 +341,7 @@ def test_sampler_pads_blocks_of_unequal_sizes(kind):
     # blocks of very different sizes share one walk, padded below their first qubit
     sizes = [9, 1, 2, 40, 3, 17, 1, 64, 5, 70, 2, 33]
     blocks = [
-        DensityBlock(n, (1 << (n - 1)) * (i % 3) // 2, 2.0**-n * (i % 4) / 3)
+        DensityBlock(n, (1 << (n - 1)) * (i % 3) // 2, (i % 4) / 3)
         for i, n in enumerate(sizes)
     ]
     state = FactoredState.from_blocks(blocks)

@@ -73,9 +73,9 @@ def test_block_parameter_validation():
     with pytest.raises(BadBlock):
         build_corner_block(2)
     with pytest.raises(BadBlock):
-        DensityBlock(4, 2, 0.07)  # corner above diagonal
+        DensityBlock(4, 2, 1.12)  # corner 0.07 = 1.12 * 2^-4 above the diagonal
     with pytest.raises(BadBlock):
-        DensityBlock(4, 9, 0.01)  # more pairs than the half-dimension
+        DensityBlock(4, 9, 0.16)  # more pairs than the half-dimension
 
 
 def test_general_block_reports_offending_size():
@@ -321,9 +321,10 @@ def test_coherence_of_a_factored_state_builds_no_matrix(monkeypatch):
     for make in CHECKED_STATES.values():
         report = check_coherence(make(), 26)
         assert report.ok and report.max_deviation == 0.0 and len(report.deviations) == 26
-    # the diagonal 2^-1100 of the second block underflows to 0, so its trace reads 0: the
-    # deviation 1 is reported at its first qubit, scaled by block 5's diagonal, and 0 elsewhere
+    # the diagonal 2^-1100 of the second block underflows a float, but its trace is
+    # 2^1100 * 2^-1100 = 1 by construction: every deviation is 0
     state = FactoredState.from_blocks([build_corner_block(5), DensityBlock(1100, 0, 0.0)])
     report = check_coherence(state, 9)
-    assert report.deviations[5] == (6, 2.0**-5)
-    assert report.failed_at == 6 and all(v == 0.0 for j, v in report.deviations if j != 6)
+    assert report.ok and report.failed_at is None
+    assert report.deviations == tuple((j, 0.0) for j in range(1, 10))
+    assert check_density(state, 1105).trace_deviation == 0.0

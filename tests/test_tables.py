@@ -101,10 +101,10 @@ def test_factored_table_rejects_negative_depth():
 
 
 def test_factored_table_clamps_with_a_health_warning():
-    # corner_value at its bound makes the "-" outcomes exactly zero; tilt it
+    # the corner ratio at its bound 1 makes the "-" outcomes exactly zero; tilt it
     # past the bound without validation to force a negative block measure
-    block = DensityBlock(5, 16, 2.0**-5)
-    object.__setattr__(block, "corner_value", 2.0 ** -5 * 1.5)
+    block = DensityBlock(5, 16, 1.0)
+    object.__setattr__(block, "corner_ratio", 1.5)
     state = FactoredState.from_blocks([block])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
