@@ -110,7 +110,7 @@ def cmd_state(args) -> tuple[dict, int]:
         coherence = check_coherence(state, args.check_depth)
         density = check_density(state, args.check_depth)
         report["coherence"] = coherence.payload()
-        report["density"] = density.payload()
+        report["density"] = density
         if not (coherence.ok and density.ok):
             code = EXIT_CHECK_FAILED
     if args.eigen is not None:
@@ -258,7 +258,7 @@ def cmd_battery(args) -> tuple[dict, int]:
     code = EXIT_OK
     if args.aggregate:
         summary = aggregate(reports)
-        report["aggregate"] = summary.payload()
+        report["aggregate"] = summary
         if summary.flagged:
             code = EXIT_CHECK_FAILED
     return report, code
@@ -282,7 +282,7 @@ def cmd_qmlt_witness(args) -> tuple[dict, int]:
         "rank": entry.rank,
         "tau": entry.tau,
         "evaluation": entry.value,
-        "failure": failure.payload(),
+        "failure": failure,
     }
     return report, EXIT_OK
 
@@ -313,7 +313,7 @@ def cmd_qmlt_lift(args) -> tuple[dict, int]:
         levels[str(m)] = stages
     report: dict = {"levels": levels}
     if state is not None:
-        report["failure"] = qmlt_mod.failure_report(lifted, state, delta=args.delta).payload()
+        report["failure"] = qmlt_mod.failure_report(lifted, state, delta=args.delta)
     return report, EXIT_OK
 
 
@@ -328,7 +328,7 @@ def cmd_qmlt_eval(args) -> tuple[dict, int]:
     test.validate_tau_bounds()
     state = _load_state(args.state)
     failure = qmlt_mod.failure_report(test, state, delta=args.delta)
-    return {"failure": failure.payload()}, EXIT_OK
+    return {"failure": failure}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +337,17 @@ def cmd_qmlt_eval(args) -> tuple[dict, int]:
 
 def cmd_verify_kron_pairing(args) -> tuple[dict, int]:
     report = verify_mod.verify_kron_pairing(n=args.n, trials=args.trials, seed=args.seed)
-    return report.payload(), EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return report, EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def cmd_verify_quadratic(args) -> tuple[dict, int]:
     report = verify_mod.verify_quadratic_bounds(n=args.n, trials=args.trials, seed=args.seed)
-    return report.payload(), EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return report, EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def cmd_verify_corner(args) -> tuple[dict, int]:
     report = verify_mod.verify_corner_block_bound(n=args.n, trials=args.trials, seed=args.seed)
-    return report.payload(), EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return report, EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def cmd_verify_family(args) -> tuple[dict, int]:
@@ -356,7 +356,7 @@ def cmd_verify_family(args) -> tuple[dict, int]:
     else:
         spec = verify_mod.FamilySpec.canonical(args.canonical)
     report = verify_mod.verify_family(spec)
-    return report.payload(), EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return report, EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ path-dependent is ever placed in a payload.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -49,7 +50,10 @@ def _float_reprs(values: Sequence[float]) -> list[str]:
 
 
 def canonical_dumps(obj: Any) -> str:
-    """Serialize to canonical JSON: sorted keys, 17-significant-digit floats."""
+    """Serialize to canonical JSON: sorted keys, 17-significant-digit floats.
+
+    A dataclass instance is written as its fields (``dataclasses.asdict``).
+    """
     out: list[str] = []
     _write(obj, out)
     return "".join(out)
@@ -99,6 +103,8 @@ def _write(obj: Any, out: list[str]) -> None:
                 out.append(",")
             _write(item, out)
         out.append("]")
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _write(dataclasses.asdict(obj), out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to canonical JSON")
 

@@ -84,15 +84,6 @@ class DensityCheck:
     def __bool__(self) -> bool:
         return self.ok
 
-    def payload(self) -> dict:
-        return {
-            "ok": self.ok,
-            "hermitian_deviation": self.hermitian_deviation,
-            "trace_deviation": self.trace_deviation,
-            "min_eigenvalue": self.min_eigenvalue,
-            "dim": self.dim,
-        }
-
 
 def is_density_matrix(m: np.ndarray) -> DensityCheck:
     """Check Hermiticity, unit trace and positive semidefiniteness to ``TOL_DENSITY``."""

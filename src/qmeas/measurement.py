@@ -15,13 +15,14 @@ there are.  On real bases (standard, Hadamard, rotation, real explicit
 pairs) every paired product is the same, and the sum is the closed form
 (count / 2^n) * prod(2 f0); complex bases walk the binary digits of the
 count (see ``paired_coordinate_sum``).  A block cut after ``take``
-qubits contributes exactly 2**-take.  Blocks of different sizes share one
-padded corner sum and one basis-table gather (``_block_measures``) in
-``premeasure`` and the sampler; single blocks (``block_measure``) and
-batches of one block (tables, the quadratic-bounds check) call
-``product_quadratic_form`` directly.  Every measure and table is clipped to
-[0, 1] by one ``clamp01``, which takes a float or a whole array: the sampler
-and ``premeasure`` clip each walk group's measures at once.
+qubits contributes exactly 2**-take.  Every basis-driven block measure comes
+from one batched kernel, ``_block_measures``, over rows of (block, offset)
+and their outcome bits: one row and one outcome for ``block_measure``, one
+row and all 2**n outcomes for the factored tables, one outcome per block
+read from the string for ``premeasure`` and two for the sampler.  Every
+measure and table is clipped to [0, 1] by one ``clamp01``, which takes a
+float or a whole array: the sampler and ``premeasure`` clip each walk
+group's measures at once.
 """
 
 from __future__ import annotations
@@ -199,19 +200,21 @@ class MeasurementSystem:
         """Dense tensor product of the chosen basis vectors (first fastest)."""
         bits = as_bits(bits)
         require_dense_qubits(len(bits), "product vector")
-        v = np.ones(1, dtype=complex)
-        for i, b in enumerate(bits):
-            # later qubits vary slower, so they multiply in on the left
-            v = (self.basis_at(offset + i + 1)[b][:, None] * v[None, :]).reshape(-1)
-        return v
+        return product_vectors_dense(self.chosen_factors(bits, offset)[None])[0]
 
-    def outcome_factors(self, n: int, offset: int = 0) -> np.ndarray:
-        """Chosen 2-vectors of all 2**n outcomes at positions offset+1..offset+n.
 
-        Shape (2**n, n, 2); row i is the outcome whose qubit offset+q+1 reads
-        bit (i >> q) & 1, so qubit offset+1 is the least-significant bit.
-        """
-        return self._chosen((np.arange(1 << n)[:, None] >> np.arange(n)) & 1, offset)
+def product_vectors_dense(factors: np.ndarray) -> np.ndarray:
+    """Assemble dense product vectors, first factor varying fastest.
+
+    factors has shape (trials, n, 2); the result has shape (trials, 2**n).
+    """
+    factors = np.asarray(factors, dtype=complex)
+    trials = factors.shape[0]
+    out = np.ones((trials, 1), dtype=complex)
+    for q in range(factors.shape[1]):
+        # later qubits vary slower, so they multiply in on the left
+        out = (factors[:, q, :, None] * out[:, None, :]).reshape(trials, -1)
+    return out
 
 
 def paired_coordinate_sum(factors: np.ndarray, count):
@@ -225,8 +228,10 @@ def paired_coordinate_sum(factors: np.ndarray, count):
     bases, real explicit bases, and the (1, 1/2) padding), so such a row's
     sum is the closed form (count / 2^n) * prod(2 f0): an int true division,
     correctly rounded at any n, times factors of magnitude at most 1 when
-    the 2-vectors are unit (past about a thousand qubits, larger factors
-    overflow the product).  Its zero sums are +0.0.
+    the 2-vectors are unit.  Its zero sums are +0.0.  Larger factors can
+    overflow the product past about a thousand qubits (all-ones 2-vectors
+    give 2^-n * 2^n = inf * 0); any sum that is not finite raises
+    ``BadQuery``.
 
     A row with a complex f0 walks the binary digits of ``count`` from the
     top (``_complex_walk``): a set bit at position p adds locked(p) * f0[p]
@@ -255,6 +260,8 @@ def paired_coordinate_sum(factors: np.ndarray, count):
         digits = np.array([_count_digits(c, n) for c in counts.flat])
         walk = _complex_walk(f0, digits.reshape(counts.shape + (n,)), total.shape)
         total[walked] = walk[walked]
+    if not np.all(np.isfinite(total)):
+        raise BadQuery(f"paired coordinate sum over {n} qubits is not finite")
     return total if total.ndim else complex(total)
 
 
@@ -302,15 +309,6 @@ def _count_digits(count: int, n: int) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord("1")
 
 
-def product_quadratic_form(block: DensityBlock, factors: np.ndarray):
-    """<W| d |W> for product vectors W of unit per-qubit factors, in O(n)."""
-    factors = np.asarray(factors, dtype=complex)
-    if factors.shape[-2] != block.n:
-        raise BadQuery(f"need {block.n} qubit factors, got {factors.shape[-2]}")
-    s = paired_coordinate_sum(factors, block.corner_count)
-    return block.diag_value + block.corner_value * 2.0 * np.real(s)
-
-
 def block_measure(
     block: DensityBlock, system: MeasurementSystem, block_offset: int, sigma
 ) -> float:
@@ -318,8 +316,8 @@ def block_measure(
     bits = as_bits(sigma)
     if len(bits) != block.n:
         raise BadQuery(f"block of size {block.n} needs {block.n} bits, got {len(bits)}")
-    factors = system.chosen_factors(bits, block_offset)
-    return clamp01(float(product_quadratic_form(block, factors)), "block measure")
+    measure = _block_measures(system, [(block, block_offset)], np.array(bits)[None, None])
+    return clamp01(float(measure[0, 0]), "block measure")
 
 
 def partial_block_factor(
@@ -360,7 +358,8 @@ def _premeasure_factored(state: FactoredState, system: MeasurementSystem, bits) 
     string = np.array(bits, dtype=np.intp)
     factors = []
     for group in _walk_groups([block for block, _ in complete], 1):
-        measures = _block_measures(system, string, complete[group], 1)
+        rows = complete[group]
+        measures = _block_measures(system, rows, _read_outcomes(string, rows, 1))
         factors += clamp01(measures[:, 0], "block measure").tolist()
     positive = all(f > 0.0 for f in factors)
     if len(complete) < len(segments):
@@ -403,8 +402,8 @@ def premeasure_table_factored(
     Indexed like ``premeasure_table_dense`` (qubit 1 least significant).  The
     premeasure factors block by block, so the table is the Kronecker product
     of per-block outcome tables, first block fastest: a complete block
-    contributes its 2**n closed-form block measures from one batched
-    ``paired_coordinate_sum``, a straddled block the constant partial factor.
+    contributes its 2**n closed-form block measures, one row of
+    ``_block_measures``, a straddled block the constant partial factor.
     Each entry equals ``premeasure_factored`` of its string bit for bit; no
     dense matrix is built, so the dense cap does not apply.
     """
@@ -413,8 +412,10 @@ def premeasure_table_factored(
     table = np.ones(1)
     for block, offset, take in state.segments(depth):
         if take == block.n:
-            factors = system.outcome_factors(block.n, offset)
-            part = clamp01(product_quadratic_form(block, factors), "block measure table")
+            # outcome i reads bit (i >> q) & 1 at qubit offset+q+1
+            outcomes = (np.arange(1 << take)[:, None] >> np.arange(take)) & 1
+            part = _block_measures(system, [(block, offset)], outcomes[None])[0]
+            part = clamp01(part, "block measure table")
         else:
             part = np.full(1 << take, math.ldexp(1.0, -take))
         # products of values in [0, 1] stay in [0, 1], so no second clamp
@@ -562,32 +563,34 @@ def sample_bits(
             zero_step = offset + _HALVINGS
     conds = np.random.default_rng(seed).random(length)  # the draws, until overwritten
     bits = (conds >= 0.5).view(np.uint8)
-    draws = conds[[offset + block.n - 1 for _, block, offset in complete]].tolist()
+    lasts = np.array([offset + block.n - 1 for _, block, offset in complete], dtype=np.intp)
+    draws = conds[lasts]
     conds.fill(0.5)
     if zero_step is not None:
         conds[zero_step] = 0.0
     warned = False
     for group in _walk_groups([block for _, block, _ in complete], 2):
         rows = [(block, offset) for _, block, offset in complete[group]]
-        measures = clamp01(_block_measures(system, bits, rows, 2), "block measure")
-        for (index, block, offset), draw, (f0, f1) in zip(
-            complete[group], draws[group], measures.tolist()
-        ):
-            last = offset + block.n - 1
-            prev = math.ldexp(1.0, 1 - block.n)
-            p0 = min(max(f0 / prev, 0.0), 1.0)
-            bit = 0 if draw < p0 else 1
-            chosen = f0 if bit == 0 else f1
-            conds[last] = chosen / prev
-            bits[last] = bit
-            if chosen < sys.float_info.min and not warned:
-                warned = True
-                warnings.warn(
-                    f"block {index} (n={block.n}, offset {offset}) has subnormal measure "
-                    f"{chosen!r}; conditionals from here on lose precision",
-                    NumericHealthWarning,
-                    stacklevel=2,
-                )
+        measures = _block_measures(system, rows, _read_outcomes(bits, rows, 2))
+        measures = clamp01(measures, "block measure")
+        prev = np.ldexp(1.0, [1 - block.n for block, _ in rows])
+        # measures lie in [0, 1] and draws in [0, 1), so p0 needs no clip to
+        # [0, 1]: the bit is 1 unless draw < p0, NaN included
+        p0 = measures[:, 0] / prev
+        bit = ~(draws[group] < p0)
+        chosen = np.where(bit, measures[:, 1], measures[:, 0])
+        conds[lasts[group]] = chosen / prev
+        bits[lasts[group]] = bit
+        subnormal = np.flatnonzero(chosen < sys.float_info.min)
+        if subnormal.size and not warned:
+            warned = True
+            index, block, offset = complete[group][subnormal[0]]
+            warnings.warn(
+                f"block {index} (n={block.n}, offset {offset}) has subnormal measure "
+                f"{float(chosen[subnormal[0]])!r}; conditionals from here on lose precision",
+                NumericHealthWarning,
+                stacklevel=2,
+            )
     return BitSample(bits, int(seed), system.label, state.label, conds)
 
 
@@ -603,29 +606,39 @@ def _walk_groups(blocks, k: int):
         yield slice(start, len(blocks))
 
 
-def _block_measures(system: MeasurementSystem, bits: np.ndarray, rows, k: int) -> np.ndarray:
-    """Unclamped block measures of k outcomes per row, shape (len(rows), k).
+def _read_outcomes(string: np.ndarray, rows, k: int) -> np.ndarray:
+    """Outcome bits of k outcomes per complete block, read from ``string``.
 
-    ``rows`` lists (block, offset) of complete blocks whose qubits are
-    ``bits[offset : offset + block.n]``.  With k = 1 the outcome is those
-    bits; with k = 2 the two outcomes set the block's last bit to 0 and to 1.
-    All rows share one gather from the basis table and one
-    ``paired_coordinate_sum``.  A row narrower than the widest block is
-    padded below its first qubit with the factor (1, 1/2) and its count
-    shifted past the padding, which keeps count / 2^n: the pad's 2 f0, its
-    pair sum 1/2 + 1/2, is exactly 1, and the walk records nothing there,
-    so the products over the row's own positions are unchanged.
+    Shape (len(rows), k, width) for the widest block; each row's bits fill
+    its last block.n columns, and the columns before them read some valid
+    bit, which ``_block_measures`` pads over.  With k = 2 the two outcomes
+    set the block's last bit to 0 and to 1.
     """
     width = max(block.n for block, _ in rows)
-    pads = np.array([[width - block.n] for block, _ in rows])
-    starts = np.array([[offset] for _, offset in rows]) - pads  # qubit of column 0, pad included
-    columns = np.arange(width)
-    # pad columns read some valid bit; their factors are overwritten below
-    outcomes = np.repeat(bits[np.maximum(starts + columns, 0)][:, None], k, axis=1)
+    starts = np.array([[offset + block.n - width] for block, offset in rows])
+    outcomes = np.repeat(string[np.maximum(starts + np.arange(width), 0)][:, None], k, axis=1)
     if k == 2:
         outcomes[..., -1] = (0, 1)
+    return outcomes
+
+
+def _block_measures(system: MeasurementSystem, rows, outcomes: np.ndarray) -> np.ndarray:
+    """Unclamped block measures, shape (len(rows), k), of outcomes shaped (len(rows), k, width).
+
+    ``rows`` lists (block, offset) of complete blocks; each row's k outcomes
+    hold the block's bits, for qubits offset+1..offset+n, in their last
+    block.n columns.  All rows share one gather from the basis table and one
+    ``paired_coordinate_sum``.  The columns before a row's own take the
+    factor (1, 1/2) and its count is shifted past them, which keeps
+    count / 2^n: the pad's 2 f0, its pair sum 1/2 + 1/2, is exactly 1, and
+    the walk records nothing there, so the products over the row's own
+    positions are unchanged.
+    """
+    width = outcomes.shape[-1]
+    pads = np.array([[width - block.n] for block, _ in rows])
+    starts = np.array([[offset] for _, offset in rows]) - pads  # qubit of column 0, pad included
     factors = system._chosen(outcomes, starts[:, None])
-    np.copyto(factors, (1.0, 0.5), where=(columns < pads)[:, None, :, None])
+    np.copyto(factors, (1.0, 0.5), where=(np.arange(width) < pads)[:, None, :, None])
     counts = np.empty((len(rows), 1), dtype=object)
     counts[:, 0] = [block.corner_count << (width - block.n) for block, _ in rows]
     sums = paired_coordinate_sum(factors, counts)
@@ -649,6 +662,6 @@ __all__ = [
     "premeasure_table",
     "premeasure_table_dense",
     "premeasure_table_factored",
-    "product_quadratic_form",
+    "product_vectors_dense",
     "sample_bits",
 ]

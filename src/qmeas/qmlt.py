@@ -566,15 +566,6 @@ class LevelEvaluation:
     tau: float
     value: float
 
-    def payload(self) -> dict:
-        return {
-            "level": self.level,
-            "depth": self.depth,
-            "rank": self.rank,
-            "tau": self.tau,
-            "value": self.value,
-        }
-
 
 @dataclass(frozen=True)
 class FailureReport:
@@ -585,15 +576,6 @@ class FailureReport:
     min_value: float | None
     fails_at_order: bool
     note: str
-
-    def payload(self) -> dict:
-        return {
-            "delta": self.delta,
-            "entries": [e.payload() for e in self.entries],
-            "min_value": self.min_value,
-            "fails_at_order": self.fails_at_order,
-            "note": self.note,
-        }
 
 
 def failure_report(

@@ -281,15 +281,6 @@ class AggregateSummary:
     envelope: int
     flagged: tuple[str, ...]
 
-    def payload(self) -> dict:
-        return {
-            "n_streams": self.n_streams,
-            "alpha": self.alpha,
-            "per_test": self.per_test,
-            "envelope": self.envelope,
-            "flagged": list(self.flagged),
-        }
-
 
 def _binomial_quantile(q: float, n: int, p: float) -> int:
     """Smallest k with P[Binomial(n, p) <= k] >= q.

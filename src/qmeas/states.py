@@ -328,17 +328,17 @@ class FactoredState:
 def prefix_density(state: FactoredState, k: int) -> DenseStatePrefix:
     """Dense density matrix on the first k qubits of a factored state.
 
-    Complete blocks multiply in as Kronecker factors; a straddling block is
-    materialized and partial-traced down to its first covered qubits.
+    Complete blocks multiply in as Kronecker factors.  A straddling block
+    traced down to its first ``take`` qubits is I / 2**take: its corner
+    entries pair indices that differ in every qubit, so the trace drops them
+    (``partial_block_factor``), and the block itself is never materialized.
     """
     if k < 0:
         raise BadQuery(f"prefix depth must be non-negative, got {k}")
     require_dense_qubits(k, f"prefix of depth {k}")
     rho = np.eye(1)
     for block, _, take in state.segments(k):
-        part = block.to_dense()
-        for _ in range(block.n - take):
-            part = partial_trace_last_qubit(part)
+        part = block.to_dense() if take == block.n else np.eye(1 << take) / (1 << take)
         rho = kron(rho, part)
     return DenseStatePrefix(k, rho)
 

@@ -9,13 +9,13 @@ stays above ``-slack``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import BadQuery, BadSpec
 from .matrixcore import is_density_matrix
-from .measurement import paired_coordinate_sum, product_quadratic_form
+from .measurement import paired_coordinate_sum, product_vectors_dense
 from .states import build_corner_block, build_corner_block_general, family_tables
 
 IDENTITY_SLACK = 1e-12
@@ -36,16 +36,6 @@ class LemmaReport:
     passed: bool
     parameters: dict = field(default_factory=dict)
 
-    def payload(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "trials": self.trials,
-            "worst_margin": self.worst_margin,
-            "slack": self.slack,
-            "passed": self.passed,
-            "parameters": self.parameters,
-        }
-
 
 def random_product_factors(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
     """Draw (trials, n, 2) single-qubit unit vectors uniformly on the Bloch sphere.
@@ -58,19 +48,6 @@ def random_product_factors(rng: np.random.Generator, trials: int, n: int) -> np.
     out = np.empty((trials, n, 2), dtype=complex)
     out[:, :, 0] = np.sqrt((1.0 + cos_theta) / 2.0)
     out[:, :, 1] = np.sqrt((1.0 - cos_theta) / 2.0) * np.exp(1j * phase)
-    return out
-
-
-def product_vectors_dense(factors: np.ndarray) -> np.ndarray:
-    """Assemble dense product vectors, first factor varying fastest.
-
-    factors has shape (trials, n, 2); the result has shape (trials, 2**n).
-    """
-    factors = np.asarray(factors, dtype=complex)
-    trials = factors.shape[0]
-    out = np.ones((trials, 1), dtype=complex)
-    for q in range(factors.shape[1]):
-        out = (factors[:, q, :, None] * out[:, None, :]).reshape(trials, -1)
     return out
 
 
@@ -115,7 +92,9 @@ def verify_quadratic_bounds(
     block = build_corner_block(n)
     rng = np.random.default_rng(seed)
     factors = random_product_factors(rng, trials, n)
-    values = product_quadratic_form(block, factors)
+    values = block.diag_value + block.corner_value * 2.0 * np.real(
+        paired_coordinate_sum(factors, block.corner_count)
+    )
     lo = block.diag_value * (1.0 - 2.0 / n)
     hi = block.diag_value * (1.0 + 2.0 / n)
     margin = float(min(np.min(values - lo), np.min(hi - values)))
@@ -274,7 +253,7 @@ def verify_family(spec: FamilySpec) -> LemmaReport:
             dense_checked = n
             if not check.ok:
                 psd_ok = False
-                notes.append(f"dense density check failed at n={n}: {check.payload()}")
+                notes.append(f"dense density check failed at n={n}: {asdict(check)}")
     rho_partials = _partials(rho_factors)
     kept_partials = _partials(kept_factors)
     ratio_partials = _partials(ratio_factors)

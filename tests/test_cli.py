@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line driver: exit codes, payload shape,
 byte determinism, and the plumbing between subcommands."""
 
+import dataclasses
 import io
 import json
 
@@ -8,9 +9,13 @@ import numpy as np
 import pytest
 
 from qmeas.cli import main
+from qmeas.jsonio import canonical_dumps
 from qmeas.matrixcore import is_density_matrix
 from qmeas.measurement import MeasurementSystem, sample_bits
-from qmeas.states import DenseStateChain, FactoredState, parse_state_spec
+from qmeas.qmlt import build_witness_mlt, failure_report
+from qmeas.randlab import aggregate, run_battery
+from qmeas.states import DenseStateChain, FactoredState, check_density, parse_state_spec
+from qmeas.verify import verify_kron_pairing
 
 
 def run_cli(capsys, argv):
@@ -245,7 +250,7 @@ def test_state_checks_a_dense_prefix_densely(capsys, tmp_path):
         code, out, _ = run_cli(capsys, ["state", "--state", str(path), "--check-depth", str(k)])
         assert code == 0
         density = payload_of(out)["report"]["density"]
-        assert density == is_density_matrix(loaded.prefix(k).rho).payload()
+        assert density == dataclasses.asdict(is_density_matrix(loaded.prefix(k).rho))
 
 
 def test_state_mixed_has_no_zero_eigenvalues(capsys):
@@ -535,3 +540,35 @@ def test_verify_family_from_document(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["verify", "family", "--spec", str(path)])
     assert code == 0
     assert payload_of(out)["report"]["passed"]
+
+
+# the JSON keys each plain report wrote through its former hand-written payload
+REPORT_KEYS = {
+    "DensityCheck": {"ok", "hermitian_deviation", "trace_deviation", "min_eigenvalue", "dim"},
+    "LevelEvaluation": {"level", "depth", "rank", "tau", "value"},
+    "FailureReport": {"delta", "entries", "min_value", "fails_at_order", "note"},
+    "LemmaReport": {"lemma_id", "trials", "worst_margin", "slack", "passed", "parameters"},
+    "AggregateSummary": {"n_streams", "alpha", "per_test", "envelope", "flagged"},
+}
+
+
+def test_plain_reports_serialize_as_their_fields():
+    state = FactoredState.witness_state()
+    failure = failure_report(build_witness_mlt([1, 2]), state, delta=0.0)
+    system = MeasurementSystem.standard()
+    batteries = [run_battery(sample_bits(state, system, 2000, seed).bits) for seed in range(3)]
+    reports = [
+        check_density(state, 8),
+        is_density_matrix(state.prefix(5).rho),
+        failure,
+        *failure.entries,
+        verify_kron_pairing(n=4, trials=50, seed=9),
+        aggregate(batteries),
+    ]
+    assert {type(r).__name__ for r in reports} == set(REPORT_KEYS)
+    for report in reports:
+        doc = json.loads(canonical_dumps(report))
+        assert set(doc) == REPORT_KEYS[type(report).__name__]
+        assert doc == json.loads(canonical_dumps(dataclasses.asdict(report)))
+    entries = json.loads(canonical_dumps(failure))["entries"]
+    assert [set(e) for e in entries] == [REPORT_KEYS["LevelEvaluation"]] * 2

@@ -64,6 +64,10 @@ PINNED = {
         ["qmlt", "eval", "--witness", "3", "--state", "mixed"],
         "f3af315bb34b529648af2a70e1e7b695e5d8cec1b8e6a218f2f6ff6be3144531",
     ),
+    "family30": (
+        ["verify", "family", "--canonical", "30"],
+        "de3aedba8396d38ada57439dbcad1d8bfc840aa301ffc2af2cbbd97837488821",
+    ),
 }
 
 

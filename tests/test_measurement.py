@@ -84,6 +84,13 @@ def test_paired_sum_rejects_bad_count(rng):
         paired_coordinate_sum(factors, -1)
 
 
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_paired_sum_refuses_a_product_that_overflows(count):
+    """2-vectors longer than unit overflow prod(2 f0) past about a thousand qubits."""
+    with pytest.raises(BadQuery, match="not finite"):
+        paired_coordinate_sum(np.ones((1100, 2)), count)
+
+
 # ---------------------------------------------------------------------------
 # block measure
 

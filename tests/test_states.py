@@ -127,6 +127,12 @@ def test_prefix_density_straddles_a_block():
     assert np.allclose(state.prefix(7).rho, joint, atol=1e-14)
 
 
+def test_prefix_cut_into_a_block_past_the_cap_is_uniform():
+    """A cut block traces down to I / 2**take; the block itself is never built."""
+    state = FactoredState.from_blocks([build_corner_block(20)])
+    assert np.array_equal(state.prefix(3).rho, np.eye(8) / 8)
+
+
 def test_prefix_density_depth_zero_and_cap(monkeypatch):
     state = FactoredState.witness_state()
     assert state.prefix(0).rho.shape == (1, 1)

@@ -1,5 +1,7 @@
 """Monte-Carlo lemma checks and family constraint validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -139,5 +141,5 @@ def test_family_doc_requires_contiguous_tables():
 
 def test_reports_serialize():
     report = verify_kron_pairing(n=4, trials=50, seed=9)
-    payload = report.payload()
+    payload = dataclasses.asdict(report)
     assert set(payload) == {"lemma_id", "trials", "worst_margin", "slack", "passed", "parameters"}
