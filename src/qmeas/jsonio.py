@@ -9,6 +9,7 @@ path-dependent is ever placed in a payload.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -31,9 +32,14 @@ def _int_repr(x: int) -> str:
     try:
         return str(x)
     except ValueError:
-        import decimal  # only ints of thousands of digits need it
+        return _decimal_repr(x)
 
-        return str(decimal.Decimal(x))
+
+@functools.lru_cache(maxsize=4)  # a report may print one big int twice (a witness rank)
+def _decimal_repr(x: int) -> str:
+    import decimal  # only ints of thousands of digits need it
+
+    return str(decimal.Decimal(x))
 
 
 def _float_reprs(values: Sequence[float]) -> list[str]:

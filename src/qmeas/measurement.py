@@ -432,13 +432,18 @@ def premeasure_table_dense(
     as the least-significant bit.  Only the diagonal of the rotated prefix is
     needed, so each qubit's row and column indices are contracted together
     into one outcome index, slowest qubit first: O(4**k) in total, and no
-    rotated copy of the full matrix is ever formed.
+    rotated copy of the full matrix is ever formed.  A step whose partial
+    table and basis pair have no nonzero imaginary part (a real prefix in
+    the standard, Hadamard, rotation or a real explicit basis) contracts in
+    float64, bit for bit the real part of the complex einsum.
     """
     k = prefix.depth
     # rows (qubit k .. 1), columns (qubit k .. 1); outcome axes collect at the end
     T = np.asarray(prefix.rho)
     for q in range(k, 0, -1):
         B = np.stack(system.basis_at(offset + q), axis=1)  # columns are b0, b1
+        if not (np.any(B.imag) or np.iscomplexobj(T) and np.any(T.imag)):
+            T, B = T.real, B.real
         half = 1 << (q - 1)
         T = np.einsum("rt,rasb,st->abt", np.conj(B), T.reshape(2, half, 2, -1), B)
     return clamp01(np.real(T.reshape(-1)), "premeasure table")

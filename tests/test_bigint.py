@@ -6,6 +6,7 @@ digits; the writer then converts through ``decimal``.  Where no limit exists
 """
 
 import contextlib
+import decimal
 import json
 import math
 import sys
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmeas import qmlt
+from qmeas import jsonio, qmlt
 from qmeas.cli import main
 from qmeas.jsonio import canonical_dumps
 
@@ -45,6 +46,25 @@ def test_big_ints_print_exactly_under_any_digit_limit():
         with digit_limit(limit):
             doc = canonical_dumps({"n": big, "m": [-big, 1, 10**639]})
         assert doc == f'{{"m":[-{digits},1,1{"0" * 639}],"n":{digits}}}'
+
+
+def test_a_repeated_big_int_converts_once(monkeypatch):
+    big = 3**10_480  # 5,001 digits
+    calls = []
+    convert = decimal.Decimal
+
+    def counting(value):
+        calls.append(value)
+        return convert(value)
+
+    monkeypatch.setattr(decimal, "Decimal", counting)
+    jsonio._decimal_repr.cache_clear()
+    with digit_limit(4300):
+        doc = canonical_dumps({"rank": big, "entries": [{"rank": big}]})
+    digits = exact_str(big)
+    assert doc == f'{{"entries":[{{"rank":{digits}}}],"rank":{digits}}}'
+    # where Python sets no digit limit, str never refuses and decimal is never reached
+    assert len(calls) == (1 if hasattr(sys, "set_int_max_str_digits") else 0)
 
 
 def witness_rank(m):

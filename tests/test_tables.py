@@ -15,9 +15,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qmeas import verify
 from qmeas.errors import BadQuery, NumericHealthWarning
 from qmeas.measurement import (
     MeasurementSystem,
+    clamp01,
     paired_coordinate_sum,
     premeasure,
     premeasure_table_dense,
@@ -25,7 +27,12 @@ from qmeas.measurement import (
 )
 from qmeas.qmlt import ClassicalMLT, StagedSigmaClass, evaluate_state, lift_classical_mlt
 from qmeas.states import DenseStateChain, DensityBlock, FactoredState, build_corner_block
-from qmeas.verify import product_vectors_dense, random_product_factors, verify_quadratic_bounds
+from qmeas.verify import (
+    ORACLE_TOL,
+    product_vectors_dense,
+    random_product_factors,
+    verify_quadratic_bounds,
+)
 
 from conftest import random_basis, random_density
 
@@ -168,6 +175,89 @@ def test_dense_table_matches_rotation_on_random_states(rng):
             assert np.max(np.abs(got - rotation_table(prefix, system, offset))) <= 1e-15
 
 
+def complex_einsum_table(prefix, system, offset=0):
+    """The dense table as every input contracted before: complex einsums throughout."""
+    T = np.asarray(prefix.rho, dtype=complex)
+    for q in range(prefix.depth, 0, -1):
+        B = np.stack(system.basis_at(offset + q), axis=1)
+        half = 1 << (q - 1)
+        T = np.einsum("rt,rasb,st->abt", np.conj(B), T.reshape(2, half, 2, -1), B)
+    return clamp01(np.real(T.reshape(-1)), "premeasure table")
+
+
+def dense_prefixes():
+    """Factored states' and dense chains' prefixes, real-valued but for the "complex" chain.
+
+    Some of their tables hold exact zeros.
+    """
+    witness, mixed = FactoredState.witness_state(), FactoredState.maximally_mixed()
+    family = FactoredState.general_family({5: 3, 6: 10}, {5: 0.02, 6: 0.01})
+    out = [(f"paper_rho{k}", witness.prefix(k)) for k in range(11)]
+    out += [("mixed", mixed.prefix(6)), ("general", family.prefix(9))]
+    gen = np.random.default_rng(5)
+    a = gen.normal(size=(32, 32))
+    basis_state = np.zeros(32)
+    basis_state[5] = 1.0
+    ghz = np.zeros(32)
+    ghz[[0, 31]] = math.sqrt(0.5)
+    for label, top in (
+        ("wishart", a @ a.T / np.trace(a @ a.T)),
+        ("basis_state", np.outer(basis_state, basis_state)),
+        ("ghz", np.outer(ghz, ghz).astype(complex)),  # complex dtype, zero imaginary parts
+        ("complex", random_density(gen, 32)),
+    ):
+        chain = DenseStateChain.from_top(top)
+        out += [(f"{label}{k}", chain.prefix(k)) for k in (1, 3, 5)]
+    return out
+
+
+def einsum_dtypes(monkeypatch, prefix, system, offset):
+    """The table, and the operand dtypes of each einsum that built it."""
+    seen = []
+    einsum = np.einsum
+
+    def spy(spec, *operands):
+        seen.append({op.dtype for op in operands})
+        return einsum(spec, *operands)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "einsum", spy)
+        table = premeasure_table_dense(prefix, system, offset)
+    return table, seen
+
+
+@pytest.mark.parametrize(
+    "kind", ["standard", "hadamard", "rotation", "real_explicit", "complex_explicit"]
+)
+@pytest.mark.parametrize("offset", [0, 1])
+def test_dense_table_is_the_complex_einsum_bit_for_bit(monkeypatch, kind, offset):
+    s = math.sqrt(0.5)
+    system = {
+        "standard": MeasurementSystem.standard(),
+        "hadamard": MeasurementSystem.hadamard(),
+        "rotation": MeasurementSystem.rotation([0.3, 0.0, 1.1]),
+        "real_explicit": MeasurementSystem.explicit(
+            [([0.6, 0.8], [-0.8, 0.6]), ([0.0, 1.0], [1.0, 0.0]), ([0.0, -1.0], [1.0, 0.0])]
+        ),
+        "complex_explicit": MeasurementSystem.explicit(
+            [([s, 1j * s], [s, -1j * s]), ([0.6, 0.8j], [0.8j, 0.6])]
+        ),
+    }[kind]
+    zeros = 0
+    for label, prefix in dense_prefixes():
+        got, dtypes = einsum_dtypes(monkeypatch, prefix, system, offset)
+        want = complex_einsum_table(prefix, system, offset)
+        # bit patterns, so +0.0 and -0.0 count as different
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), label
+        # real inputs contract in float64; a complex prefix or basis keeps the complex einsum
+        complex_input = kind == "complex_explicit" or label.startswith("complex")
+        complex_steps = [np.dtype(complex) in d for d in dtypes]
+        assert complex_steps == [complex_input] * len(dtypes), label
+        zeros += int(np.sum(want == 0.0))
+    # the basis-state and GHZ tables hold exact zeros in every real basis here
+    assert zeros > 0 or kind == "complex_explicit"
+
+
 # ---------------------------------------------------------------------------
 # lifted evaluation
 
@@ -223,8 +313,9 @@ def test_span_expectation_matches_einsum(rng):
     assert stage.expectation(rho) == pytest.approx(float(old), abs=1e-15)
 
 
-def test_quadratic_oracle_deviation_matches_einsum():
-    n, trials, seed = 7, 200, 3
+@pytest.mark.parametrize("n", [5, 7, 10])
+def test_quadratic_oracle_deviation_matches_einsum(n):
+    trials, seed = 200, 3
     report = verify_quadratic_bounds(n=n, trials=trials, seed=seed)
     factors = random_product_factors(np.random.default_rng(seed), trials, n)
     block = build_corner_block(n)
@@ -235,3 +326,13 @@ def test_quadratic_oracle_deviation_matches_einsum():
     old = np.real(np.einsum("ti,ij,tj->t", dense.conj(), block.to_dense(), dense))
     old_dev = float(np.max(np.abs(old - values)))
     assert report.parameters["oracle_max_deviation"] == pytest.approx(old_dev, abs=1e-17)
+
+
+def test_quadratic_oracle_catches_a_scaled_closed_form(monkeypatch):
+    paired = verify.paired_coordinate_sum
+    monkeypatch.setattr(
+        verify, "paired_coordinate_sum", lambda f, c: paired(f, c) * (1.0 + 1e-6)
+    )
+    report = verify_quadratic_bounds(n=7, trials=200, seed=3)
+    assert not report.passed
+    assert report.parameters["oracle_max_deviation"] > ORACLE_TOL
