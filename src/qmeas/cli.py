@@ -122,19 +122,14 @@ def cmd_state(args) -> tuple[dict, int]:
 def _eigen_report(state, block_size: int) -> dict:
     if not isinstance(state, FactoredState):
         raise BadQuery("eigen summaries need a factored state")
-    # block sizes grow by one in the built-in and general families and stay 1 in
-    # the mixed state, so the search ends at the first block no larger than the last
-    index, previous = 0, 0
-    while True:
-        try:
-            block = state.block(index)
-        except BadQuery:  # a finite state ran out of blocks
-            raise BadQuery(f"state has no block of size {block_size}") from None
-        if block.n == block_size:
-            break
-        if block.n > block_size or block.n <= previous:
-            raise BadQuery(f"state has no block of size {block_size}")
-        index, previous = index + 1, block.n
+    # the built-in states and general families hold block i of i + 5 qubits
+    index = block_size - 5
+    try:
+        block = state.block(index)
+    except BadQuery:  # no block at that index
+        block = None
+    if block is None or block.n != block_size:
+        raise BadQuery(f"state has no block of size {block_size}")
     groups = eigenvalue_groups(block)
     return {
         "block_size": block_size,

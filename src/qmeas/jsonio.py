@@ -49,7 +49,7 @@ def _float_reprs(values: Sequence[float]) -> list[str]:
     across their whole length.  Keying on bit patterns keeps 0.0 and -0.0
     apart; a non-finite value still raises ``ValueError``.
     """
-    patterns = np.array(values, dtype=np.float64).view(np.uint64)
+    patterns = np.asarray(values, dtype=np.float64).view(np.uint64)
     distinct, where = np.unique(patterns, return_inverse=True)
     reprs = np.array([_float_repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
     return reprs[where].tolist()
@@ -99,8 +99,12 @@ def _write(obj: Any, out: list[str]) -> None:
             _write(obj[key], out)
         out.append("}")
     elif isinstance(obj, (list, tuple)) or (isinstance(obj, np.ndarray) and obj.ndim >= 1):
-        if set(map(type, obj)) <= {float}:
-            # flat float lists (sampler sidecars): one join
+        if isinstance(obj, np.ndarray):
+            flat = obj.ndim == 1 and obj.dtype == np.float64
+        else:
+            flat = set(map(type, obj)) <= {float}
+        if flat:
+            # flat float lists and arrays (sampler sidecars): one join
             out.append("[" + ",".join(_float_reprs(obj)) + "]")
             return
         out.append("[")

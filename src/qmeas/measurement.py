@@ -515,7 +515,7 @@ class BitSample:
             "basis": self.basis_label,
             "state": self.state_label,
             "n_bits": len(self),
-            "conditional_probs": np.asarray(self.conditional_probs, dtype=float).tolist(),
+            "conditional_probs": np.asarray(self.conditional_probs, dtype=float),
         }
 
     def write(self, path_prefix: str) -> tuple[str, str]:
@@ -545,10 +545,13 @@ def sample_bits(
     whatever the bits (``partial_block_factor``), so every bit but a block's
     last is a fair coin with conditional exactly 1/2.  Only a complete
     block's last bit depends on the block's other bits; its two outcomes are
-    divided by 2**-(n-1).  The first block whose chosen measure is subnormal
-    emits one ``NumericHealthWarning``: from there on the conditionals lose
-    precision.  A length whose prefix reaches measure zero raises
-    ``MeasureZeroPrefix`` before any draw or walk.
+    divided by 2**-(n-1).  A corner-free block's last bit is a fair coin
+    too, so such blocks are skipped whole and have no float limit: the
+    maximally mixed state samples at any length.  The first block whose
+    chosen measure is subnormal emits one ``NumericHealthWarning``: from
+    there on the conditionals lose precision.  A length whose prefix reaches
+    measure zero in a block with corners raises ``MeasureZeroPrefix`` before
+    any draw or walk.
     """
     if length < 0:
         raise BadQuery(f"length must be non-negative, got {length}")
@@ -556,6 +559,8 @@ def sample_bits(
         raise BadQuery("sampling is defined for factored states")
     complete, zero_step = [], None
     for index, (block, offset, take) in enumerate(state.segments(length)):
+        if not block.corner_count:
+            continue  # every conditional 1/2, every bit u >= 0.5: the buffer's own values
         if take > _HALVINGS + 1:
             # the partial factor before step _HALVINGS + 1 is 2**-1075, which is zero
             raise MeasureZeroPrefix(

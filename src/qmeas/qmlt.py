@@ -323,28 +323,19 @@ class FactoredEigenProjection:
     def mass(self, state) -> float:
         """tr(rho_qubits p) in closed form: the product of per-span ratios, rounded once.
 
-        A span met by one block of its size multiplies in ``trace_ratio``
-        against it.  A span met by a run of corner-free blocks multiplies in
-        its density: the run's product is I/2^n, and tr(I/2^n P) = rank / 2^n,
-        so the maximally mixed state's mass is tau bit for bit.  Any other
-        state, or a block straddling a span, raises ``BadQuery``.
+        Each span meets one block of its own size and multiplies in
+        ``trace_ratio`` against it.  The built-in states have block i of
+        i + 5 qubits, like the witness spans.  A corner-free block's ratio is
+        (rank, n), the span's density, so the maximally mixed state's mass is
+        tau bit for bit.  Any other state, or a block whose size differs from
+        its span's, raises ``BadQuery``; while sizes match, the blocks left
+        cover the spans left, so the walk never runs out of blocks early.
         """
         if not isinstance(state, FactoredState):
             raise BadQuery(f"a witness stage needs a factored state, got {type(state).__name__}")
-        segments = state.segments(self.qubits)
         numerator, exponent = 1, 0
-        for span in self.spans:
-            block, offset, _ = next(segments)
-            if block.n == span.block.n:
-                k, e = span.trace_ratio(block)
-            else:
-                width = block.n  # whole block sizes: a run exactly as wide as the span holds no cut block
-                while block.corner_count == 0 and width < span.block.n:
-                    block = next(segments)[0]
-                    width += block.n
-                if block.corner_count or width != span.block.n:
-                    raise BadQuery(f"blocks from qubit {offset} straddle a {span.block.n}-qubit span")
-                k, e = span.rank, span.block.n
+        for span, (block, _, _) in zip(self.spans, state.segments(self.qubits)):
+            k, e = span.trace_ratio(block)  # BadQuery unless the sizes match
             numerator *= k
             exponent += e
         return numerator / (1 << exponent)

@@ -5,8 +5,9 @@ equal off-diagonal entries placed symmetrically on the anti-diagonal: entry
 (i, 2**n - i + 1) holds kappa * 2**-n for 1-based i <= corner_count, plus
 the mirror image.  A block is stored scale-free, as (n, r, kappa) with kappa
 in [0, 1]; the canonical block has r = floor(2**n / n) and kappa = 1.  A full
-state is an infinite tensor product of such blocks (sizes 5, 6, 7, ... for
-the built-in witness state), realized lazily.
+state is an infinite tensor product of such blocks, realized lazily.  Both
+built-in states have block i of i + 5 qubits: the witness state's blocks are
+canonical, and the maximally mixed state's are corner-free, I / 2**(i+5).
 """
 
 from __future__ import annotations
@@ -255,9 +256,8 @@ class FactoredState:
 
     @classmethod
     def maximally_mixed(cls) -> "FactoredState":
-        """Product of single-qubit maximally mixed blocks: I / 2**k at depth k."""
-        qubit = build_corner_block_general(1, 0, 0.0)  # frozen, so one block serves every qubit
-        return cls([], factory=lambda i: qubit, label="max_mixed")
+        """Product of corner-free blocks of sizes 5, 6, 7, ...: I / 2**k at depth k."""
+        return cls([], factory=lambda i: build_corner_block_general(i + 5, 0, 0.0), label="max_mixed")
 
     @classmethod
     def from_blocks(cls, blocks: list[DensityBlock], label: str = "factored") -> "FactoredState":
@@ -280,9 +280,9 @@ class FactoredState:
         return list(self._blocks)
 
     def block(self, i: int) -> DensityBlock:
+        """Block i; past the materialized blocks, the factory's block, materializing nothing."""
         if i >= len(self._blocks) and self._factory is not None:
-            while len(self._blocks) <= i:
-                self._blocks.append(self._factory(len(self._blocks)))
+            return self._factory(i)
         if not 0 <= i < len(self._blocks):
             raise BadQuery(f"state has {len(self._blocks)} blocks, asked for index {i}")
         return self._blocks[i]

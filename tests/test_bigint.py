@@ -14,9 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from qmeas import jsonio, qmlt
+from qmeas import jsonio, qmlt, states
 from qmeas.cli import main
 from qmeas.jsonio import canonical_dumps
+from qmeas.states import FactoredState
 
 
 @contextlib.contextmanager
@@ -115,3 +116,33 @@ def test_mixed_mass_is_tau_through_level_eight(capsys):
     assert [e["level"] for e in entries] == list(range(1, 9))
     for e in entries:
         assert e["value"] == e["tau"] == float(Fraction(e["rank"], 2 ** e["depth"]))
+
+
+def test_state_eigen_lookup_builds_at_most_one_block(capsys, monkeypatch):
+    """Block N - 5 is looked up, not searched for: one block built, none materialized."""
+    built, sizes = [], []
+    real_state, real_block = FactoredState.maximally_mixed, states.build_corner_block_general
+
+    def spy():
+        built.append(real_state())
+        return built[-1]
+
+    def counted(n, corner_count, corner_value):
+        sizes.append(n)
+        return real_block(n, corner_count, corner_value)
+
+    monkeypatch.setattr(FactoredState, "maximally_mixed", spy)
+    monkeypatch.setattr(states, "build_corner_block_general", counted)
+    assert main("state --mixed --eigen 100000".split()) == 0
+    eigen = report_of(capsys.readouterr().out)["eigen"]
+    assert (eigen["block_index"], eigen["zero_multiplicity"]) == (99_995, 0)
+    assert eigen["groups"][0]["multiplicity"] == 1 << 100_000
+    assert sizes == [100_000]
+    assert built[0].blocks == []
+
+
+def test_state_eigen_past_the_float_range_materializes_nothing(capsys):
+    assert main("state --paper-rho --eigen 100000".split()) == 0
+    report = report_of(capsys.readouterr().out)
+    assert report["eigen"]["zero_multiplicity"] == (1 << 100_000) // 100_000
+    assert report["state"]["blocks"] == []

@@ -254,10 +254,12 @@ def test_state_checks_a_dense_prefix_densely(capsys, tmp_path):
 
 
 def test_state_mixed_has_no_zero_eigenvalues(capsys):
-    code, out, _ = run_cli(capsys, ["state", "--mixed", "--eigen", "1"])
+    """The mixed state's first block is I/2^5: one middle group of 32, nothing zero."""
+    code, out, _ = run_cli(capsys, ["state", "--mixed", "--eigen", "5"])
     assert code == 0
     eigen = payload_of(out)["report"]["eigen"]
     assert (eigen["block_index"], eigen["zero_multiplicity"]) == (0, 0)
+    assert eigen["groups"] == [{"kind": "middle", "multiplicity": 32, "value": 2.0**-5}]
 
 
 def test_state_eigen_counts_exact_zeros_past_size_49(capsys):
@@ -270,20 +272,6 @@ def test_state_eigen_counts_exact_zeros_past_size_49(capsys):
         assert payload_of(out)["report"]["eigen"]["zero_multiplicity"] == (1 << n) // n
 
 
-def test_state_eigen_search_stops_when_blocks_stop_growing(capsys, monkeypatch):
-    built, real = [], FactoredState.maximally_mixed
-
-    def spy():
-        built.append(real())
-        return built[-1]
-
-    monkeypatch.setattr(FactoredState, "maximally_mixed", spy)
-    code, _, err = run_cli(capsys, ["state", "--mixed", "--eigen", "100000"])
-    assert code == 2
-    assert json.loads(err)["error"]["code"] == "bad_query"
-    assert len(built[0].blocks) <= 2
-
-
 def test_state_eigen_finds_blocks_past_index_256(capsys):
     code, out, _ = run_cli(capsys, ["state", "--paper-rho", "--eigen", "300"])
     assert code == 0
@@ -294,9 +282,10 @@ def test_state_eigen_finds_blocks_past_index_256(capsys):
 
 
 def test_state_eigen_block_size_mismatch_is_bad_query(capsys):
-    code, _, err = run_cli(capsys, ["state", "--mixed", "--eigen", "5"])
-    assert code == 2
-    assert json.loads(err)["error"]["code"] == "bad_query"
+    for state, size in (("--mixed", "1"), ("--paper-rho", "4"), ("--mixed", "-3")):
+        code, _, err = run_cli(capsys, ["state", state, "--eigen", size])
+        assert code == 2
+        assert json.loads(err)["error"]["code"] == "bad_query"
 
 
 # ---------------------------------------------------------------------------

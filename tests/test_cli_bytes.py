@@ -57,7 +57,7 @@ PINNED = {
     ),
     "state11_mixed": (
         ["state", "--mixed", "--check-depth", "11"],
-        "3a6e23526719d4b4cc53f4a6354c33f1fc30d035d51176e4871da5eadfd4a927",
+        "845523d6bc6b76740d34792db9bac104e317aa166c5e8a7a604675c2d61e7504",
     ),
     "witness3": (["qmlt", "witness", "--m", "3"], "feb62b209f6b9fa7a4b01f4c238cf420455862edf60f8acbf78e1abe9a137d88"),
     "witness3_mixed": (

@@ -274,7 +274,8 @@ def test_factored_projection_rank_golden():
 
 
 def test_factored_projection_mass_is_closed_form_only(rng):
-    """A dense state, or blocks straddling a span, has no closed form: BadQuery, no fallback."""
+    """A dense state, or blocks whose sizes differ from the spans', has no closed form:
+    BadQuery, no fallback.  Corner-free blocks too must match the spans one for one."""
     spans = tuple(BlockEigenSpan.nonzero(build_corner_block(n)) for n in (5, 6))
     proj = FactoredEigenProjection(spans)
     assert not hasattr(proj, "matrix")
@@ -285,14 +286,15 @@ def test_factored_projection_mass_is_closed_form_only(rng):
         [build_corner_block(6), build_corner_block(5)],  # a corner block straddles qubit 5
         [build_corner_block(3), pair, build_corner_block(6)],  # a run with corners
         [qubit] * 4 + [pair] + [qubit] * 5,  # a corner-free block straddles qubit 5
+        [qubit] * 3 + [pair] + [build_corner_block_general(6, 0, 0.0)],  # a corner-free run
     ]
     with pytest.raises(BadQuery):
         proj.mass(chain)
     for blocks in misaligned:
         with pytest.raises(BadQuery):
             proj.mass(FactoredState(blocks))
-    aligned_runs = FactoredState([qubit] * 3 + [pair] + [build_corner_block_general(6, 0, 0.0)])
-    assert proj.mass(aligned_runs) == proj.density()
+    aligned = FactoredState([build_corner_block_general(n, 0, 0.0) for n in (5, 6)])
+    assert proj.mass(aligned) == proj.density()
 
 
 def test_witness_levels_share_their_spans():

@@ -118,8 +118,9 @@ def looped_factors(system, bits, offset=0):
     return out
 
 
-def looped_block_measure(block, system, offset, bits, paired_sum=looped_paired_sum):
-    s = paired_sum(looped_factors(system, bits, offset), block.corner_count)
+def looped_block_measure(block, system, offset, bits):
+    """One block measure, its corner sum from the loop of the branch it takes (``looped_sum``)."""
+    s = looped_sum(looped_factors(system, bits, offset), block.corner_count)
     return clamp01(float(block.diag_value + block.corner_value * 2.0 * np.real(s)), "block measure")
 
 
@@ -325,15 +326,37 @@ def test_chosen_factors_index_the_periodic_table(rng):
 # the sampler
 
 
+def sandwich_state():
+    """A corner-free block between corner blocks, then corner blocks of growing size."""
+    head = [build_corner_block(5), DensityBlock(12, 0, 0.0), build_corner_block(7)]
+    return FactoredState.from_blocks(head + [build_corner_block(n) for n in range(8, 150)])
+
+
 @pytest.mark.parametrize("kind", ["standard", "hadamard", "rotation", "explicit"])
 def test_sampler_is_the_per_bit_loop(kind):
     system = systems()[kind]
-    for seed in (0, 1, 7):
-        for length in (0, 1, 4, 5, 130, 10_000):
-            sample = sample_bits(FactoredState.witness_state(), system, length, seed)
-            bits, conds = per_bit_sample(FactoredState.witness_state(), system, length, seed)
-            assert same_bytes(sample.bits, bits), (seed, length)
-            assert same_bytes(sample.conditional_probs, conds), (seed, length)
+    for make_state in (FactoredState.witness_state, sandwich_state):
+        for seed in (0, 1, 7):
+            for length in (0, 1, 4, 5, 17, 130, 10_000):
+                sample = sample_bits(make_state(), system, length, seed)
+                bits, conds = per_bit_sample(make_state(), system, length, seed)
+                assert same_bytes(sample.bits, bits), (seed, length)
+                assert same_bytes(sample.conditional_probs, conds), (seed, length)
+
+
+@pytest.mark.parametrize("length", [0, 1, 130, 100_000, 600_000, 1_000_000])
+def test_mixed_sampling_is_the_fair_coin(length):
+    """Every conditional of the maximally mixed state is 1/2 and every bit u >= 0.5, at any
+    length: its corner-free blocks have no float limit.  10^6 qubits need 1,410 blocks."""
+    state = FactoredState.maximally_mixed()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NumericHealthWarning)
+        sample = sample_bits(state, MeasurementSystem.hadamard(), length, 5)
+    fair = np.random.default_rng(5).random(length) >= 0.5
+    assert same_bytes(sample.bits, fair.view(np.uint8))
+    assert same_bytes(sample.conditional_probs, np.full(length, 0.5))
+    if length == 1_000_000:
+        assert len(state.blocks) == 1410
 
 
 @pytest.mark.parametrize("kind", ["hadamard", "explicit"])
@@ -439,7 +462,7 @@ def per_block_premeasure(state, system, bits):
     for block, offset, take in state.segments(len(bits)):
         if take == block.n:
             part = bits[offset : offset + take]
-            measures.append(looped_block_measure(block, system, offset, part, looped_sum))
+            measures.append(looped_block_measure(block, system, offset, part))
         else:
             cut = math.ldexp(1.0, -take)
     return clamp01(math.prod(measures) * cut)
@@ -498,9 +521,9 @@ def test_premeasure_underflow_warns_once():
     health = [w for w in caught if issubclass(w.category, NumericHealthWarning)]
     assert value == per_block_premeasure(state, system, [0] * 1100) == 0.0
     assert len(health) == 1
-    # one-qubit blocks: the factor of block 1022 takes the product to 2**-1023
+    # blocks of sizes 5, 6, ...: the factor of block n=45 takes the product to 2**-1025
     assert str(health[0].message).startswith(
-        "premeasure underflows at block 1022 (n=1, offset 1022)"
+        "premeasure underflows at block 40 (n=45, offset 980)"
     )
 
 
@@ -543,11 +566,19 @@ def test_flat_float_payloads_match_the_per_value_writer(rng):
     ]
     for doc in docs:
         assert canonical_dumps(doc) == per_value_dumps(doc)
+    # a 1-D float64 array goes to the same formatter whole; 2-D arrays and other
+    # dtypes are written as today, row by row or value by value
+    for doc in docs[:5] + [values]:
+        assert canonical_dumps(np.array(doc, dtype=np.float64)) == per_value_dumps(doc)
+    for array in (np.array([[0.0, -0.0], [5e-324, -5e-324]]), np.array([0.1, -0.0], np.float32)):
+        assert canonical_dumps(array) == per_value_dumps(array.tolist())
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             canonical_dumps([0.5, bad, 0.5])
         with pytest.raises(ValueError):
             canonical_dumps({"a": 0.5, "b": bad})
+        with pytest.raises(ValueError):
+            canonical_dumps({"p": np.array([0.5, bad, 0.5])})
     with pytest.raises(ValueError):
         canonical_dumps([0.5, math.inf])
     with pytest.raises(ValueError):

@@ -109,13 +109,17 @@ def test_dense_prefix_answers_only_its_depth(k):
 
 
 def test_segments_walk_blocks_in_order():
-    state = FactoredState.witness_state()
-    assert [(b.n, offset, take) for b, offset, take in state.segments(14)] == [
-        (5, 0, 5),
-        (6, 5, 6),
-        (7, 11, 3),
-    ]
-    assert list(state.segments(0)) == []
+    """Both built-in states lay out block i on i + 5 qubits; the mixed state's carry no corners."""
+    for state in (FactoredState.witness_state(), FactoredState.maximally_mixed()):
+        assert [(b.n, offset, take) for b, offset, take in state.segments(14)] == [
+            (5, 0, 5),
+            (6, 5, 6),
+            (7, 11, 3),
+        ]
+        assert list(state.segments(0)) == []
+    mixed = FactoredState.maximally_mixed()
+    assert {(b.corner_count, b.corner_ratio) for b, _, _ in mixed.segments(10_000)} == {(0, 0.0)}
+    assert len(mixed.blocks) == 137  # sizes 5..141 hold 10,001 qubits
 
 
 def test_every_traced_name_resolves():
