@@ -109,7 +109,7 @@ def cmd_state(args) -> tuple[dict, int]:
     if args.check_depth is not None:
         coherence = check_coherence(state, args.check_depth)
         density = check_density(state, args.check_depth)
-        report["coherence"] = coherence.payload()
+        report["coherence"] = coherence
         report["density"] = density
         if not (coherence.ok and density.ok):
             code = EXIT_CHECK_FAILED
@@ -249,7 +249,7 @@ def cmd_battery(args) -> tuple[dict, int]:
         run_battery(bits, alpha=args.alpha, stream_id=stream_id)
         for stream_id, bits in streams
     ]
-    report: dict = {"reports": [r.payload() for r in reports]}
+    report: dict = {"reports": reports}
     code = EXIT_OK
     if args.aggregate:
         summary = aggregate(reports)

@@ -73,13 +73,13 @@ def require_unit_vector(v: np.ndarray, tol: float = TOL_NORM, what: str = "vecto
 
 @dataclass(frozen=True)
 class DensityCheck:
-    """Diagnostic result of a density-matrix validation."""
+    """Diagnostic result of a density-matrix validation on ``qubits`` qubits."""
 
     ok: bool
     hermitian_deviation: float
     trace_deviation: float
     min_eigenvalue: float
-    dim: int
+    qubits: int
 
     def __bool__(self) -> bool:
         return self.ok
@@ -90,12 +90,12 @@ def is_density_matrix(m: np.ndarray) -> DensityCheck:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadShape(f"expected a square matrix, got shape {m.shape}")
-    num_qubits_of(m.shape[0])
+    qubits = num_qubits_of(m.shape[0])
     herm = hermitian_deviation(m)
     trace = float(abs(np.trace(m) - 1.0))
     min_eig = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
     ok = herm <= TOL_DENSITY and trace <= TOL_DENSITY and min_eig >= -TOL_DENSITY
-    return DensityCheck(ok, herm, trace, min_eig, int(m.shape[0]))
+    return DensityCheck(ok, herm, trace, min_eig, qubits)
 
 
 __all__ = [

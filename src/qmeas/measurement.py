@@ -58,9 +58,12 @@ _WALK_ENTRIES = 1 << 14
 def as_bits(tau) -> tuple[int, ...]:
     """Normalize a bit string ('0101', iterable of 0/1) to a tuple of ints."""
     if isinstance(tau, str):
-        if any(c not in "01" for c in tau):
+        # every character outside "01" encodes to bytes that wrap below '0' or land
+        # above '1': non-ASCII ones, and lone surrogates from undecodable argv bytes
+        bits = np.frombuffer(tau.encode("utf-8", "surrogatepass"), np.uint8) - ord("0")
+        if bits.size and bits.max() > 1:
             raise BadQuery(f"bit strings may only contain 0 and 1, got {tau!r}")
-        return tuple(int(c) for c in tau)
+        return tuple(bits.tolist())
     out = []
     for b in tau:
         if b not in (0, 1):

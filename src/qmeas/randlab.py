@@ -36,17 +36,6 @@ class TestResult:
     passed: bool
     detail: dict = field(default_factory=dict)
 
-    def payload(self) -> dict:
-        out = {
-            "name": self.name,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "passed": self.passed,
-        }
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
 
 @dataclass(frozen=True)
 class BatteryReport:
@@ -55,26 +44,16 @@ class BatteryReport:
     alpha: float
     results: tuple[TestResult, ...]
     compression_ratio: float
+    failures: list[str] = field(init=False)  # names of the failed tests, in battery order
+
+    def __post_init__(self):
+        object.__setattr__(self, "failures", [r.name for r in self.results if not r.passed])
 
     def result(self, name: str) -> TestResult:
         for r in self.results:
             if r.name == name:
                 return r
         raise KeyError(name)
-
-    @property
-    def failures(self) -> list[str]:
-        return [r.name for r in self.results if not r.passed]
-
-    def payload(self) -> dict:
-        return {
-            "stream_id": self.stream_id,
-            "n_bits": self.n_bits,
-            "alpha": self.alpha,
-            "results": [r.payload() for r in self.results],
-            "compression_ratio": self.compression_ratio,
-            "failures": self.failures,
-        }
 
 
 def _ndtr(x: float) -> float:

@@ -4,10 +4,13 @@ A block on n qubits has constant diagonal 2**-n and ``corner_count`` pairs of
 equal off-diagonal entries placed symmetrically on the anti-diagonal: entry
 (i, 2**n - i + 1) holds kappa * 2**-n for 1-based i <= corner_count, plus
 the mirror image.  A block is stored scale-free, as (n, r, kappa) with kappa
-in [0, 1]; the canonical block has r = floor(2**n / n) and kappa = 1.  A full
-state is an infinite tensor product of such blocks, realized lazily.  Both
-built-in states have block i of i + 5 qubits: the witness state's blocks are
-canonical, and the maximally mixed state's are corner-free, I / 2**(i+5).
+in [0, 1], and prints as exactly those fields; the canonical block has
+r = floor(2**n / n) and kappa = 1.  A full state is an infinite tensor
+product of such blocks, realized lazily.  Both built-in states have block i
+of i + 5 qubits: the witness state's blocks are canonical, and the maximally
+mixed state's are corner-free, I / 2**(i+5).  Checks on a factored state
+answer from its blocks, so their reports are sized by the blocks, not by
+the depth checked.
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ from .matrixcore import (
 class DensityBlock:
     """Structured density block: diagonal 2**-n plus anti-diagonal corners kappa * 2**-n.
 
-    The derived floats ``diag_value`` and ``corner_value`` underflow to 0 past n = 1074.
+    A block prints as its fields (n, corner_count, corner_ratio), exact at
+    every n.  The derived floats ``diag_value`` and ``corner_value``, which
+    the kernels read, underflow to 0 past n = 1074.
     """
 
     n: int
@@ -71,15 +76,6 @@ class DensityBlock:
             m[i - 1, self.dim - i] = self.corner_value
             m[self.dim - i, i - 1] = self.corner_value
         return m
-
-    def describe(self) -> dict:
-        return {
-            "n": self.n,
-            "corner_count": self.corner_count,
-            "diag_value": self.diag_value,
-            "corner_value": self.corner_value,
-            "representation": "structured_sparse",
-        }
 
 
 def build_corner_block(n: int) -> DensityBlock:
@@ -321,7 +317,7 @@ class FactoredState:
         return {
             "label": self.label,
             "extendable": self.extendable,
-            "blocks": [b.describe() for b in self._blocks],
+            "blocks": list(self._blocks),
         }
 
 
@@ -345,22 +341,12 @@ def prefix_density(state: FactoredState, k: int) -> DenseStatePrefix:
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    """Per-depth deviations of partial traces from the next-lower prefix."""
+    """Worst deviation of a partial trace from the next-lower prefix, and the first depth past ``tol``."""
 
     ok: bool
     max_deviation: float
-    deviations: tuple
     failed_at: int | None
     tol: float
-
-    def payload(self) -> dict:
-        return {
-            "ok": self.ok,
-            "max_deviation": self.max_deviation,
-            "deviations": [{"depth": d, "deviation": v} for d, v in self.deviations],
-            "failed_at": self.failed_at,
-            "tol": self.tol,
-        }
 
 
 def check_coherence(state, depth: int, tol: float = 1e-10) -> CoherenceReport:
@@ -372,27 +358,25 @@ def check_coherence(state, depth: int, tol: float = 1e-10) -> CoherenceReport:
     first t qubits, rho_j = A (x) P_t with A the complete blocks before it.
     For t >= 2, P_(t-1) is tr_last(P_t) by definition; at t = 1 the
     deviation is max|A| * |tr(block) - 1|, and a block's trace is
-    2^n * 2^-n = 1 by construction, since its diagonal is not stored.  No
-    matrix is built and no dense cap applies.  Any other state compares its
-    dense prefixes depth by depth.
+    2^n * 2^-n = 1 by construction, since its diagonal is not stored.  So
+    the report is (ok, 0.0, no failing depth) once the blocks cover
+    ``depth``; no matrix is built and no dense cap applies.  Any other state
+    compares its dense prefixes depth by depth and keeps the worst deviation
+    and the first depth past ``tol``.
     """
     if depth < 1:
         raise BadQuery("coherence needs depth >= 1")
     if isinstance(state, FactoredState):
         state.ensure_covers(depth)
-        deviations = [(j, 0.0) for j in range(1, depth + 1)]
-    else:
-        deviations = [
-            (j, _trace_deviation(state.prefix(j).rho, state.prefix(j - 1).rho))
-            for j in range(1, depth + 1)
-        ]
-    worst = max([0.0] + [dev for _, dev in deviations])
-    failed_at = next((j for j, dev in deviations if dev > tol), None)
-    return CoherenceReport(failed_at is None, worst, tuple(deviations), failed_at, tol)
-
-
-def _trace_deviation(upper: np.ndarray, lower: np.ndarray) -> float:
-    return float(np.max(np.abs(partial_trace_last_qubit(upper) - lower)))
+        return CoherenceReport(True, 0.0, None, tol)
+    worst, failed_at = 0.0, None
+    for j in range(1, depth + 1):
+        traced = partial_trace_last_qubit(state.prefix(j).rho)
+        dev = float(np.max(np.abs(traced - state.prefix(j - 1).rho)))
+        worst = max(worst, dev)
+        if failed_at is None and dev > tol:
+            failed_at = j
+    return CoherenceReport(failed_at is None, worst, failed_at, tol)
 
 
 def check_density(state, depth: int) -> DensityCheck:
@@ -405,7 +389,9 @@ def check_density(state, depth: int) -> DensityCheck:
     the product of block traces 2^n * 2^-n = 1 by construction.  Blocks are
     real symmetric, so the Hermitian deviation is 0.  No dense matrix is
     built and no dense cap applies.  Any other state is checked densely with
-    ``is_density_matrix`` of its prefix.
+    ``is_density_matrix`` of its prefix.  Either way the check names the
+    prefix by its qubit count k, not by its dimension 2^k, an integer of
+    thousands of digits at deep k.
     """
     if not isinstance(state, FactoredState):
         return is_density_matrix(state.prefix(depth).rho)
@@ -414,7 +400,7 @@ def check_density(state, depth: int) -> DensityCheck:
     min_eig = 1.0
     for block, _, take in state.segments(depth):
         min_eig *= 2.0 ** -take if take < block.n else min(g.value for g in eigenvalue_groups(block))
-    return DensityCheck(min_eig >= -TOL_DENSITY, 0.0, 0.0, min_eig, 1 << depth)
+    return DensityCheck(min_eig >= -TOL_DENSITY, 0.0, 0.0, min_eig, depth)
 
 
 def parse_state_spec(doc: dict):

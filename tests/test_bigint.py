@@ -83,9 +83,8 @@ def eval_rank(levels):
     [
         ("qmlt witness --m 6 --budget 100000", "rank", lambda: witness_rank(6)),
         ("qmlt eval --witness 7 --state mixed --budget 100000", "rank", lambda: eval_rank(7)),
-        ("state --paper-rho --check-depth 14300", "dim", lambda: 1 << 14300),
     ],
-    ids=["witness6", "eval7", "state14300"],
+    ids=["witness6", "eval7"],
 )
 def test_commands_with_big_ints_exit_zero(capsys, argv, field, value):
     assert main(argv.split()) == 0
@@ -98,6 +97,26 @@ def test_commands_with_big_ints_exit_zero(capsys, argv, field, value):
 def report_of(out):
     with digit_limit(0):
         return json.loads(out)["report"]
+
+
+def test_deep_state_check_prints_no_big_integer(capsys):
+    """The density check names its prefix by qubits, so stdlib json reads it at the default limit."""
+    assert main("state --paper-rho --check-depth 20000".split()) == 0
+    with digit_limit(4300):
+        report = json.loads(capsys.readouterr().out)["report"]
+    assert report["coherence"] == {"ok": True, "max_deviation": 0, "failed_at": None, "tol": 1e-10}
+    assert report["density"]["ok"] and report["density"]["qubits"] == 20000
+
+
+def test_blocks_past_the_float_range_print_their_exact_fields(capsys):
+    """A block of n >= 1,075 qubits has float scales 0.0, but prints (n, r, kappa) exactly."""
+    assert main("state --paper-rho --check-depth 580000".split()) == 0
+    blocks = report_of(capsys.readouterr().out)["state"]["blocks"]
+    assert [b["n"] for b in blocks] == list(range(5, 5 + len(blocks)))
+    deep = [b for b in blocks if b["n"] >= 1075]
+    assert deep
+    for b in deep:
+        assert b == {"n": b["n"], "corner_count": (1 << b["n"]) // b["n"], "corner_ratio": 1}
 
 
 def test_level_eight_certifies_exactly(capsys):

@@ -14,7 +14,13 @@ from qmeas.matrixcore import is_density_matrix
 from qmeas.measurement import MeasurementSystem, sample_bits
 from qmeas.qmlt import build_witness_mlt, failure_report
 from qmeas.randlab import aggregate, run_battery
-from qmeas.states import DenseStateChain, FactoredState, check_density, parse_state_spec
+from qmeas.states import (
+    DenseStateChain,
+    FactoredState,
+    check_coherence,
+    check_density,
+    parse_state_spec,
+)
 from qmeas.verify import verify_kron_pairing
 
 
@@ -205,13 +211,13 @@ def test_state_checks_reach_past_the_dense_cap(capsys):
     code, out, _ = run_cli(capsys, ["state", "--paper-rho", "--check-depth", "30"])
     assert code == 0
     report = payload_of(out)["report"]
-    assert report["coherence"]["ok"] and len(report["coherence"]["deviations"]) == 30
+    assert report["coherence"] == {"ok": True, "max_deviation": 0, "failed_at": None, "tol": 1e-10}
     assert report["density"] == {
         "ok": True,
         "hermitian_deviation": 0,
         "trace_deviation": 0,
         "min_eigenvalue": 0,
-        "dim": 1 << 30,
+        "qubits": 30,
     }
 
 
@@ -531,9 +537,13 @@ def test_verify_family_from_document(capsys, tmp_path):
     assert payload_of(out)["report"]["passed"]
 
 
-# the JSON keys each plain report wrote through its former hand-written payload
+# the JSON keys each plain report writes: its dataclass fields
 REPORT_KEYS = {
-    "DensityCheck": {"ok", "hermitian_deviation", "trace_deviation", "min_eigenvalue", "dim"},
+    "CoherenceReport": {"ok", "max_deviation", "failed_at", "tol"},
+    "DensityCheck": {"ok", "hermitian_deviation", "trace_deviation", "min_eigenvalue", "qubits"},
+    "DensityBlock": {"n", "corner_count", "corner_ratio"},
+    "TestResult": {"name", "statistic", "p_value", "passed", "detail"},
+    "BatteryReport": {"stream_id", "n_bits", "alpha", "results", "compression_ratio", "failures"},
     "LevelEvaluation": {"level", "depth", "rank", "tau", "value"},
     "FailureReport": {"delta", "entries", "min_value", "fails_at_order", "note"},
     "LemmaReport": {"lemma_id", "trials", "worst_margin", "slack", "passed", "parameters"},
@@ -547,7 +557,11 @@ def test_plain_reports_serialize_as_their_fields():
     system = MeasurementSystem.standard()
     batteries = [run_battery(sample_bits(state, system, 2000, seed).bits) for seed in range(3)]
     reports = [
+        check_coherence(state, 8),
         check_density(state, 8),
+        state.block(0),
+        batteries[0],
+        *batteries[0].results,
         is_density_matrix(state.prefix(5).rho),
         failure,
         *failure.entries,
@@ -561,3 +575,6 @@ def test_plain_reports_serialize_as_their_fields():
         assert doc == json.loads(canonical_dumps(dataclasses.asdict(report)))
     entries = json.loads(canonical_dumps(failure))["entries"]
     assert [set(e) for e in entries] == [REPORT_KEYS["LevelEvaluation"]] * 2
+    results = json.loads(canonical_dumps(batteries[0]))["results"]
+    assert [set(r) for r in results] == [REPORT_KEYS["TestResult"]] * len(results)
+    assert results[0]["name"] == "monobit" and results[0]["detail"] == {}

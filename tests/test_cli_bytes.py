@@ -49,15 +49,15 @@ PINNED = {
     ),
     "state11": (
         ["state", "--paper-rho", "--check-depth", "11", "--eigen", "5"],
-        "1e1ba0a81ec8e52d6f0969a76330f54fccee8a4de40eee5f31ca43a21456616e",
+        "b103c63f19f9f858aed2f3ae7b9a6f4e3b8d1b3e27dad698ba692d7bebd01b92",
     ),
     "state8": (
         ["state", "--paper-rho", "--check-depth", "8", "--eigen", "5"],
-        "25ff64b54c7dc3f402d4a575de3aa10d88ba9dfa29970841deb28970dba64499",
+        "4aa52bcb8c762780852ae83db81e3ad3f11c61dc7104847daee14f1dd9c1a867",
     ),
     "state11_mixed": (
         ["state", "--mixed", "--check-depth", "11"],
-        "845523d6bc6b76740d34792db9bac104e317aa166c5e8a7a604675c2d61e7504",
+        "a03a848a435a25e406c550d4e28b00b440bc72a8566e4469fec7c6510c8cb89e",
     ),
     "witness3": (["qmlt", "witness", "--m", "3"], "feb62b209f6b9fa7a4b01f4c238cf420455862edf60f8acbf78e1abe9a137d88"),
     "witness3_mixed": (

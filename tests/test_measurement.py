@@ -276,6 +276,27 @@ def test_as_bits_and_round_trip():
         as_bits([0, 2])
 
 
+def per_character_bits(tau: str) -> tuple[int, ...]:
+    """The per-character reading of a bit string that ``as_bits`` vectorizes."""
+    if any(c not in "01" for c in tau):
+        raise BadQuery(f"bit strings may only contain 0 and 1, got {tau!r}")
+    return tuple(int(c) for c in tau)
+
+
+def test_as_bits_reads_a_string_like_the_per_character_loop(rng):
+    strings = ["", "0", "1"] + ["".join(rng.choice(["0", "1"], size=n)) for n in (2, 17, 1000)]
+    for tau in strings:
+        bits = as_bits(tau)
+        assert bits == per_character_bits(tau)
+        assert all(type(b) is int for b in bits)
+    for bad in ("2", " ", "١", "01١", "0 1", "\x00", "1" * 50 + "2", "/", ":", "\udcff"):
+        with pytest.raises(BadQuery) as got:
+            as_bits(bad)
+        with pytest.raises(BadQuery) as expected:
+            per_character_bits(bad)
+        assert str(got.value) == str(expected.value)
+
+
 def test_explicit_basis_requires_orthonormal_pairs():
     with pytest.raises(NotOrthonormal):
         MeasurementSystem.explicit([([1.0, 0.0], [0.5, 0.5])])

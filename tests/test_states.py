@@ -170,6 +170,7 @@ def test_dense_chain_roundtrip_and_corruption():
     report = check_coherence(bad, 4)
     assert not report.ok
     assert report.failed_at in (2, 3)
+    assert report == dense_coherence([bad.prefix(k).rho for k in range(5)], 4)
 
 
 def test_maximally_mixed_prefixes():
@@ -272,12 +273,13 @@ def test_check_density_is_the_dense_check(name):
     for k in range(0, 12):
         fast = check_density(state, k)
         dense = is_density_matrix(state.prefix(k).rho)
-        assert (fast.ok, fast.hermitian_deviation, fast.trace_deviation, fast.dim) == (
+        assert (fast.ok, fast.hermitian_deviation, fast.trace_deviation, fast.qubits) == (
             dense.ok,
             dense.hermitian_deviation,
             dense.trace_deviation,
-            dense.dim,
+            dense.qubits,
         )
+        assert fast.qubits == k
         assert abs(fast.min_eigenvalue - dense.min_eigenvalue) <= 1e-15
 
 
@@ -289,29 +291,30 @@ def test_check_density_min_eigenvalue_is_the_block_product():
     assert check_density(general_state(), 12).min_eigenvalue == expected
 
 
-def dense_coherence(prefixes, depth, tol=1e-10) -> dict:
+def dense_coherence(prefixes, depth, tol=1e-10) -> CoherenceReport:
     """The depth-by-depth dense loop that check_coherence ran on every state."""
-    deviations = []
     worst = 0.0
     failed_at = None
     for j in range(1, depth + 1):
         upper = prefixes[j]
         lower = prefixes[j - 1]
         dev = float(np.max(np.abs(partial_trace_last_qubit(upper) - lower)))
-        deviations.append((j, dev))
         if dev > worst:
             worst = dev
         if failed_at is None and dev > tol:
             failed_at = j
-    return CoherenceReport(failed_at is None, worst, tuple(deviations), failed_at, tol).payload()
+    return CoherenceReport(failed_at is None, worst, failed_at, tol)
 
 
 @pytest.mark.parametrize("name", sorted(CHECKED_STATES))
 def test_check_coherence_is_the_dense_loop(name):
+    """A worst deviation of exactly 0.0 up to each depth k pins every deviation up to k at 0.0."""
     state = CHECKED_STATES[name]()
     prefixes = [state.prefix(j).rho for j in range(13)]
     for k in range(1, 13):
-        assert check_coherence(state, k).payload() == dense_coherence(prefixes, k)
+        report = check_coherence(state, k)
+        assert report == dense_coherence(prefixes, k)
+        assert (report.ok, report.max_deviation, report.failed_at) == (True, 0.0, None)
 
 
 def test_state_checks_build_no_dense_prefix(monkeypatch, capsys):
@@ -333,11 +336,13 @@ def test_coherence_of_a_factored_state_builds_no_matrix(monkeypatch):
     monkeypatch.setattr(states, "partial_trace_last_qubit", refuse)
     for make in CHECKED_STATES.values():
         report = check_coherence(make(), 26)
-        assert report.ok and report.max_deviation == 0.0 and len(report.deviations) == 26
+        assert (report.ok, report.max_deviation, report.failed_at) == (True, 0.0, None)
     # the diagonal 2^-1100 of the second block underflows a float, but its trace is
     # 2^1100 * 2^-1100 = 1 by construction: every deviation is 0
     state = FactoredState.from_blocks([build_corner_block(5), DensityBlock(1100, 0, 0.0)])
     report = check_coherence(state, 9)
-    assert report.ok and report.failed_at is None
-    assert report.deviations == tuple((j, 0.0) for j in range(1, 10))
+    assert report == CoherenceReport(True, 0.0, None, 1e-10)
     assert check_density(state, 1105).trace_deviation == 0.0
+    # a depth past a finite state's blocks is refused, not reported coherent
+    with pytest.raises(BadQuery):
+        check_coherence(state, 1106)
