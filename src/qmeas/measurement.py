@@ -64,8 +64,20 @@ def as_bits(tau) -> tuple[int, ...]:
         if bits.size and bits.max() > 1:
             raise BadQuery(f"bit strings may only contain 0 and 1, got {tau!r}")
         return tuple(bits.tolist())
+    seq = tau if isinstance(tau, np.ndarray) else list(tau)
+    try:
+        values = np.asarray(seq)
+    except (ValueError, OverflowError):  # ragged nesting, ints past any dtype
+        values = None
+    if values is not None and values.ndim == 1 and values.dtype.kind in "biuf":
+        # a flat bool, int or float sequence is checked in one pass; the message
+        # names the first bad element as the sequence holds it
+        bad = np.flatnonzero((values != 0) & (values != 1))
+        if bad.size:
+            raise BadQuery(f"bit strings may only contain 0 and 1, got {seq[bad[0]]!r}")
+        return tuple(values.astype(np.intp).tolist())
     out = []
-    for b in tau:
+    for b in seq:
         if b not in (0, 1):
             raise BadQuery(f"bit strings may only contain 0 and 1, got {b!r}")
         out.append(int(b))

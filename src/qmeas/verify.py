@@ -4,11 +4,16 @@ Each check draws random product vectors from a seeded generator, evaluates
 the quantity in question through the structured closed forms, and reports
 the worst margin against the claimed bound.  Margins are signed: positive
 means strictly inside the bound, and a check passes when the worst margin
-stays above ``-slack``.
+stays above ``-slack``.  Trials are drawn and evaluated in row chunks of a
+fixed number of entries, keeping only running extremes, so a check's memory
+does not grow with its trial count; the chunked draws are bit for bit one
+whole draw from the same seed.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -23,6 +28,8 @@ BOUND_SLACK = 1e-12
 ORACLE_TOL = 1e-10
 ORACLE_TRIALS = 1000  # dense cross-checks per quadratic-bounds run
 DENSE_CHECK_MAX = 9  # largest family block also checked densely
+# entries (trials x width) per chunk of a Monte-Carlo check
+_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -37,37 +44,67 @@ class LemmaReport:
     parameters: dict = field(default_factory=dict)
 
 
-def random_product_factors(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
+def random_product_factors(
+    rng: np.random.Generator, trials: int, n: int, phase_rng: np.random.Generator | None = None
+) -> np.ndarray:
     """Draw (trials, n, 2) single-qubit unit vectors uniformly on the Bloch sphere.
 
     cos(theta) is uniform on [-1, 1] and the relative phase uniform on
     [0, 2pi); the global phase is irrelevant to every quantity checked here.
+    The cos(theta) block comes from ``rng`` and the phase block from
+    ``phase_rng``, by default ``rng`` itself after the cos(theta) block.
     """
     cos_theta = rng.uniform(-1.0, 1.0, size=(trials, n))
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=(trials, n))
+    phase = (rng if phase_rng is None else phase_rng).uniform(0.0, 2.0 * np.pi, size=(trials, n))
     out = np.empty((trials, n, 2), dtype=complex)
     out[:, :, 0] = np.sqrt((1.0 + cos_theta) / 2.0)
     out[:, :, 1] = np.sqrt((1.0 - cos_theta) / 2.0) * np.exp(1j * phase)
     return out
 
 
+def _rows(width: int) -> int:
+    """Trials per chunk ``width`` entries wide (n for draws and closed forms, 2^n dense)."""
+    return max(1, _CHUNK_ENTRIES // width)
+
+
+def _factor_chunks(seed, trials: int, n: int, width: int):
+    """``random_product_factors(default_rng(seed), trials, n)`` bit for bit, in row chunks.
+
+    Returns an iterator of (first trial, factors), ``_rows(width)`` trials
+    at a time.  Each uniform is one 64-bit step of the stream, so the phase
+    block starts trials * n steps in: a copy of the generator advanced that
+    far draws it chunk by chunk alongside the cos(theta) block.
+    """
+    if trials < 1:
+        raise BadQuery(f"need at least one trial, got {trials}")
+    rng = np.random.default_rng(seed)
+    phase_rng = copy.deepcopy(rng)
+    phase_rng.bit_generator.advance(trials * n)
+    rows = _rows(width)
+    return (
+        (start, random_product_factors(rng, min(rows, trials - start), n, phase_rng))
+        for start in range(0, trials, rows)
+    )
+
+
 def verify_kron_pairing(n: int = 8, trials: int = 1000, seed: int = 0) -> LemmaReport:
     """Coordinate moduli of a product vector pair up into a constant product.
 
     For V = v_n (x) ... (x) v_1 the products |V_k||V_{2^n-k+1}| coincide for
-    every k <= 2^(n-1), all equal to prod_i |a_i||b_i|.
+    every k <= 2^(n-1), all equal to prod_i |a_i||b_i|.  The 2^n-wide vectors
+    are built a chunk of trials at a time, so memory does not grow with
+    ``trials``; ``trials`` must be at least 1.
     """
     if not 1 <= n <= 12:
         raise BadQuery(f"pairing check is dense; need 1 <= n <= 12, got {n}")
-    rng = np.random.default_rng(seed)
-    factors = random_product_factors(rng, trials, n)
-    vectors = product_vectors_dense(factors)
     half = 1 << (n - 1)
-    moduli = np.abs(vectors)
-    lhs = moduli[:, :half] * moduli[:, ::-1][:, :half]
-    rhs = np.prod(np.abs(factors[:, :, 0] * factors[:, :, 1]), axis=1)
-    denom = np.maximum(rhs, 1e-300)
-    worst = float(np.max(np.abs(lhs - rhs[:, None]) / denom[:, None]))
+    worst = 0.0
+    for _, factors in _factor_chunks(seed, trials, n, 1 << n):
+        moduli = np.abs(product_vectors_dense(factors))
+        lhs = moduli[:, :half] * moduli[:, ::-1][:, :half]
+        rhs = np.prod(np.abs(factors[:, :, 0] * factors[:, :, 1]), axis=1)
+        denom = np.maximum(rhs, 1e-300)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs[:, None]) / denom[:, None])))
     return LemmaReport(
         lemma_id="kron_pairing",
         trials=trials,
@@ -86,43 +123,51 @@ def verify_quadratic_bounds(
     <W| d_n |W> lies in [2^-n (1 - 2/n), 2^-n (1 + 2/n)] for every product
     vector W.  Evaluated through the corner closed form; for n <= 10 a dense
     quadratic form W^H d W over the nonzero entries of ``block.to_dense()``
-    cross-checks a subsample.
+    cross-checks the first ``ORACLE_TRIALS`` trials.  Trials are drawn and
+    evaluated a chunk at a time, keeping only the running extremes, so
+    memory does not grow with ``trials``; ``trials`` must be at least 1.
     """
     if n < 5:
         raise BadQuery(f"quadratic-bound check applies to blocks n >= 5, got {n}")
     block = build_corner_block(n)
-    rng = np.random.default_rng(seed)
-    factors = random_product_factors(rng, trials, n)
-    values = block.diag_value + block.corner_value * 2.0 * np.real(
-        paired_coordinate_sum(factors, block.corner_count)
-    )
     lo = block.diag_value * (1.0 - 2.0 / n)
     hi = block.diag_value * (1.0 + 2.0 / n)
-    margin = float(min(np.min(values - lo), np.min(hi - values)))
+    checked = min(trials, ORACLE_TRIALS) if n <= 10 else 0
+    oracle_rows = _rows(1 << n)
+    if checked:
+        d = block.to_dense()
+        rows, cols = np.nonzero(d)  # zero entries add nothing to the form
+        entries = d[rows, cols]
+    margin, min_value, max_value, oracle_dev = math.inf, math.inf, -math.inf, 0.0
+    for start, factors in _factor_chunks(seed, trials, n, n):
+        values = block.diag_value + block.corner_value * 2.0 * np.real(
+            paired_coordinate_sum(factors, block.corner_count)
+        )
+        margin = min(margin, float(np.min(values - lo)), float(np.min(hi - values)))
+        min_value = min(min_value, float(np.min(values)))
+        max_value = max(max_value, float(np.max(values)))
+        stop = min(checked - start, len(values))
+        for s in range(0, stop, oracle_rows):
+            e = min(s + oracle_rows, stop)
+            dense = product_vectors_dense(factors[s:e])
+            direct = np.real(np.sum(dense[:, rows].conj() * entries * dense[:, cols], axis=1))
+            oracle_dev = max(oracle_dev, float(np.max(np.abs(direct - values[s:e]))))
     params: dict = {
         "n": n,
         "seed": seed,
         "interval": [lo, hi],
-        "min_value": float(np.min(values)),
-        "max_value": float(np.max(values)),
+        "min_value": min_value,
+        "max_value": max_value,
     }
-    oracle_ok = True
-    if n <= 10:
-        m = min(trials, ORACLE_TRIALS)
-        dense = product_vectors_dense(factors[:m])
-        d = block.to_dense()
-        rows, cols = np.nonzero(d)  # zero entries add nothing to the form
-        direct = np.real(np.sum(dense[:, rows].conj() * d[rows, cols] * dense[:, cols], axis=1))
-        oracle_dev = float(np.max(np.abs(direct - values[:m])))
-        params["oracle_trials"] = m
+    if checked:
+        params["oracle_trials"] = checked
         params["oracle_max_deviation"] = oracle_dev
-        oracle_ok = oracle_dev <= ORACLE_TOL
     return LemmaReport(
         lemma_id="quadratic_bounds",
         trials=trials,
         worst_margin=margin,
         slack=BOUND_SLACK,
-        passed=margin >= -BOUND_SLACK and oracle_ok,
+        passed=margin >= -BOUND_SLACK and oracle_dev <= ORACLE_TOL,
         parameters=params,
     )
 
@@ -133,15 +178,18 @@ def verify_corner_block_bound(n: int = 8, trials: int = 10_000, seed: int = 0) -
     For product vectors V on n-1 qubits, |V^H B V| <= 2^(1-n)/n where B is
     the corner quarter of the n-qubit block; the sum runs over the block's
     corner pairs, so the closed form reuses the paired coordinate sum.
+    Trials are drawn and evaluated a chunk at a time, so memory does not
+    grow with ``trials``; ``trials`` must be at least 1.
     """
     if n < 5:
         raise BadQuery(f"corner-block check applies to blocks n >= 5, got {n}")
     block = build_corner_block(n)
-    rng = np.random.default_rng(seed)
-    factors = random_product_factors(rng, trials, n - 1)
-    values = block.corner_value * np.abs(paired_coordinate_sum(factors, block.corner_count))
     bound = 2.0 ** (1 - n) / n
-    margin = float(np.min(bound - values))
+    margin, max_value = math.inf, -math.inf
+    for _, factors in _factor_chunks(seed, trials, n - 1, n - 1):
+        values = block.corner_value * np.abs(paired_coordinate_sum(factors, block.corner_count))
+        margin = min(margin, float(np.min(bound - values)))
+        max_value = max(max_value, float(np.max(values)))
     return LemmaReport(
         lemma_id="corner_block_bound",
         trials=trials,
@@ -152,7 +200,7 @@ def verify_corner_block_bound(n: int = 8, trials: int = 10_000, seed: int = 0) -
             "n": n,
             "seed": seed,
             "bound": bound,
-            "max_value": float(np.max(values)),
+            "max_value": max_value,
         },
     )
 

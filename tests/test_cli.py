@@ -516,6 +516,17 @@ def test_verify_corner_block_cli(capsys):
     assert payload_of(out)["report"]["passed"]
 
 
+@pytest.mark.parametrize("check", ["kron-pairing", "quadratic-bounds", "corner-block"])
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_without_trials_is_bad_input(capsys, check, trials):
+    code, out, err = run_cli(capsys, ["verify", check, "--n", "6", "--trials", trials])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "code": "bad_query",
+        "message": f"need at least one trial, got {trials}",
+    }
+
+
 def test_verify_family_canonical_cli(capsys):
     code, out, _ = run_cli(capsys, ["verify", "family", "--canonical", "12"])
     assert code == 0

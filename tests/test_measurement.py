@@ -297,6 +297,45 @@ def test_as_bits_reads_a_string_like_the_per_character_loop(rng):
         assert str(got.value) == str(expected.value)
 
 
+def per_element_bits(tau) -> tuple[int, ...]:
+    """The per-element reading of a bit sequence that ``as_bits`` vectorizes."""
+    out = []
+    for b in tau:
+        if b not in (0, 1):
+            raise BadQuery(f"bit strings may only contain 0 and 1, got {b!r}")
+        out.append(int(b))
+    return tuple(out)
+
+
+def test_as_bits_reads_a_sequence_like_the_per_element_loop(rng):
+    sequences = [[], (), np.array([], dtype=np.uint8), [True, 1.0, 0, np.uint8(1)], [-0.0, 1]]
+    for n in (1, 17, 1000):
+        bits = rng.integers(0, 2, size=n)
+        sequences += [
+            bits.astype(np.uint8), bits.astype(bool), bits.astype(float), bits.astype(np.int8),
+            bits.tolist(), tuple(bits.tolist()), [float(b) for b in bits],
+        ]
+    for tau in sequences:
+        got = as_bits(tau)
+        assert got == per_element_bits(tau)
+        assert all(type(b) is int for b in got)
+    for bad in (2, -1, 0.5, "1", float("nan"), None):
+        for where in (0, 5, 98):
+            listed = rng.integers(0, 2, size=100).tolist()
+            listed[where], listed[99] = bad, 7  # the message names the first bad element
+            taus = [listed, tuple(listed)]
+            if isinstance(bad, (int, float)):
+                taus.append(np.array(listed))
+            if bad == 2:
+                taus.append(np.array(listed, dtype=np.uint8))
+            for tau in taus:
+                with pytest.raises(BadQuery) as got:
+                    as_bits(tau)
+                with pytest.raises(BadQuery) as expected:
+                    per_element_bits(tau)
+                assert str(got.value) == str(expected.value)
+
+
 def test_explicit_basis_requires_orthonormal_pairs():
     with pytest.raises(NotOrthonormal):
         MeasurementSystem.explicit([([1.0, 0.0], [0.5, 0.5])])

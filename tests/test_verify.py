@@ -1,6 +1,7 @@
 """Monte-Carlo lemma checks and family constraint validation."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,14 @@ from qmeas.errors import BadFamilyParams, BadQuery, BadSpec
 from qmeas.measurement import MeasurementSystem, paired_coordinate_sum
 from qmeas.states import build_corner_block
 from qmeas.verify import (
+    _CHUNK_ENTRIES,
+    BOUND_SLACK,
+    IDENTITY_SLACK,
+    ORACLE_TOL,
+    ORACLE_TRIALS,
     FamilySpec,
+    LemmaReport,
+    _factor_chunks,
     random_product_factors,
     product_vectors_dense,
     verify_corner_block_bound,
@@ -143,3 +151,152 @@ def test_reports_serialize():
     report = verify_kron_pairing(n=4, trials=50, seed=9)
     payload = dataclasses.asdict(report)
     assert set(payload) == {"lemma_id", "trials", "worst_margin", "slack", "passed", "parameters"}
+
+
+# ---------------------------------------------------------------------------
+# chunked checks against the whole-array checks
+
+
+def whole_kron_pairing(n, trials, seed):
+    """The pairing check over every trial at once, as one whole draw."""
+    factors = random_product_factors(np.random.default_rng(seed), trials, n)
+    vectors = product_vectors_dense(factors)
+    half = 1 << (n - 1)
+    moduli = np.abs(vectors)
+    lhs = moduli[:, :half] * moduli[:, ::-1][:, :half]
+    rhs = np.prod(np.abs(factors[:, :, 0] * factors[:, :, 1]), axis=1)
+    denom = np.maximum(rhs, 1e-300)
+    worst = float(np.max(np.abs(lhs - rhs[:, None]) / denom[:, None]))
+    return LemmaReport(
+        lemma_id="kron_pairing",
+        trials=trials,
+        worst_margin=-worst,
+        slack=IDENTITY_SLACK,
+        passed=worst <= IDENTITY_SLACK,
+        parameters={"n": n, "seed": seed, "max_relative_deviation": worst},
+    )
+
+
+def whole_quadratic_bounds(n, trials, seed):
+    """The quadratic-bounds check over every trial at once, as one whole draw."""
+    block = build_corner_block(n)
+    factors = random_product_factors(np.random.default_rng(seed), trials, n)
+    values = block.diag_value + block.corner_value * 2.0 * np.real(
+        paired_coordinate_sum(factors, block.corner_count)
+    )
+    lo = block.diag_value * (1.0 - 2.0 / n)
+    hi = block.diag_value * (1.0 + 2.0 / n)
+    margin = float(min(np.min(values - lo), np.min(hi - values)))
+    params = {
+        "n": n,
+        "seed": seed,
+        "interval": [lo, hi],
+        "min_value": float(np.min(values)),
+        "max_value": float(np.max(values)),
+    }
+    oracle_ok = True
+    if n <= 10:
+        m = min(trials, ORACLE_TRIALS)
+        dense = product_vectors_dense(factors[:m])
+        d = block.to_dense()
+        rows, cols = np.nonzero(d)
+        direct = np.real(np.sum(dense[:, rows].conj() * d[rows, cols] * dense[:, cols], axis=1))
+        oracle_dev = float(np.max(np.abs(direct - values[:m])))
+        params["oracle_trials"] = m
+        params["oracle_max_deviation"] = oracle_dev
+        oracle_ok = oracle_dev <= ORACLE_TOL
+    return LemmaReport(
+        lemma_id="quadratic_bounds",
+        trials=trials,
+        worst_margin=margin,
+        slack=BOUND_SLACK,
+        passed=margin >= -BOUND_SLACK and oracle_ok,
+        parameters=params,
+    )
+
+
+def whole_corner_block_bound(n, trials, seed):
+    """The corner-block check over every trial at once, as one whole draw."""
+    block = build_corner_block(n)
+    factors = random_product_factors(np.random.default_rng(seed), trials, n - 1)
+    values = block.corner_value * np.abs(paired_coordinate_sum(factors, block.corner_count))
+    bound = 2.0 ** (1 - n) / n
+    margin = float(np.min(bound - values))
+    return LemmaReport(
+        lemma_id="corner_block_bound",
+        trials=trials,
+        worst_margin=margin,
+        slack=BOUND_SLACK,
+        passed=margin >= -BOUND_SLACK,
+        parameters={"n": n, "seed": seed, "bound": bound, "max_value": float(np.max(values))},
+    )
+
+
+def straddling(*widths):
+    """1, and trial counts around the chunk of each entry width: rows +- 1 and 2 rows + 3."""
+    counts = {1}
+    for width in widths:
+        rows = max(1, _CHUNK_ENTRIES // width)
+        counts |= {rows - 1, rows, rows + 1, 2 * rows + 3}
+    return sorted(counts)
+
+
+CHUNKED_CASES = {
+    # the quadratic check's oracle stops after ORACLE_TRIALS trials, in chunks 2^n wide
+    "quadratic": (
+        verify_quadratic_bounds,
+        whole_quadratic_bounds,
+        lambda n: straddling(n, 1 << n) + [ORACLE_TRIALS - 1, ORACLE_TRIALS + 1],
+    ),
+    "corner": (
+        verify_corner_block_bound,
+        whole_corner_block_bound,
+        lambda n: straddling(n - 1) + [ORACLE_TRIALS - 1, ORACLE_TRIALS + 1],
+    ),
+    "pairing": (verify_kron_pairing, whole_kron_pairing, lambda n: straddling(1 << n)),
+}
+
+
+@pytest.mark.parametrize("n", [5, 6, 9, 10, 12])
+@pytest.mark.parametrize("check", sorted(CHUNKED_CASES))
+def test_chunked_checks_are_the_whole_array_checks(check, n):
+    chunked, whole, trial_counts = CHUNKED_CASES[check]
+    for trials in trial_counts(n):
+        for seed in (0, 3, 11):
+            assert chunked(n=n, trials=trials, seed=seed) == whole(n, trials, seed), (trials, seed)
+
+
+@pytest.mark.parametrize("n, width", [(1, 1), (6, 6), (5, 1 << 5), (10, 1 << 10), (12, 1 << 12)])
+def test_chunked_draws_are_one_whole_draw(n, width):
+    rows = max(1, _CHUNK_ENTRIES // width)
+    for trials in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+        for seed in (0, 7, 2**40 + 1):
+            rng = np.random.default_rng(seed)
+            cos_theta = rng.uniform(-1.0, 1.0, size=(trials, n))
+            phase = rng.uniform(0.0, 2.0 * np.pi, size=(trials, n))
+            whole = np.empty((trials, n, 2), dtype=complex)
+            whole[:, :, 0] = np.sqrt((1.0 + cos_theta) / 2.0)
+            whole[:, :, 1] = np.sqrt((1.0 - cos_theta) / 2.0) * np.exp(1j * phase)
+            chunks = list(_factor_chunks(seed, trials, n, width))
+            assert [start for start, _ in chunks] == list(range(0, trials, rows))
+            assert np.concatenate([f for _, f in chunks]).tobytes() == whole.tobytes()
+
+
+def test_quadratic_bounds_memory_does_not_grow_with_trials():
+    def traced_peak(trials):
+        tracemalloc.start()
+        try:
+            verify_quadratic_bounds(n=10, trials=trials, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = traced_peak(20_000), traced_peak(200_000)
+    assert large <= 1.25 * small, (small, large)
+
+
+@pytest.mark.parametrize("check", [verify_kron_pairing, verify_quadratic_bounds, verify_corner_block_bound])
+@pytest.mark.parametrize("trials", [0, -5])
+def test_checks_need_a_trial(check, trials):
+    with pytest.raises(BadQuery, match="at least one trial"):
+        check(n=6, trials=trials)
