@@ -71,7 +71,6 @@ from .states import (
     prefix_density,
 )
 from .verify import (
-    FamilySpec,
     LemmaReport,
     verify_corner_block_bound,
     verify_family,
@@ -96,7 +95,6 @@ __all__ = [
     "DenseStatePrefix",
     "DensityBlock",
     "FactoredState",
-    "FamilySpec",
     "InsufficientData",
     "LemmaReport",
     "MeasureZeroPrefix",

@@ -8,19 +8,21 @@ canonical-JSON payload carrying the invoking config and its hash, so
 identical invocations produce identical bytes.
 
 Exit codes: 0 success, 1 a check or lemma failed, 2 bad input (including an
-exceeded block budget), 3 the dense cap was exceeded.
+exceeded block budget), 3 the dense cap or the factored-table bound was
+exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from . import qmlt as qmlt_mod
 from . import verify as verify_mod
-from .errors import BadQuery, BudgetExceeded, CapExceeded, QmeasError
+from .errors import BadQuery, BadSpec, BudgetExceeded, CapExceeded, QmeasError
 from .jsonio import canonical_dumps, config_hash, load_document
 from .measurement import (
     MeasurementSystem,
@@ -32,6 +34,7 @@ from .measurement import (
 from .randlab import aggregate, run_battery
 from .states import (
     FactoredState,
+    build_corner_block,
     check_coherence,
     check_density,
     eigenvalue_groups,
@@ -345,12 +348,34 @@ def cmd_verify_corner(args) -> tuple[dict, int]:
     return report, EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+def _family_target(value) -> float | None:
+    """A family document's optional target, as a finite float."""
+    if value is None:
+        return None
+    try:
+        target = float(value)
+    except (TypeError, ValueError, OverflowError):  # not a number, or an int past the float range
+        target = math.nan
+    if not math.isfinite(target):
+        raise BadSpec(f"family targets must be finite numbers, got {value!r}")
+    return target
+
+
 def cmd_verify_family(args) -> tuple[dict, int]:
     if args.spec is not None:
-        spec = verify_mod.FamilySpec.from_doc(load_document(args.spec))
+        doc = load_document(args.spec)
+        if not isinstance(doc, dict) or "h" not in doc or "g" not in doc:
+            raise BadSpec("family spec needs 'h' and 'g' tables")
+        blocks = FactoredState.general_family(doc["h"], doc["g"]).blocks
+        targets = doc.get("target_delta"), doc.get("target_F", doc.get("target_f"))
+        report = verify_mod.verify_family(blocks, *map(_family_target, targets))
     else:
-        spec = verify_mod.FamilySpec.canonical(args.canonical)
-    report = verify_mod.verify_family(spec)
+        if args.canonical < 5:
+            raise BadQuery(
+                f"--canonical N checks the block sizes 5..N; N must be at least 5, got {args.canonical}"
+            )
+        blocks = (build_corner_block(n) for n in range(5, args.canonical + 1))
+        report = verify_mod.verify_family(blocks)
     return report, EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 

@@ -131,7 +131,10 @@ def complex_from_json(item: Any) -> complex:
         or not all(isinstance(p, (int, float)) for p in item)
     ):
         raise BadSpec(f"complex entries must be [re, im] pairs, got {item!r}")
-    return complex(item[0], item[1])
+    try:
+        return complex(item[0], item[1])
+    except OverflowError:  # an int past the float range
+        raise BadSpec("complex entries must be finite numbers") from None
 
 
 def matrix_from_json(rows: Any) -> np.ndarray:

@@ -39,6 +39,7 @@ from .config import require_dense_qubits
 from .errors import (
     BadQuery,
     BadSpec,
+    CapExceeded,
     MeasureZeroPrefix,
     NotOrthonormal,
     NumericHealthWarning,
@@ -50,6 +51,9 @@ _CLAMP_WARN = 1e-9
 # 2**-s halves exactly down to the smallest subnormal 2**-1074; one more
 # halving rounds to zero.
 _HALVINGS = sys.float_info.mant_dig - sys.float_info.min_exp
+# deepest factored table: a depth-20 Hadamard table takes about 4 s and 0.4 GB,
+# and each level more doubles both
+MAX_TABLE_DEPTH = 20
 # entries (outcomes x qubits) per array of one batched corner sum over several
 # blocks: the closed form on real bases, the digit walk on complex ones
 _WALK_ENTRIES = 1 << 14
@@ -120,6 +124,8 @@ class MeasurementSystem:
             overlap = abs(np.vdot(b0, b1))
             if overlap > 1e-9:
                 raise NotOrthonormal(f"basis pair has overlap {overlap:.3e}")
+        if not np.all(np.isfinite(self._table)):  # a NaN passes both checks above
+            raise BadSpec(f"{label} basis entries must be finite numbers")
 
     @classmethod
     def standard(cls) -> "MeasurementSystem":
@@ -134,13 +140,16 @@ class MeasurementSystem:
 
     @classmethod
     def rotation(cls, thetas) -> "MeasurementSystem":
-        """Real rotations by a periodic angle schedule."""
-        thetas = [float(t) for t in thetas]
+        """Real rotations by a periodic schedule of finite angles."""
+        try:
+            thetas = [float(t) for t in thetas]
+            trig = [(math.cos(t), math.sin(t)) for t in thetas]
+        except (TypeError, ValueError, OverflowError):  # not a number, or an infinite angle
+            raise BadSpec("rotation angles must be finite numbers") from None
         if not thetas:
             raise BadSpec("rotation schedule must not be empty")
         pairs = []
-        for t in thetas:
-            c, s = math.cos(t), math.sin(t)
+        for c, s in trig:
             pairs.append(
                 (np.array([c, s], dtype=complex), np.array([-s, c], dtype=complex))
             )
@@ -420,10 +429,13 @@ def premeasure_table_factored(
     contributes its 2**n closed-form block measures, one row of
     ``_block_measures``, a straddled block the constant partial factor.
     Each entry equals ``premeasure_factored`` of its string bit for bit; no
-    dense matrix is built, so the dense cap does not apply.
+    dense matrix is built, so the dense cap does not apply; a depth past
+    ``MAX_TABLE_DEPTH`` raises ``CapExceeded`` before any work.
     """
     if depth < 0:
         raise BadQuery(f"table depth must be non-negative, got {depth}")
+    if depth > MAX_TABLE_DEPTH:
+        raise CapExceeded(f"factored table of depth {depth} is past the bound {MAX_TABLE_DEPTH}")
     table = np.ones(1)
     for block, offset, take in state.segments(depth):
         if take == block.n:

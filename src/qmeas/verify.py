@@ -15,13 +15,15 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
+from typing import Iterable
 
 import numpy as np
 
-from .errors import BadQuery, BadSpec
+from .errors import BadQuery
 from .matrixcore import is_density_matrix
 from .measurement import paired_coordinate_sum, product_vectors_dense
-from .states import build_corner_block, build_corner_block_general, family_tables
+from .states import DensityBlock, build_corner_block
 
 IDENTITY_SLACK = 1e-12
 BOUND_SLACK = 1e-12
@@ -209,62 +211,9 @@ def verify_corner_block_bound(n: int = 8, trials: int = 10_000, seed: int = 0) -
 # corner families
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Tables (h, g) defining a corner family over block sizes 5..n_max."""
-
-    h: dict[int, int]
-    g: dict[int, float]
-    n_max: int
-    target_delta: float | None = None
-    target_f: float | None = None
-
-    N_MIN = 5
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "FamilySpec":
-        if not isinstance(doc, dict) or "h" not in doc or "g" not in doc:
-            raise BadSpec("family spec needs 'h' and 'g' tables")
-        h, g = family_tables(doc["h"], doc["g"])
-        delta = doc.get("target_delta")
-        target_f = doc.get("target_F", doc.get("target_f"))
-        return cls(
-            h=h,
-            g=g,
-            n_max=max(h),
-            target_delta=None if delta is None else float(delta),
-            target_f=None if target_f is None else float(target_f),
-        )
-
-    @classmethod
-    def canonical(cls, n_max: int = 30) -> "FamilySpec":
-        """The built-in block family itself: h = floor(2^n / n), g = 2^-n."""
-        sizes = range(cls.N_MIN, n_max + 1)
-        return cls(
-            h={n: (1 << n) // n for n in sizes},
-            g={n: 2.0 ** -n for n in sizes},
-            n_max=n_max,
-        )
-
-    def sizes(self) -> range:
-        return range(self.N_MIN, self.n_max + 1)
-
-    def validate(self) -> None:
-        for n in self.sizes():
-            build_corner_block_general(n, self.h[n], self.g[n])
-
-
-def _partials(factors: list[float | None]) -> list[float | None]:
-    out: list[float | None] = []
-    acc = 1.0
-    for f in factors:
-        if f is None or acc is None:
-            out.append(None)
-            acc = None
-        else:
-            acc *= f
-            out.append(acc)
-    return out
+def _times(acc: float | None, factor: float | None) -> float | None:
+    """One step of a running product; from the first None factor on, the product is None."""
+    return None if acc is None or factor is None else acc * factor
 
 
 def _monotone_nonincreasing(partials: list[float | None]) -> bool:
@@ -272,43 +221,52 @@ def _monotone_nonincreasing(partials: list[float | None]) -> bool:
     return all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
-def verify_family(spec: FamilySpec) -> LemmaReport:
-    """Check a corner family's constraints and report its partial products.
+def verify_family(
+    blocks: Iterable[DensityBlock], target_delta: float | None = None, target_f: float | None = None
+) -> LemmaReport:
+    """Check a corner family's blocks, in size order, and report its partial products.
 
-    Three running products are reported at n_max: the rank-density product
-    prod(1 - h 2^-n), the kept-mass product prod(1 - h [2^-n - g]), and
-    prod(1 - 4 g^2 h^2 / (1 - 2gh)^2).  Each block is also validated as a
-    density matrix — analytically for all sizes, numerically up to
-    ``DENSE_CHECK_MAX`` qubits.
+    Each block is read as its exact (n, r, kappa) through q = r / 2^n, an
+    int true division, so no n is too large.  Three running products are
+    reported at the last block: the rank-density product prod(1 - q), the
+    kept-mass product prod(1 - (1 - kappa) q), and prod(1 - x^2 / (1 - x)^2)
+    with x = 2 kappa q, which is 2gh for h = r corner pairs of value
+    g = kappa 2^-n.  Blocks are density matrices by construction; those up
+    to ``DENSE_CHECK_MAX`` qubits are also checked numerically.  ``blocks``
+    is read once, so a generator keeps one block's r in memory at a time:
+    the canonical r up to n = 10^5 hold about 0.6 GB together.
     """
-    spec.validate()
     rho_factors: list[float | None] = []
     kept_factors: list[float | None] = []
     ratio_factors: list[float | None] = []
+    margins: list[float] = []
     notes: list[str] = []
     psd_ok = True
     dense_checked = 0
-    for n in spec.sizes():
-        h, g = spec.h[n], spec.g[n]
-        rho_factors.append(1.0 - h * 2.0 ** -n)
-        kept_factors.append(1.0 - h * (2.0 ** -n - g))
-        gh2 = 2.0 * g * h
+    for block in blocks:
+        n, kappa, q = block.n, block.corner_ratio, block.corner_count / block.dim
+        margins.append(block.diag_value - block.corner_value)
+        rho_factors.append(1.0 - q)
+        kept_factors.append(1.0 - (1.0 - kappa) * q)
+        gh2 = 2.0 * kappa * q
         if abs(1.0 - gh2) < 1e-300:
             ratio_factors.append(None)
             notes.append(f"third product undefined at n={n}: 1 - 2gh vanishes")
         else:
             ratio_factors.append(1.0 - (gh2 * gh2) / (1.0 - gh2) ** 2)
         if n <= DENSE_CHECK_MAX:
-            check = is_density_matrix(build_corner_block_general(n, h, g).to_dense())
+            check = is_density_matrix(block.to_dense())
             dense_checked = n
             if not check.ok:
                 psd_ok = False
                 notes.append(f"dense density check failed at n={n}: {asdict(check)}")
-    rho_partials = _partials(rho_factors)
-    kept_partials = _partials(kept_factors)
-    ratio_partials = _partials(ratio_factors)
+    if not margins:
+        raise BadQuery("a corner family needs at least one block")
+    rho_partials = list(accumulate(rho_factors, _times))
+    kept_partials = list(accumulate(kept_factors, _times))
+    ratio_partials = list(accumulate(ratio_factors, _times))
     params = {
-        "n_max": spec.n_max,
+        "n_max": n,
         "rho_product": rho_partials[-1],
         "kept_mass_product": kept_partials[-1],
         "ratio_product": ratio_partials[-1],
@@ -320,15 +278,14 @@ def verify_family(spec: FamilySpec) -> LemmaReport:
         "dense_checked_up_to": dense_checked,
         "notes": notes,
     }
-    if spec.target_delta is not None and kept_partials[-1] is not None:
-        params["delta_gap"] = abs(kept_partials[-1] - spec.target_delta)
-    if spec.target_f is not None and ratio_partials[-1] is not None:
-        params["f_gap"] = abs(ratio_partials[-1] - spec.target_f)
-    margin = min(2.0 ** -n - spec.g[n] for n in spec.sizes())
+    if target_delta is not None:  # kept-mass factors are never None
+        params["delta_gap"] = abs(kept_partials[-1] - target_delta)
+    if target_f is not None and ratio_partials[-1] is not None:
+        params["f_gap"] = abs(ratio_partials[-1] - target_f)
     return LemmaReport(
         lemma_id="corner_family",
-        trials=spec.n_max - spec.N_MIN + 1,
-        worst_margin=float(margin),
+        trials=len(margins),
+        worst_margin=min(margins),
         slack=0.0,
         passed=psd_ok,
         parameters=params,
@@ -336,7 +293,6 @@ def verify_family(spec: FamilySpec) -> LemmaReport:
 
 
 __all__ = [
-    "FamilySpec",
     "LemmaReport",
     "product_vectors_dense",
     "random_product_factors",

@@ -30,7 +30,6 @@ from qmeas.states import (
     prefix_density,
 )
 from qmeas.verify import (
-    FamilySpec,
     verify_corner_block_bound,
     verify_family,
     verify_kron_pairing,
@@ -254,19 +253,19 @@ def test_criterion_11_battery_calibration():
 def test_criterion_12_family_checks():
     """Canonical tables reduce to the built-in blocks; bounds enforced;
     partial products monotone out to block size 30."""
-    spec = FamilySpec.canonical(30)
-    for n in spec.sizes():
-        assert build_corner_block_general(n, spec.h[n], spec.g[n]) == build_corner_block(n)
-        if n <= 9:
-            assert np.array_equal(
-                build_corner_block_general(n, spec.h[n], spec.g[n]).to_dense(),
-                build_corner_block(n).to_dense(),
-            )
+    sizes = range(5, 31)
+    blocks = [build_corner_block(n) for n in sizes]
+    canonical = FactoredState.general_family(
+        {n: (1 << n) // n for n in sizes}, {n: 2.0**-n for n in sizes}
+    )
+    assert canonical.blocks == blocks
+    for n in range(5, 10):
+        assert np.array_equal(canonical.block(n - 5).to_dense(), build_corner_block(n).to_dense())
     with pytest.raises(BadFamilyParams):
         build_corner_block_general(6, 4, 2.0**-6 * (1.0 + 1e-6))
     with pytest.raises(BadFamilyParams, match="n=5|g\\(5\\)"):
-        FamilySpec(h={5: 2}, g={5: 2.0**-5 * 1.01}, n_max=5).validate()
-    report = verify_family(spec)
+        FactoredState.general_family({5: 2}, {5: 2.0**-5 * 1.01})
+    report = verify_family(blocks)
     assert report.passed
     params = report.parameters
     assert params["rho_monotone_decreasing"]

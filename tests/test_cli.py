@@ -548,6 +548,66 @@ def test_verify_family_from_document(capsys, tmp_path):
     assert payload_of(out)["report"]["passed"]
 
 
+def test_verify_family_canonical_runs_past_float_corner_counts(capsys):
+    # r = floor(2^n / n) passes the float range at n = 1,035
+    code, out, _ = run_cli(capsys, ["verify", "family", "--canonical", "1100"])
+    assert code == 0
+    report = payload_of(out)["report"]
+    assert report["passed"]
+    assert report["parameters"]["n_max"] == 1100
+
+
+FAMILY = '{"h": {"5": 2}, "g": {"5": 0.01}'
+ROTATION_OF = '{{"kind": "rotation", "theta": [{}]}}'.format
+EXPLICIT_OF = '{{"kind": "explicit", "pairs": [[[[{}, 0], [0, 0]], [[0, 0], [1, 0]]]]}}'.format
+
+
+@pytest.mark.parametrize(
+    "argv, document, exit_code, error_code",
+    [
+        (["verify", "family", "--canonical", "4"], None, 2, "bad_query"),
+        (["verify", "family", "--spec"], FAMILY + ', "target_delta": "x"}', 2, "bad_spec"),
+        (["verify", "family", "--spec"], FAMILY + ', "target_delta": [1]}', 2, "bad_spec"),
+        (["verify", "family", "--spec"], FAMILY + ', "target_F": "x"}', 2, "bad_spec"),
+        (["verify", "family", "--spec"], FAMILY + ', "target_F": [1]}', 2, "bad_spec"),
+        (["verify", "family", "--spec"], FAMILY + ', "target_delta": NaN}', 2, "bad_spec"),
+        (["verify", "family", "--spec"], FAMILY + ', "target_F": NaN}', 2, "bad_spec"),
+        (["measure", "--tau-depth", "40"], None, 3, "cap_exceeded"),
+        (["measure", "--tau", "0", "--basis"], ROTATION_OF('"a"'), 2, "bad_spec"),
+        (["measure", "--tau", "0", "--basis"], ROTATION_OF("Infinity"), 2, "bad_spec"),
+        (["measure", "--tau", "0", "--basis"], ROTATION_OF("1e400"), 2, "bad_spec"),
+        (["measure", "--tau", "0", "--basis"], ROTATION_OF("NaN"), 2, "bad_spec"),
+        (["measure", "--tau", "00000", "--basis"], EXPLICIT_OF("NaN"), 2, "bad_spec"),
+        (["measure", "--tau", "00000", "--basis"], EXPLICIT_OF("1" + "0" * 400), 2, "bad_spec"),
+    ],
+    ids=[
+        "canonical-4",
+        "target-delta-text",
+        "target-delta-list",
+        "target-F-text",
+        "target-F-list",
+        "target-delta-nan",
+        "target-F-nan",
+        "tau-depth-40",
+        "rotation-text",
+        "rotation-infinity",
+        "rotation-1e400",
+        "rotation-nan",
+        "explicit-nan",
+        "explicit-int-past-float",
+    ],
+)
+def test_bad_input_ends_in_one_error_document(capsys, tmp_path, argv, document, exit_code, error_code):
+    if document is not None:
+        path = tmp_path / "input.json"
+        path.write_text(document)
+        argv = argv + [str(path)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (exit_code, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["code"] == error_code
+
+
 # the JSON keys each plain report writes: its dataclass fields
 REPORT_KEYS = {
     "CoherenceReport": {"ok", "max_deviation", "failed_at", "tol"},

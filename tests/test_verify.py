@@ -1,21 +1,26 @@
 """Monte-Carlo lemma checks and family constraint validation."""
 
 import dataclasses
+import json
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qmeas.errors import BadFamilyParams, BadQuery, BadSpec
+from qmeas.cli import main
+from qmeas.errors import BadFamilyParams, BadQuery
+from qmeas.jsonio import canonical_dumps
+from qmeas.matrixcore import is_density_matrix
 from qmeas.measurement import MeasurementSystem, paired_coordinate_sum
-from qmeas.states import build_corner_block
+from qmeas.states import FactoredState, build_corner_block, build_corner_block_general
 from qmeas.verify import (
     _CHUNK_ENTRIES,
     BOUND_SLACK,
+    DENSE_CHECK_MAX,
     IDENTITY_SLACK,
     ORACLE_TOL,
     ORACLE_TRIALS,
-    FamilySpec,
     LemmaReport,
     _factor_chunks,
     random_product_factors,
@@ -89,8 +94,12 @@ def test_corner_block_bound_passes_and_hadamard_value():
     assert value <= 2.0**-4 / 5
 
 
+def canonical_blocks(n_max):
+    return [build_corner_block(n) for n in range(5, n_max + 1)]
+
+
 def test_family_canonical_products():
-    report = verify_family(FamilySpec.canonical(30))
+    report = verify_family(canonical_blocks(30))
     assert report.passed
     params = report.parameters
     assert params["kept_mass_product"] == pytest.approx(1.0, abs=1e-15)
@@ -103,48 +112,170 @@ def test_family_canonical_products():
 
 
 def test_family_zero_corners_gives_unit_products():
-    spec = FamilySpec(
-        h={n: 0 for n in range(5, 11)},
-        g={n: 2.0**-n for n in range(5, 11)},
-        n_max=10,
-    )
-    report = verify_family(spec)
+    blocks = FactoredState.general_family(
+        {n: 0 for n in range(5, 11)}, {n: 2.0**-n for n in range(5, 11)}
+    ).blocks
+    report = verify_family(blocks)
     assert report.passed
     assert report.parameters["rho_product"] == 1.0
     assert report.parameters["ratio_product"] == 1.0
 
 
 def test_family_constraint_violation_names_the_size():
-    spec = FamilySpec(
-        h={5: 6, 6: 10},
-        g={5: 2.0**-5, 6: 0.2},
-        n_max=6,
-    )
     with pytest.raises(BadFamilyParams, match="6"):
-        verify_family(spec)
+        FactoredState.general_family({5: 6, 6: 10}, {5: 2.0**-5, 6: 0.2})
 
 
-def test_family_from_doc_and_targets():
+def run_family_doc(capsys, tmp_path, doc):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "family", "--spec", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_family_from_doc_and_targets(capsys, tmp_path):
     doc = {
         "h": {"5": 6, "6": 10},
         "g": {"5": 0.015, "6": 0.0078125},
         "target_delta": 0.8,
         "target_F": 0.9,
     }
-    spec = FamilySpec.from_doc(doc)
-    assert spec.n_max == 6
-    report = verify_family(spec)
-    assert "delta_gap" in report.parameters
-    assert "f_gap" in report.parameters
+    code, out, _ = run_family_doc(capsys, tmp_path, doc)
+    assert code == 0
+    params = json.loads(out)["report"]["parameters"]
+    assert params["n_max"] == 6
+    assert params["delta_gap"] == abs(params["kept_mass_product"] - 0.8)
+    assert params["f_gap"] == abs(params["ratio_product"] - 0.9)
 
 
-def test_family_doc_requires_contiguous_tables():
-    with pytest.raises(BadSpec):
-        FamilySpec.from_doc({"h": {"5": 6, "7": 18}, "g": {"5": 0.01, "7": 0.001}})
-    with pytest.raises(BadSpec):
-        FamilySpec.from_doc({"h": {"5": 6}, "g": {"6": 0.01}})
-    with pytest.raises(BadSpec):
-        FamilySpec.from_doc({"h": {}})
+def test_family_doc_requires_contiguous_tables(capsys, tmp_path):
+    for doc in (
+        {"h": {"5": 6, "7": 18}, "g": {"5": 0.01, "7": 0.001}},
+        {"h": {"5": 6}, "g": {"6": 0.01}},
+        {"h": {}},
+    ):
+        code, out, err = run_family_doc(capsys, tmp_path, doc)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["code"] == "bad_spec"
+
+
+def test_family_needs_a_block():
+    for blocks in ([], iter(())):
+        with pytest.raises(BadQuery):
+            verify_family(blocks)
+
+
+# ---------------------------------------------------------------------------
+# the block path against the float h/g computation it replaced
+
+
+def _partials(factors):
+    out, acc = [], 1.0
+    for f in factors:
+        if f is None or acc is None:
+            out.append(None)
+            acc = None
+        else:
+            acc *= f
+            out.append(acc)
+    return out
+
+
+def reference_family(h, g, target_delta=None, target_f=None):
+    """The family report from h/g tables in float arithmetic on h = r and g = kappa 2^-n.
+
+    Valid while every h converts to a float, that is for n <= 1,034 on
+    canonical tables.
+    """
+    sizes = list(h)
+    rho_factors, kept_factors, ratio_factors, notes = [], [], [], []
+    psd_ok, dense_checked = True, 0
+    for n in sizes:
+        rho_factors.append(1.0 - h[n] * 2.0**-n)
+        kept_factors.append(1.0 - h[n] * (2.0**-n - g[n]))
+        gh2 = 2.0 * g[n] * h[n]
+        if abs(1.0 - gh2) < 1e-300:
+            ratio_factors.append(None)
+            notes.append(f"third product undefined at n={n}: 1 - 2gh vanishes")
+        else:
+            ratio_factors.append(1.0 - (gh2 * gh2) / (1.0 - gh2) ** 2)
+        if n <= DENSE_CHECK_MAX:
+            check = is_density_matrix(build_corner_block_general(n, h[n], g[n]).to_dense())
+            dense_checked = n
+            if not check.ok:
+                psd_ok = False
+                notes.append(f"dense density check failed at n={n}: {dataclasses.asdict(check)}")
+    rho, kept, ratio = _partials(rho_factors), _partials(kept_factors), _partials(ratio_factors)
+    params = {
+        "n_max": sizes[-1],
+        "rho_product": rho[-1],
+        "kept_mass_product": kept[-1],
+        "ratio_product": ratio[-1],
+        "rho_partials": rho,
+        "kept_mass_partials": kept,
+        "ratio_partials": ratio,
+        "rho_monotone_decreasing": all(b <= a + 1e-15 for a, b in zip(rho, rho[1:])),
+        "kept_mass_monotone_decreasing": all(b <= a + 1e-15 for a, b in zip(kept, kept[1:])),
+        "dense_checked_up_to": dense_checked,
+        "notes": notes,
+    }
+    if target_delta is not None:
+        params["delta_gap"] = abs(kept[-1] - target_delta)
+    if target_f is not None and ratio[-1] is not None:
+        params["f_gap"] = abs(ratio[-1] - target_f)
+    return LemmaReport(
+        lemma_id="corner_family",
+        trials=len(sizes),
+        worst_margin=min(2.0**-n - g[n] for n in sizes),
+        slack=0.0,
+        passed=psd_ok,
+        parameters=params,
+    )
+
+
+def assert_same_report(got, expected):
+    assert got == expected
+    assert canonical_dumps(got) == canonical_dumps(expected)  # bit patterns, signed zeros
+
+
+@pytest.mark.parametrize("n_max", [5, 6, 9, 10, 30, 200, 1034])
+def test_canonical_family_is_the_float_computation_bit_for_bit(n_max):
+    sizes = range(5, n_max + 1)
+    h = {n: (1 << n) // n for n in sizes}
+    g = {n: 2.0**-n for n in sizes}
+    assert_same_report(verify_family(canonical_blocks(n_max)), reference_family(h, g))
+
+
+def random_family(seed):
+    """Tables with kappa < 1, kappa = 1 and r = 0 entries, some out to subnormal g near n = 1,030."""
+    rng = random.Random(seed)
+    n_max = rng.choice([5, 6, 9, 12, 40, 300, 1030, 1034])
+    h, g = {}, {}
+    for n in range(5, n_max + 1):
+        top = min(1 << (n - 1), 1 << 1023)  # the reference converts h to a float
+        h[n] = rng.choice([0, (1 << n) // n, rng.randrange(top + 1)])
+        g[n] = rng.choice([0.0, 2.0**-n, rng.random() * 2.0**-n])
+    if seed == 0:
+        h[5], g[5] = 16, 2.0**-5  # 1 - 2gh = 0: the third product is undefined
+    targets = [rng.random() if rng.random() < 0.5 else None for _ in range(2)]
+    return h, g, targets
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_general_family_is_the_float_computation_bit_for_bit(seed):
+    h, g, targets = random_family(seed)
+    blocks = FactoredState.general_family(h, g).blocks
+    assert_same_report(verify_family(blocks, *targets), reference_family(h, g, *targets))
+    if seed == 0:
+        assert verify_family(blocks).parameters["ratio_product"] is None
+
+
+def test_canonical_family_runs_past_float_h():
+    report = verify_family(build_corner_block(n) for n in range(5, 1101))  # read once
+    assert report.passed
+    assert report.trials == 1096
+    assert all(p is not None for p in report.parameters["rho_partials"])
 
 
 def test_reports_serialize():
