@@ -15,15 +15,14 @@ exceeded.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
 from . import qmlt as qmlt_mod
 from . import verify as verify_mod
-from .errors import BadQuery, BadSpec, BudgetExceeded, CapExceeded, QmeasError
-from .jsonio import canonical_dumps, config_hash, load_document
+from .errors import BadQuery, BadSpec, BudgetExceeded, CapExceeded, InsufficientData, QmeasError
+from .jsonio import canonical_dumps, config_hash, load_document, number_from_json
 from .measurement import (
     MeasurementSystem,
     additivity_check,
@@ -92,15 +91,10 @@ def _parse_seeds(args) -> list[int]:
 
 def cmd_state(args) -> tuple[dict, int]:
     if args.general is not None:
-        h_doc = load_document(args.general[0])
-        g_doc = load_document(args.general[1])
-        state = parse_state_spec(
-            {
-                "kind": "general",
-                "h": h_doc.get("h", h_doc),
-                "g": g_doc.get("g", g_doc),
-            }
-        )
+        # each file holds its table, bare (a mapping or a list) or under its own key
+        docs = zip("hg", map(load_document, args.general))
+        tables = {key: doc.get(key, doc) if isinstance(doc, dict) else doc for key, doc in docs}
+        state = parse_state_spec({"kind": "general", **tables})
     elif args.mixed:
         state = FactoredState.maximally_mixed()
     elif args.state is not None:
@@ -235,12 +229,16 @@ def _battery_streams(args) -> list[tuple[str, str]]:
     sources = args.files or ["-"]
     for src in sources:
         if src == "-":
-            for i, line in enumerate(sys.stdin):
-                line = line.strip()
-                if line:
-                    streams.append((f"stdin:{i}", line))
+            try:
+                for i, line in enumerate(sys.stdin):
+                    line = line.strip()
+                    if line:
+                        streams.append((f"stdin:{i}", line))
+            except UnicodeDecodeError:  # stdin decodes strictly in a UTF-8 locale
+                raise InsufficientData("stdin holds a byte that is no character") from None
         else:
-            with open(src, "r", encoding="ascii") as fh:
+            # a non-ASCII byte reads as U+FFFD, which the battery refuses as no bit
+            with open(src, "r", encoding="ascii", errors="replace") as fh:
                 text = "".join(fh.read().split())
             streams.append((src, text))
     return streams
@@ -348,19 +346,6 @@ def cmd_verify_corner(args) -> tuple[dict, int]:
     return report, EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _family_target(value) -> float | None:
-    """A family document's optional target, as a finite float."""
-    if value is None:
-        return None
-    try:
-        target = float(value)
-    except (TypeError, ValueError, OverflowError):  # not a number, or an int past the float range
-        target = math.nan
-    if not math.isfinite(target):
-        raise BadSpec(f"family targets must be finite numbers, got {value!r}")
-    return target
-
-
 def cmd_verify_family(args) -> tuple[dict, int]:
     if args.spec is not None:
         doc = load_document(args.spec)
@@ -368,7 +353,8 @@ def cmd_verify_family(args) -> tuple[dict, int]:
             raise BadSpec("family spec needs 'h' and 'g' tables")
         blocks = FactoredState.general_family(doc["h"], doc["g"]).blocks
         targets = doc.get("target_delta"), doc.get("target_F", doc.get("target_f"))
-        report = verify_mod.verify_family(blocks, *map(_family_target, targets))
+        targets = [None if t is None else number_from_json(t, "family targets") for t in targets]
+        report = verify_mod.verify_family(blocks, *targets)
     else:
         if args.canonical < 5:
             raise BadQuery(

@@ -2,14 +2,15 @@
 
 Dense matrices are limited to 2**dense_cap_exponent() rows.  The default of
 2**12 keeps worst-case dense objects around 256 MB; the environment variable
-``QMEAS_DENSE_CAP`` overrides the exponent.
+``QMEAS_DENSE_CAP`` overrides the exponent, and a value that is not a
+positive integer is ``BadSpec``.
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import CapExceeded
+from .errors import BadSpec, CapExceeded
 
 DENSE_CAP_ENV = "QMEAS_DENSE_CAP"
 DEFAULT_DENSE_CAP_EXP = 12
@@ -26,9 +27,9 @@ def dense_cap_exponent() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{DENSE_CAP_ENV} must be an integer, got {raw!r}") from None
+        value = 0
     if value < 1:
-        raise ValueError(f"{DENSE_CAP_ENV} must be positive, got {value}")
+        raise BadSpec(f"{DENSE_CAP_ENV} must be a positive integer, got {raw!r}")
     return value
 
 

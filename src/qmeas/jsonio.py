@@ -13,6 +13,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
@@ -124,17 +125,29 @@ def config_hash(config: Any) -> str:
     return hashlib.sha256(canonical_dumps(config).encode("ascii")).hexdigest()
 
 
-def complex_from_json(item: Any) -> complex:
-    if (
-        not isinstance(item, (list, tuple))
-        or len(item) != 2
-        or not all(isinstance(p, (int, float)) for p in item)
-    ):
-        raise BadSpec(f"complex entries must be [re, im] pairs, got {item!r}")
+def number_from_json(value: Any, what: str, integral: bool = False) -> float | int:
+    """A document's number as a finite float, or as an int when ``integral``; else ``BadSpec``.
+
+    Strings and booleans are not numbers, an int past the float range is not
+    finite, and an integral entry may be a float only without a fractional part.
+    """
+    if integral and isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
-        return complex(item[0], item[1])
+        x = float(value) if number else math.nan
     except OverflowError:  # an int past the float range
-        raise BadSpec("complex entries must be finite numbers") from None
+        x = math.inf
+    if not math.isfinite(x) or (integral and not x.is_integer()):
+        shown = repr(value) if isinstance(value, (str, float)) else type(value).__name__
+        raise BadSpec(f"{what} must be {'integers' if integral else 'finite numbers'}, got {shown}")
+    return int(x) if integral else x
+
+
+def complex_from_json(item: Any) -> complex:
+    if not isinstance(item, (list, tuple)) or len(item) != 2:
+        raise BadSpec(f"complex entries must be [re, im] pairs, got {item!r}")
+    return complex(*(number_from_json(p, "complex entries") for p in item))
 
 
 def matrix_from_json(rows: Any) -> np.ndarray:
@@ -159,5 +172,5 @@ def load_document(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise BadSpec(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an int past Python's digit limit
         raise BadSpec(f"{path} is not valid JSON: {exc}") from exc

@@ -141,15 +141,12 @@ class MeasurementSystem:
     @classmethod
     def rotation(cls, thetas) -> "MeasurementSystem":
         """Real rotations by a periodic schedule of finite angles."""
-        try:
-            thetas = [float(t) for t in thetas]
-            trig = [(math.cos(t), math.sin(t)) for t in thetas]
-        except (TypeError, ValueError, OverflowError):  # not a number, or an infinite angle
-            raise BadSpec("rotation angles must be finite numbers") from None
+        thetas = [jsonio.number_from_json(t, "rotation angles") for t in thetas]
         if not thetas:
             raise BadSpec("rotation schedule must not be empty")
         pairs = []
-        for c, s in trig:
+        for t in thetas:
+            c, s = math.cos(t), math.sin(t)
             pairs.append(
                 (np.array([c, s], dtype=complex), np.array([-s, c], dtype=complex))
             )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientData
+from .errors import BadQuery, InsufficientData
 from .measurement import BitSample
 
 MIN_BITS = 1000
@@ -112,7 +112,8 @@ def _as_bit_array(bits) -> tuple[np.ndarray, str]:
         label = f"seed={bits.seed},basis={bits.basis_label},state={bits.state_label}"
         return np.asarray(bits.bits, dtype=np.uint8), label
     if isinstance(bits, str):
-        arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+        # one byte per character; any non-ASCII one becomes "?", which is no bit
+        arr = np.frombuffer(bits.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
         if arr.size and arr.max() > 1:
             raise InsufficientData("bit strings may contain only '0' and '1'")
         return arr.astype(np.uint8), ""
@@ -229,7 +230,9 @@ def compression_ratio(bits: np.ndarray) -> float:
 
 
 def run_battery(bits, alpha: float = 0.01, stream_id: str | None = None) -> BatteryReport:
-    """Run every test on one stream; deterministic in the bits alone."""
+    """Run every test on one stream at level ``alpha`` in (0, 1); deterministic in the bits."""
+    if not 0.0 < alpha < 1.0:  # NaN too
+        raise BadQuery(f"alpha must lie in (0, 1), got {alpha!r}")
     arr, derived_id = _as_bit_array(bits)
     if arr.size < MIN_BITS:
         raise InsufficientData(

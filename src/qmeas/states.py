@@ -435,19 +435,21 @@ def family_tables(h_raw, g_raw) -> tuple[dict[int, int], dict[int, float]]:
 
     Each table is a mapping n -> value or a list starting at n = 5.  Both
     must cover the same sizes, contiguously from 5; the returned dicts are
-    in ascending size order.
+    in ascending size order.  An h entry must be integral (6.0 reads as 6,
+    6.9 is ``BadSpec``) and a g entry a finite number.
     """
     tables = []
-    for name, raw, cast in (("h", h_raw, int), ("g", g_raw, float)):
+    for name, raw, integral in (("h", h_raw, True), ("g", g_raw, False)):
         if isinstance(raw, dict):
             items = raw.items()
         elif isinstance(raw, list) and raw:
             items = enumerate(raw, start=5)
         else:
             raise BadSpec(f"family table {name!r} must be a mapping n->value or a list from n=5")
+        what = f"family table {name!r} entries"
         try:
-            table = {int(k): cast(v) for k, v in items}
-        except (TypeError, ValueError):
+            table = {int(k): jsonio.number_from_json(v, what, integral) for k, v in items}
+        except (TypeError, ValueError):  # a key that is not a block size
             raise BadSpec(f"family table {name!r} has malformed entries") from None
         tables.append(dict(sorted(table.items())))
     h, g = tables

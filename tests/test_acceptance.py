@@ -268,8 +268,8 @@ def test_criterion_12_family_checks():
     report = verify_family(blocks)
     assert report.passed
     params = report.parameters
-    assert params["rho_monotone_decreasing"]
-    assert params["kept_mass_monotone_decreasing"]
+    for partials in (params["rho_partials"], params["kept_mass_partials"]):
+        assert all(b <= a for a, b in zip(partials, partials[1:]))
     assert params["kept_mass_product"] == 1.0
     assert all(p is not None for p in params["rho_partials"])
     print("[PASS] criterion 12: canonical family == built-in blocks, g <= 2^-n enforced, partials monotone to 30")

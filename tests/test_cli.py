@@ -16,6 +16,7 @@ from qmeas.qmlt import build_witness_mlt, failure_report
 from qmeas.randlab import aggregate, run_battery
 from qmeas.states import (
     DenseStateChain,
+    DensityBlock,
     FactoredState,
     check_coherence,
     check_density,
@@ -82,6 +83,16 @@ def test_general_family_violation_names_offender(capsys, tmp_path):
     doc = json.loads(err)
     assert doc["error"]["code"] == "bad_family_params"
     assert "n=5" in doc["error"]["message"]
+
+
+def test_general_family_reads_list_tables(capsys, tmp_path):
+    paths = [tmp_path / "h.json", tmp_path / "g.json"]
+    paths[0].write_text("[6, 10]")
+    paths[1].write_text("[0.015, 0.0078125]")
+    code, out, _ = run_cli(capsys, ["state", "--general", *map(str, paths), "--check-depth", "6"])
+    assert code == 0
+    blocks = payload_of(out)["report"]["state"]["blocks"]
+    assert [(b["n"], b["corner_count"]) for b in blocks] == [(5, 6), (6, 10)]
 
 
 def test_dense_cap_maps_to_exit_three(capsys, monkeypatch):
@@ -527,7 +538,11 @@ def test_verify_without_trials_is_bad_input(capsys, check, trials):
     }
 
 
-def test_verify_family_canonical_cli(capsys):
+def test_verify_family_canonical_cli(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a dense block was built")
+
+    monkeypatch.setattr(DensityBlock, "to_dense", refuse)
     code, out, _ = run_cli(capsys, ["verify", "family", "--canonical", "12"])
     assert code == 0
     report = payload_of(out)["report"]
@@ -560,6 +575,9 @@ def test_verify_family_canonical_runs_past_float_corner_counts(capsys):
 FAMILY = '{"h": {"5": 2}, "g": {"5": 0.01}'
 ROTATION_OF = '{{"kind": "rotation", "theta": [{}]}}'.format
 EXPLICIT_OF = '{{"kind": "explicit", "pairs": [[[[{}, 0], [0, 0]], [[0, 0], [1, 0]]]]}}'.format
+GENERAL_OF = '{{"kind": "general", "h": {{"5": {}}}, "g": {{"5": {}}}}}'.format
+BITS = "01" * 600 + "\n"
+DENSE_TABLE = ["measure", "--tau-depth", "3", "--path", "dense"]
 
 
 @pytest.mark.parametrize(
@@ -579,6 +597,23 @@ EXPLICIT_OF = '{{"kind": "explicit", "pairs": [[[[{}, 0], [0, 0]], [[0, 0], [1, 
         (["measure", "--tau", "0", "--basis"], ROTATION_OF("NaN"), 2, "bad_spec"),
         (["measure", "--tau", "00000", "--basis"], EXPLICIT_OF("NaN"), 2, "bad_spec"),
         (["measure", "--tau", "00000", "--basis"], EXPLICIT_OF("1" + "0" * 400), 2, "bad_spec"),
+        (["battery"], "0101\u00e90101\n", 2, "insufficient_data"),
+        (["battery", "-"], "0101\u00e90101\n", 2, "insufficient_data"),
+        (["battery", "-"], b"0101\xff0101\n", 2, "insufficient_data"),
+        (["battery", "--alpha", "inf", "--aggregate"], BITS, 2, "bad_query"),
+        (["battery", "--alpha", "nan", "--aggregate"], BITS, 2, "bad_query"),
+        (["battery", "--alpha", "-1"], BITS, 2, "bad_query"),
+        (["battery", "--alpha", "2"], BITS, 2, "bad_query"),
+        (["measure", "--tau", "0", "--basis"], ROTATION_OF("1" * 5000), 2, "bad_spec"),
+        (["measure", "--tau", "0", "--basis"], b"\xff", 2, "bad_spec"),
+        (["measure", "--tau", "0", "--basis"], ROTATION_OF('"0.3"'), 2, "bad_spec"),
+        (["measure", "--tau", "00000", "--basis"], EXPLICIT_OF("true"), 2, "bad_spec"),
+        (["verify", "family", "--spec"], FAMILY + ', "target_delta": true}', 2, "bad_spec"),
+        (["verify", "family", "--spec"], FAMILY + ', "target_F": "0.25"}', 2, "bad_spec"),
+        (["state", "--check-depth", "5", "--state"], GENERAL_OF(6.9, 0.03125), 2, "bad_spec"),
+        (["state", "--check-depth", "5", "--state"], GENERAL_OF(6, '"0.01"'), 2, "bad_spec"),
+        (DENSE_TABLE, {"QMEAS_DENSE_CAP": "x"}, 2, "bad_spec"),
+        (DENSE_TABLE, {"QMEAS_DENSE_CAP": "0"}, 2, "bad_spec"),
     ],
     ids=[
         "canonical-4",
@@ -595,12 +630,41 @@ EXPLICIT_OF = '{{"kind": "explicit", "pairs": [[[[{}, 0], [0, 0]], [[0, 0], [1, 
         "rotation-nan",
         "explicit-nan",
         "explicit-int-past-float",
+        "battery-file-non-ascii",
+        "battery-stdin-non-ascii",
+        "battery-stdin-not-utf8",
+        "alpha-inf",
+        "alpha-nan",
+        "alpha-negative",
+        "alpha-above-one",
+        "int-past-digit-limit",
+        "document-not-utf8",
+        "rotation-numeric-text",
+        "explicit-boolean",
+        "target-delta-boolean",
+        "target-F-numeric-text",
+        "general-h-fractional",
+        "general-g-numeric-text",
+        "dense-cap-text",
+        "dense-cap-zero",
     ],
 )
-def test_bad_input_ends_in_one_error_document(capsys, tmp_path, argv, document, exit_code, error_code):
-    if document is not None:
+def test_bad_input_ends_in_one_error_document(
+    capsys, monkeypatch, tmp_path, argv, document, exit_code, error_code
+):
+    """``document`` is an input file's text or bytes, stdin after "-", or environment variables."""
+    if isinstance(document, dict):
+        for name, value in document.items():
+            monkeypatch.setenv(name, value)
+    elif argv[-1] == "-":  # decoded strictly, as stdin is in a UTF-8 locale
+        raw = document if isinstance(document, bytes) else document.encode("utf-8")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    elif document is not None:
         path = tmp_path / "input.json"
-        path.write_text(document)
+        if isinstance(document, bytes):
+            path.write_bytes(document)
+        else:
+            path.write_text(document, encoding="utf-8")
         argv = argv + [str(path)]
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (exit_code, "")

@@ -66,7 +66,7 @@ PINNED = {
     ),
     "family30": (
         ["verify", "family", "--canonical", "30"],
-        "de3aedba8396d38ada57439dbcad1d8bfc840aa301ffc2af2cbbd97837488821",
+        "6292b86e57422c4582650e8c471419bedc7817bf5dba48fad582fad6d07d7880",
     ),
 }
 

@@ -17,7 +17,6 @@ from qmeas.states import FactoredState, build_corner_block, build_corner_block_g
 from qmeas.verify import (
     _CHUNK_ENTRIES,
     BOUND_SLACK,
-    DENSE_CHECK_MAX,
     IDENTITY_SLACK,
     ORACLE_TOL,
     ORACLE_TRIALS,
@@ -103,8 +102,6 @@ def test_family_canonical_products():
     assert report.passed
     params = report.parameters
     assert params["kept_mass_product"] == pytest.approx(1.0, abs=1e-15)
-    assert params["rho_monotone_decreasing"]
-    assert params["dense_checked_up_to"] == 9
     oracle = 1.0
     for n in range(5, 31):
         oracle *= 1.0 - ((1 << n) // n) * 2.0**-n
@@ -182,15 +179,19 @@ def _partials(factors):
     return out
 
 
+DENSE_CHECK_MAX = 9  # largest family block also checked densely
+
+
 def reference_family(h, g, target_delta=None, target_f=None):
     """The family report from h/g tables in float arithmetic on h = r and g = kappa 2^-n.
 
     Valid while every h converts to a float, that is for n <= 1,034 on
-    canonical tables.
+    canonical tables.  Blocks up to ``DENSE_CHECK_MAX`` qubits are also
+    checked densely, and ``passed``, the closed-form margin, must agree.
     """
     sizes = list(h)
     rho_factors, kept_factors, ratio_factors, notes = [], [], [], []
-    psd_ok, dense_checked = True, 0
+    dense_ok = True
     for n in sizes:
         rho_factors.append(1.0 - h[n] * 2.0**-n)
         kept_factors.append(1.0 - h[n] * (2.0**-n - g[n]))
@@ -201,12 +202,10 @@ def reference_family(h, g, target_delta=None, target_f=None):
         else:
             ratio_factors.append(1.0 - (gh2 * gh2) / (1.0 - gh2) ** 2)
         if n <= DENSE_CHECK_MAX:
-            check = is_density_matrix(build_corner_block_general(n, h[n], g[n]).to_dense())
-            dense_checked = n
-            if not check.ok:
-                psd_ok = False
-                notes.append(f"dense density check failed at n={n}: {dataclasses.asdict(check)}")
+            dense_ok &= is_density_matrix(build_corner_block_general(n, h[n], g[n]).to_dense()).ok
     rho, kept, ratio = _partials(rho_factors), _partials(kept_factors), _partials(ratio_factors)
+    worst = min(2.0**-n - g[n] for n in sizes)
+    assert (worst >= 0.0) == dense_ok
     params = {
         "n_max": sizes[-1],
         "rho_product": rho[-1],
@@ -215,9 +214,6 @@ def reference_family(h, g, target_delta=None, target_f=None):
         "rho_partials": rho,
         "kept_mass_partials": kept,
         "ratio_partials": ratio,
-        "rho_monotone_decreasing": all(b <= a + 1e-15 for a, b in zip(rho, rho[1:])),
-        "kept_mass_monotone_decreasing": all(b <= a + 1e-15 for a, b in zip(kept, kept[1:])),
-        "dense_checked_up_to": dense_checked,
         "notes": notes,
     }
     if target_delta is not None:
@@ -227,9 +223,9 @@ def reference_family(h, g, target_delta=None, target_f=None):
     return LemmaReport(
         lemma_id="corner_family",
         trials=len(sizes),
-        worst_margin=min(2.0**-n - g[n] for n in sizes),
+        worst_margin=worst,
         slack=0.0,
-        passed=psd_ok,
+        passed=worst >= 0.0,
         parameters=params,
     )
 
