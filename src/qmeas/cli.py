@@ -30,7 +30,7 @@ from .measurement import (
     premeasure_table,
     sample_bits,
 )
-from .randlab import aggregate, run_battery
+from .randlab import aggregate, require_alpha, run_battery
 from .states import (
     FactoredState,
     build_corner_block,
@@ -245,6 +245,7 @@ def _battery_streams(args) -> list[tuple[str, str]]:
 
 
 def cmd_battery(args) -> tuple[dict, int]:
+    require_alpha(args.alpha)  # before any input is read: no stream at all still checks it
     streams = _battery_streams(args)
     reports = [
         run_battery(bits, alpha=args.alpha, stream_id=stream_id)

@@ -51,9 +51,10 @@ def _float_reprs(values: Sequence[float]) -> list[str]:
     apart; a non-finite value still raises ``ValueError``.
     """
     patterns = np.asarray(values, dtype=np.float64).view(np.uint64)
-    distinct, where = np.unique(patterns, return_inverse=True)
+    # a plain sort and a search of the few distinct patterns: return_inverse would argsort
+    distinct = np.unique(patterns)
     reprs = np.array([_float_repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
-    return reprs[where].tolist()
+    return reprs[np.searchsorted(distinct, patterns)].tolist()
 
 
 def canonical_dumps(obj: Any) -> str:

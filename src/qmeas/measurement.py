@@ -13,16 +13,23 @@ coordinates sit at bitwise-complementary indices, so the sum collapses to a
 product structure evaluated in O(n), independent of how many corner pairs
 there are.  On real bases (standard, Hadamard, rotation, real explicit
 pairs) every paired product is the same, and the sum is the closed form
-(count / 2^n) * prod(2 f0); complex bases walk the binary digits of the
-count (see ``paired_coordinate_sum``).  A block cut after ``take``
-qubits contributes exactly 2**-take.  Every basis-driven block measure comes
-from one batched kernel, ``_block_measures``, over rows of (block, offset)
-and their outcome bits: one row and one outcome for ``block_measure``, one
-row and all 2**n outcomes for the factored tables, one outcome per block
-read from the string for ``premeasure`` and two for the sampler.  Every
-measure and table is clipped to [0, 1] by one ``clamp01``, which takes a
-float or a whole array: the sampler and ``premeasure`` clip each walk
-group's measures at once.
+(count / 2^n) * prod(2 f0) of ``_closed_form``; complex bases walk the
+binary digits of the count (see ``paired_coordinate_sum``).  A block cut
+after ``take`` qubits contributes exactly 2**-take.
+
+Block measures come from two batched kernels over rows of (block, offset).
+``_block_measures`` takes each row's outcome bits, padded to the widest
+block: one row and one outcome for ``block_measure``, one row and all 2**n
+outcomes for the factored tables, and the padded digit walk of a complex
+basis.  ``premeasure`` (one outcome per complete block, read from the
+string) and the sampler (the two outcomes of each block's last bit) read
+their blocks from the bit string through ``_string_measures``: on a real
+basis every complete block's product of 2 f0 over its own positions is one
+segmented product, O(string length) for all blocks at once; a complex basis
+walks groups of padded rows.  Every measure and table is clipped to [0, 1]
+by one ``clamp01``, which takes a float or a whole array and warns at most
+once per call: the real path clips all of a string's measures at once, a
+complex walk each group's.
 """
 
 from __future__ import annotations
@@ -54,8 +61,8 @@ _HALVINGS = sys.float_info.mant_dig - sys.float_info.min_exp
 # deepest factored table: a depth-20 Hadamard table takes about 4 s and 0.4 GB,
 # and each level more doubles both
 MAX_TABLE_DEPTH = 20
-# entries (outcomes x qubits) per array of one batched corner sum over several
-# blocks: the closed form on real bases, the digit walk on complex ones
+# entries (outcomes x qubits) per array of one padded digit walk over several
+# blocks of a string on a complex basis; real bases need no walk and no bound
 _WALK_ENTRIES = 1 << 14
 
 
@@ -126,6 +133,10 @@ class MeasurementSystem:
                 raise NotOrthonormal(f"basis pair has overlap {overlap:.3e}")
         if not np.all(np.isfinite(self._table)):  # a NaN passes both checks above
             raise BadSpec(f"{label} basis entries must be finite numbers")
+        # 2 f0 = 2 Re(conj(a) b) by flat [pair][bit] row when every f0 is real, else
+        # None; its real part is rounded as in paired_coordinate_sum, fused or not
+        f0 = (np.conj(self._table[..., 0]) * self._table[..., 1]).reshape(-1)
+        self._real_pair_factors = None if np.any(f0.imag) else 2.0 * f0.real
 
     @classmethod
     def standard(cls) -> "MeasurementSystem":
@@ -247,12 +258,10 @@ def paired_coordinate_sum(factors: np.ndarray, count):
     With f0 = conj(a) * b, every paired product is the same number when no
     f0 has a nonzero imaginary part (the standard, Hadamard and rotation
     bases, real explicit bases, and the (1, 1/2) padding), so such a row's
-    sum is the closed form (count / 2^n) * prod(2 f0): an int true division,
-    correctly rounded at any n, times factors of magnitude at most 1 when
-    the 2-vectors are unit.  Its zero sums are +0.0.  Larger factors can
-    overflow the product past about a thousand qubits (all-ones 2-vectors
-    give 2^-n * 2^n = inf * 0); any sum that is not finite raises
-    ``BadQuery``.
+    sum is the closed form (``_closed_form``) of its product of 2 f0, taken
+    left to right.  Factors that are not unit 2-vectors can overflow the
+    product past about a thousand qubits (all-ones 2-vectors give
+    2^-n * 2^n = inf * 0); any sum that is not finite raises ``BadQuery``.
 
     A row with a complex f0 walks the binary digits of ``count`` from the
     top (``_complex_walk``): a set bit at position p adds locked(p) * f0[p]
@@ -276,7 +285,7 @@ def paired_coordinate_sum(factors: np.ndarray, count):
     closed = ~walked  # the closed form only where it is kept
     ratios = np.array([int(c) / (1 << n) for c in counts.flat]).reshape(counts.shape)
     pairs = 2.0 * np.broadcast_to(f0.real, walked.shape + (n,))[closed]
-    total[closed] = np.broadcast_to(ratios, walked.shape)[closed] * np.prod(pairs, axis=-1) + 0.0
+    total[closed] = _closed_form(np.broadcast_to(ratios, walked.shape)[closed], np.prod(pairs, axis=-1))
     if np.any(walked):
         digits = np.array([_count_digits(c, n) for c in counts.flat])
         walk = _complex_walk(f0, digits.reshape(counts.shape + (n,)), total.shape)
@@ -284,6 +293,18 @@ def paired_coordinate_sum(factors: np.ndarray, count):
     if not np.all(np.isfinite(total)):
         raise BadQuery(f"paired coordinate sum over {n} qubits is not finite")
     return total if total.ndim else complex(total)
+
+
+def _closed_form(ratios, products):
+    """The corner sum (count / 2^n) * prod(2 f0) of rows whose pair factors f0 are real.
+
+    ``ratios`` holds count / 2^n, an int true division that is correctly
+    rounded at any n, and ``products`` each row's product of 2 f0, of
+    magnitude at most 1 when the 2-vectors are unit.  Both kernels multiply
+    that product left to right, qubit 1 first, so a block's sum has the same
+    bits from either.  The zero sums are +0.0.
+    """
+    return ratios * products + 0.0
 
 
 def _complex_walk(f0: np.ndarray, digits: np.ndarray, batch: tuple) -> np.ndarray:
@@ -378,9 +399,7 @@ def _premeasure_factored(state: FactoredState, system: MeasurementSystem, bits) 
     complete = [(block, offset) for block, offset, take in segments if take == block.n]
     string = np.array(bits, dtype=np.intp)
     factors = []
-    for group in _walk_groups([block for block, _ in complete], 1):
-        rows = complete[group]
-        measures = _block_measures(system, rows, _read_outcomes(string, rows, 1))
+    for _, measures in _string_measures(system, complete, string, 1):
         factors += clamp01(measures[:, 0], "block measure").tolist()
     positive = all(f > 0.0 for f in factors)
     if len(complete) < len(segments):
@@ -603,11 +622,10 @@ def sample_bits(
     if zero_step is not None:
         conds[zero_step] = 0.0
     warned = False
-    for group in _walk_groups([block for _, block, _ in complete], 2):
-        rows = [(block, offset) for _, block, offset in complete[group]]
-        measures = _block_measures(system, rows, _read_outcomes(bits, rows, 2))
+    rows = [(block, offset) for _, block, offset in complete]
+    for group, measures in _string_measures(system, rows, bits, 2):
         measures = clamp01(measures, "block measure")
-        prev = np.ldexp(1.0, [1 - block.n for block, _ in rows])
+        prev = np.ldexp(1.0, [1 - block.n for block, _ in rows[group]])
         # measures lie in [0, 1] and draws in [0, 1), so p0 needs no clip to
         # [0, 1]: the bit is 1 unless draw < p0, NaN included
         p0 = measures[:, 0] / prev
@@ -626,6 +644,52 @@ def sample_bits(
                 stacklevel=2,
             )
     return BitSample(bits, int(seed), system.label, state.label, conds)
+
+
+def _string_measures(system: MeasurementSystem, rows, string: np.ndarray, k: int):
+    """Yield (slice of ``rows``, unclamped block measures shaped (rows in the slice, k)).
+
+    ``rows`` lists (block, offset) of complete blocks in string order, and
+    each row's outcomes are its bits read from ``string``; with k = 2 its
+    last bit is set to 0 and to 1.  A real basis yields every row in one
+    slice (``_segmented_measures``).  A complex one walks ``_walk_groups``
+    of padded rows, one group per step, so the caller clamps, and warns,
+    group by group.
+    """
+    if rows and system._real_pair_factors is not None:
+        yield slice(0, len(rows)), _segmented_measures(system, rows, string, k)
+        return
+    for group in _walk_groups([block for block, _ in rows], k):
+        yield group, _block_measures(system, rows[group], _read_outcomes(string, rows[group], k))
+
+
+def _segmented_measures(system: MeasurementSystem, rows, string: np.ndarray, k: int) -> np.ndarray:
+    """``_string_measures`` of every row on a real basis, in O(string length).
+
+    2 f0 is gathered per position from the basis table, and one
+    ``np.multiply.reduceat`` over the rows' first and last qubits multiplies
+    each block's first n - 1 factors, left to right; each outcome's
+    last-qubit factor multiplies in last.  That is the order in which
+    ``paired_coordinate_sum`` multiplies a padded row of ``_block_measures``,
+    whose pad factors are exactly 1, so both kernels give the same bits.
+    """
+    pair_factors = system._real_pair_factors
+    period = len(system._table)
+    starts = np.array([offset for _, offset in rows], dtype=np.intp)
+    lasts = starts + [block.n - 1 for block, _ in rows]
+    base, end = int(starts[0]), int(lasts[-1]) + 1
+    index = np.arange(base, end)  # each qubit's flat [pair][bit] row, built in place
+    index %= period
+    index *= 2
+    index += string[base:end]
+    # segment i covers qubits starts[i] .. lasts[i] - 1; the segments from each last
+    # qubit to the next start are dropped
+    heads = np.multiply.reduceat(pair_factors[index], np.stack([starts, lasts], 1).reshape(-1) - base)[::2]
+    heads[starts == lasts] = 1.0  # a one-qubit block: reduceat gives its factor, the product is empty
+    last_bits = np.array([0, 1]) if k == 2 else string[lasts, None]
+    tails = pair_factors[2 * (lasts % period)[:, None] + last_bits]
+    ratios = np.array([[block.corner_count / (1 << block.n)] for block, _ in rows])
+    return _measures(rows, _closed_form(ratios, heads[:, None] * tails))
 
 
 def _walk_groups(blocks, k: int):
@@ -675,7 +739,11 @@ def _block_measures(system: MeasurementSystem, rows, outcomes: np.ndarray) -> np
     np.copyto(factors, (1.0, 0.5), where=(np.arange(width) < pads)[:, None, :, None])
     counts = np.empty((len(rows), 1), dtype=object)
     counts[:, 0] = [block.corner_count << (width - block.n) for block, _ in rows]
-    sums = paired_coordinate_sum(factors, counts)
+    return _measures(rows, paired_coordinate_sum(factors, counts))
+
+
+def _measures(rows, sums: np.ndarray) -> np.ndarray:
+    """diag + corner * 2 Re(s): block measures from paired coordinate sums shaped (len(rows), k)."""
     diag = np.array([[block.diag_value] for block, _ in rows])
     corner = np.array([[block.corner_value] for block, _ in rows])
     return diag + corner * 2.0 * np.real(sums)

@@ -161,18 +161,32 @@ def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
     return np.bincount(idx, minlength=1 << m).astype(np.float64)
 
 
-def _pattern_psi_squared(bits: np.ndarray, m: int) -> float:
-    """NIST serial-test psi^2 statistic with wraparound pattern counts."""
-    if m == 0:
+def _pattern_tables(bits: np.ndarray, m: int) -> list[np.ndarray]:
+    """Wraparound pattern counts of every length 0..m, indexed by length, from one pass at m.
+
+    A pattern's first bit is its most significant, so the (j-1)-bit counts
+    fold out the last bit of the j-bit ones: counts[p] = counts_j[2p] +
+    counts_j[2p+1], integers and so exact.
+    """
+    tables = [_pattern_counts(bits, m)]
+    for _ in range(m):
+        tables.append(tables[-1][0::2] + tables[-1][1::2])
+    return tables[::-1]
+
+
+def _psi_squared(counts: np.ndarray, n: int) -> float:
+    """NIST serial-test psi^2 statistic of one length's wraparound pattern counts."""
+    if counts.size == 1:  # the empty pattern
         return 0.0
-    n = bits.size
-    return float((1 << m) / n * np.sum(_pattern_counts(bits, m) ** 2) - n)
+    return float(counts.size / n * np.sum(counts**2) - n)
 
 
 def serial_tests(bits: np.ndarray, alpha: float, m: int = SERIAL_M) -> list[TestResult]:
-    psi2 = _pattern_psi_squared(bits, m)
-    psi1 = _pattern_psi_squared(bits, m - 1)
-    psi0 = _pattern_psi_squared(bits, m - 2)
+    return _serial_results(_pattern_tables(bits, m), bits.size, alpha, m)
+
+
+def _serial_results(tables: list[np.ndarray], n: int, alpha: float, m: int) -> list[TestResult]:
+    psi2, psi1, psi0 = (_psi_squared(tables[j], n) for j in (m, m - 1, m - 2))
     # both differences are non-negative up to rounding
     d1 = max(psi2 - psi1, 0.0)
     d2 = max(psi2 - 2.0 * psi1 + psi0, 0.0)
@@ -207,16 +221,17 @@ def cumulative_sums_test(bits: np.ndarray, alpha: float) -> TestResult:
 
 
 def approximate_entropy_test(bits: np.ndarray, alpha: float, m: int = APEN_M) -> TestResult:
-    n = bits.size
+    return _apen_result(_pattern_tables(bits, m + 1), bits.size, alpha, m)
 
-    def phi(mm: int) -> float:
-        if mm == 0:
+
+def _apen_result(tables: list[np.ndarray], n: int, alpha: float, m: int) -> TestResult:
+    def phi(counts: np.ndarray) -> float:
+        if counts.size == 1:  # the empty pattern
             return 0.0
-        counts = _pattern_counts(bits, mm)
         probs = counts[counts > 0] / n
         return float(np.sum(probs * np.log(probs)))
 
-    apen = phi(m) - phi(m + 1)
+    apen = phi(tables[m]) - phi(tables[m + 1])
     chi2 = max(2.0 * n * (math.log(2.0) - apen), 0.0)
     p = _gammaincc(2.0 ** (m - 1), chi2 / 2.0)
     return TestResult("approximate_entropy", apen, p, p >= alpha, {"m": m})
@@ -229,22 +244,32 @@ def compression_ratio(bits: np.ndarray) -> float:
     return 8.0 * len(compressed) / bits.size
 
 
-def run_battery(bits, alpha: float = 0.01, stream_id: str | None = None) -> BatteryReport:
-    """Run every test on one stream at level ``alpha`` in (0, 1); deterministic in the bits."""
+def require_alpha(alpha: float) -> None:
+    """Raise ``BadQuery`` unless the significance level lies in (0, 1)."""
     if not 0.0 < alpha < 1.0:  # NaN too
         raise BadQuery(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
+def run_battery(bits, alpha: float = 0.01, stream_id: str | None = None) -> BatteryReport:
+    """Run every test on one stream at level ``alpha`` in (0, 1); deterministic in the bits.
+
+    The serial and approximate-entropy tests share one pass of pattern
+    counts, at the longest length either reads.
+    """
+    require_alpha(alpha)
     arr, derived_id = _as_bit_array(bits)
     if arr.size < MIN_BITS:
         raise InsufficientData(
             f"battery needs at least {MIN_BITS} bits, got {arr.size}"
         )
+    tables = _pattern_tables(arr, max(SERIAL_M, APEN_M + 1))
     results = [
         monobit_test(arr, alpha),
         block_frequency_test(arr, alpha),
         runs_test(arr, alpha),
-        *serial_tests(arr, alpha),
+        *_serial_results(tables, arr.size, alpha, SERIAL_M),
         cumulative_sums_test(arr, alpha),
-        approximate_entropy_test(arr, alpha),
+        _apen_result(tables, arr.size, alpha, APEN_M),
     ]
     return BatteryReport(
         stream_id=stream_id if stream_id is not None else derived_id,
@@ -323,6 +348,7 @@ __all__ = [
     "compression_ratio",
     "cumulative_sums_test",
     "monobit_test",
+    "require_alpha",
     "run_battery",
     "runs_test",
     "serial_tests",

@@ -604,6 +604,9 @@ DENSE_TABLE = ["measure", "--tau-depth", "3", "--path", "dense"]
         (["battery", "--alpha", "nan", "--aggregate"], BITS, 2, "bad_query"),
         (["battery", "--alpha", "-1"], BITS, 2, "bad_query"),
         (["battery", "--alpha", "2"], BITS, 2, "bad_query"),
+        (["battery", "--alpha", "2", "-"], "", 2, "bad_query"),
+        (["battery", "--alpha", "nan", "--aggregate", "-"], "", 2, "bad_query"),
+        (["battery", "--alpha", "inf", "-"], "", 2, "bad_query"),
         (["measure", "--tau", "0", "--basis"], ROTATION_OF("1" * 5000), 2, "bad_spec"),
         (["measure", "--tau", "0", "--basis"], b"\xff", 2, "bad_spec"),
         (["measure", "--tau", "0", "--basis"], ROTATION_OF('"0.3"'), 2, "bad_spec"),
@@ -637,6 +640,9 @@ DENSE_TABLE = ["measure", "--tau-depth", "3", "--path", "dense"]
         "alpha-nan",
         "alpha-negative",
         "alpha-above-one",
+        "alpha-above-one-no-stream",
+        "alpha-nan-no-stream-aggregate",
+        "alpha-inf-no-stream",
         "int-past-digit-limit",
         "document-not-utf8",
         "rotation-numeric-text",

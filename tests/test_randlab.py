@@ -19,13 +19,19 @@ from scipy import special, stats
 
 from qmeas.errors import InsufficientData
 from qmeas.jsonio import canonical_dumps
+from qmeas import randlab
 from qmeas.measurement import MeasurementSystem, sample_bits
 from qmeas.randlab import (
+    APEN_M,
+    MIN_BITS,
+    SERIAL_M,
     BatteryReport,
     _binomial_quantile,
     _gammaincc,
     _ndtr,
-    _pattern_psi_squared,
+    _pattern_counts,
+    _pattern_tables,
+    _psi_squared,
     aggregate,
     approximate_entropy_test,
     block_frequency_test,
@@ -81,6 +87,80 @@ def test_battery_accepts_strings():
 
 
 # ---------------------------------------------------------------------------
+# pattern counts from one pass, folded
+
+
+def per_m_serial_and_apen(bits, alpha):
+    """The serial and approximate-entropy results with one pattern-count pass per length."""
+    n, m = bits.size, SERIAL_M
+
+    def psi(mm):
+        return 0.0 if mm == 0 else float((1 << mm) / n * np.sum(_pattern_counts(bits, mm) ** 2) - n)
+
+    psi2, psi1, psi0 = psi(m), psi(m - 1), psi(m - 2)
+    d1 = max(psi2 - psi1, 0.0)
+    d2 = max(psi2 - 2.0 * psi1 + psi0, 0.0)
+    p1 = _gammaincc(2.0 ** (m - 2), d1 / 2.0)
+    p2 = _gammaincc(2.0 ** (m - 3), d2 / 2.0)
+    serial = [
+        randlab.TestResult("serial", d1, p1, p1 >= alpha, {"m": m}),
+        randlab.TestResult("serial_second", d2, p2, p2 >= alpha, {"m": m}),
+    ]
+
+    def phi(mm):
+        if mm == 0:
+            return 0.0
+        counts = _pattern_counts(bits, mm)
+        probs = counts[counts > 0] / n
+        return float(np.sum(probs * np.log(probs)))
+
+    m = APEN_M
+    apen = phi(m) - phi(m + 1)
+    chi2 = max(2.0 * n * (math.log(2.0) - apen), 0.0)
+    p = _gammaincc(2.0 ** (m - 1), chi2 / 2.0)
+    return serial, randlab.TestResult("approximate_entropy", apen, p, p >= alpha, {"m": m})
+
+
+def per_m_battery(bits, alpha=0.01):
+    bits = np.asarray(bits, dtype=np.uint8)
+    serial, apen = per_m_serial_and_apen(bits, alpha)
+    results = (
+        monobit_test(bits, alpha),
+        block_frequency_test(bits, alpha),
+        runs_test(bits, alpha),
+        *serial,
+        cumulative_sums_test(bits, alpha),
+        apen,
+    )
+    return BatteryReport("", int(bits.size), alpha, results, compression_ratio(bits))
+
+
+FOLDED_STREAMS = {
+    "random": uniform_bits(31, 100_000),
+    "all-zero": np.zeros(10_000, dtype=np.uint8),
+    "alternating": np.tile([0, 1], 5_000).astype(np.uint8),
+    "min-bits": uniform_bits(32, MIN_BITS),
+    "min-bits-ones": np.ones(MIN_BITS, dtype=np.uint8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLDED_STREAMS))
+def test_folded_counts_are_the_per_m_counts(name):
+    bits = FOLDED_STREAMS[name]
+    tables = _pattern_tables(bits, 5)
+    assert [t.size for t in tables] == [1, 2, 4, 8, 16, 32]
+    assert tables[0].tolist() == [bits.size]
+    for m in range(1, 6):
+        assert tables[m].dtype == np.float64
+        assert tables[m].tobytes() == _pattern_counts(bits, m).tobytes(), m
+    for alpha in (0.01, 0.3):
+        assert run_battery(bits, alpha) == per_m_battery(bits, alpha)
+        serial, apen = per_m_serial_and_apen(bits, alpha)
+        assert serial_tests(bits, alpha) == serial
+        assert approximate_entropy_test(bits, alpha) == apen
+
+
+# ---------------------------------------------------------------------------
 # single tests against NIST worked examples (SP 800-22 section 2 examples)
 
 
@@ -118,7 +198,9 @@ def test_psi_squared_against_dict_counting(rng):
             pattern = tuple(extended[i : i + m])
             counts[pattern] = counts.get(pattern, 0) + 1
         expected = (2**m / bits.size) * sum(c * c for c in counts.values()) - bits.size
-        assert _pattern_psi_squared(bits, m) == pytest.approx(expected, rel=1e-12)
+        assert _psi_squared(_pattern_counts(bits, m), bits.size) == pytest.approx(expected, rel=1e-12)
+        # the battery's counts, folded down from one pass at m = 3, are the same
+        assert _psi_squared(_pattern_tables(bits, 3)[m], bits.size) == pytest.approx(expected, rel=1e-12)
 
 
 def test_serial_and_apen_on_uniform_bits():

@@ -2,11 +2,12 @@
 
 The per-bit sampler, the per-position paired-sum loops, the per-qubit factor
 loop, the per-block premeasure product and the per-value JSON writer live on
-here as oracles.  The rewrite must reproduce them byte for byte: the same
-bits, the same conditionals, the same paired sums, batched or not, the same
-premeasures, and the same error at the first prefix of measure zero.  Real
-pair factors take the closed form r * prod(f0), which is also held to its
-exact ``Fraction`` value.
+here as oracles, and so do the sampler and the premeasure that walked padded
+groups of rows on every basis.  The rewrite must reproduce them byte for
+byte: the same bits, the same conditionals, the same paired sums, batched or
+not, the same premeasures, the same warnings, and the same error at the
+first prefix of measure zero.  Real pair factors take the closed form
+r * prod(f0), which is also held to its exact ``Fraction`` value.
 """
 
 import json
@@ -418,6 +419,7 @@ def test_doomed_length_fails_before_drawing_or_walking(deep_oracle, monkeypatch)
 
     monkeypatch.setattr(np.random, "default_rng", forbidden)
     monkeypatch.setattr(measurement, "_block_measures", forbidden)
+    monkeypatch.setattr(measurement, "_string_measures", forbidden)
     with warnings.catch_warnings():
         warnings.simplefilter("error", NumericHealthWarning)  # no block is walked, so none warns
         with pytest.raises(MeasureZeroPrefix) as failure:
@@ -447,6 +449,188 @@ def test_underflow_warning_leaves_the_output_alone(deep_oracle):
         )
     assert same_bytes(sample.bits, bits[:BLOCK_1023_END])
     assert same_bytes(sample.conditional_probs, conds[:BLOCK_1023_END])
+
+
+# ---------------------------------------------------------------------------
+# the segmented product on real bases
+
+
+def padded_walk_sample(state, system, length, seed):
+    """The sampler that read every basis's blocks as padded walk groups of ``_block_measures``."""
+    halvings = sys.float_info.mant_dig - sys.float_info.min_exp
+    complete, zero_step = [], None
+    for index, (block, offset, take) in enumerate(state.segments(length)):
+        if not block.corner_count:
+            continue
+        if take > halvings + 1:
+            raise MeasureZeroPrefix(f"prefix of measure zero inside block {index} (offset {offset})")
+        if take == block.n:
+            complete.append((index, block, offset))
+        elif take > halvings:
+            zero_step = offset + halvings
+    conds = np.random.default_rng(seed).random(length)
+    bits = (conds >= 0.5).view(np.uint8)
+    lasts = np.array([offset + block.n - 1 for _, block, offset in complete], dtype=np.intp)
+    draws = conds[lasts]
+    conds.fill(0.5)
+    if zero_step is not None:
+        conds[zero_step] = 0.0
+    warned = False
+    for group in measurement._walk_groups([block for _, block, _ in complete], 2):
+        rows = [(block, offset) for _, block, offset in complete[group]]
+        outcomes = measurement._read_outcomes(bits, rows, 2)
+        measures = clamp01(measurement._block_measures(system, rows, outcomes), "block measure")
+        prev = np.ldexp(1.0, [1 - block.n for block, _ in rows])
+        bit = ~(draws[group] < measures[:, 0] / prev)
+        chosen = np.where(bit, measures[:, 1], measures[:, 0])
+        conds[lasts[group]] = chosen / prev
+        bits[lasts[group]] = bit
+        subnormal = np.flatnonzero(chosen < sys.float_info.min)
+        if subnormal.size and not warned:
+            warned = True
+            index, block, offset = complete[group][subnormal[0]]
+            warnings.warn(
+                f"block {index} (n={block.n}, offset {offset}) has subnormal measure "
+                f"{float(chosen[subnormal[0]])!r}; conditionals from here on lose precision",
+                NumericHealthWarning,
+            )
+    return bits, conds
+
+
+def padded_walk_premeasure(state, system, bits):
+    """The factored premeasure that read every basis's blocks as padded walk groups."""
+    segments = list(state.segments(len(bits)))
+    complete = [(block, offset) for block, offset, take in segments if take == block.n]
+    string = np.array(bits, dtype=np.intp)
+    factors = []
+    for group in measurement._walk_groups([block for block, _ in complete], 1):
+        rows = complete[group]
+        outcomes = measurement._read_outcomes(string, rows, 1)
+        measures = measurement._block_measures(system, rows, outcomes)
+        factors += clamp01(measures[:, 0], "block measure").tolist()
+    positive = all(f > 0.0 for f in factors)
+    if len(complete) < len(segments):
+        factors.append(math.ldexp(1.0, -segments[-1][2]))
+    value, tiny_at = 1.0, None
+    for index, factor in enumerate(factors):
+        value *= factor
+        if tiny_at is None and value < sys.float_info.min:
+            tiny_at = index
+    if positive and tiny_at is not None:
+        block, offset, _ = segments[tiny_at]
+        warnings.warn(
+            f"premeasure underflows at block {tiny_at} (n={block.n}, offset {offset}): "
+            f"the product of positive block factors is {value!r}",
+            NumericHealthWarning,
+        )
+    return clamp01(value)
+
+
+def recorded(call, *args):
+    """``call(*args)`` as comparable values: its result or ``MeasureZeroPrefix`` message, and its warnings.
+
+    A sample's bits are compared as bytes and its conditionals as uint64 bit patterns.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = call(*args)
+        except MeasureZeroPrefix as exc:
+            out = str(exc)
+    if isinstance(out, BitSample):
+        out = (out.bits, out.conditional_probs)
+    if isinstance(out, tuple):
+        out = (np.asarray(out[0], dtype=np.uint8).tobytes(), out[1].view(np.uint64).tolist())
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def real_systems():
+    return {
+        "standard": MeasurementSystem.standard(),
+        "hadamard": MeasurementSystem.hadamard(),
+        "rotation": systems()["rotation"],
+        "real-explicit": MeasurementSystem.explicit(real_pairs(np.random.default_rng(11), 3)),
+    }
+
+
+def uneven_state():
+    """Blocks with corners of sizes 1 to 70 out of order, and two corner-free blocks."""
+    sizes = [9, 1, 2, 40, 3, 17, 1, 64, 5, 70, 2, 33, 1, 1]
+    blocks = [
+        DensityBlock(n, max(1, (1 << (n - 1)) * (i % 3) // 2), (i % 4 + 1) / 4)
+        for i, n in enumerate(sizes)
+    ]
+    return FactoredState.from_blocks(blocks[:5] + [DensityBlock(4, 0, 0.0)] + blocks[5:] + [DensityBlock(1, 0, 0.0)])
+
+
+# 9 ends inside block n=6; block 1018 (n=1023, offset 522,743) has the first
+# subnormal measure, and LONGEST + 1 is the first length of measure zero
+SEGMENTED_LENGTHS = [0, 1, 5, 6, 9, 1000, 100_000, 522_742, 522_743, BLOCK_1023_END, LONGEST, LONGEST + 1]
+
+
+@pytest.mark.parametrize("kind", sorted(real_systems()))
+def test_real_sampling_is_the_padded_walk(kind):
+    system = real_systems()[kind]
+    for length in SEGMENTED_LENGTHS:
+        for seed in (0, 1, 7) if length <= 100_000 else (0, 5):
+            got = recorded(sample_bits, FactoredState.witness_state(), system, length, seed)
+            want = recorded(padded_walk_sample, FactoredState.witness_state(), system, length, seed)
+            assert got == want, (length, seed)
+            if length == LONGEST + 1:
+                assert got[0] == "prefix of measure zero inside block 1071 (offset 578340)"
+    # blocks of sizes 1 and 2 with corners, corner-free blocks and uneven sizes in one string
+    state = uneven_state()
+    for length in range(sum(block.n for block in state.blocks) + 1):
+        got = recorded(sample_bits, uneven_state(), system, length, length)
+        assert got == recorded(padded_walk_sample, uneven_state(), system, length, length), length
+
+
+@pytest.mark.parametrize("kind", sorted(real_systems()))
+def test_real_premeasure_is_the_padded_walk(kind):
+    system, rng = real_systems()[kind], np.random.default_rng(17)
+    for state in (FactoredState.witness_state(), general_state(), FactoredState.maximally_mixed()):
+        for length in (0, 1, 5, 6, 9, 1000, 3000):
+            for _ in range(3):
+                bits = [int(b) for b in rng.integers(0, 2, size=length)]
+                got = recorded(premeasure, state, system, bits)
+                assert got == recorded(padded_walk_premeasure, state, system, bits), length
+    state = uneven_state()
+    for length in range(sum(block.n for block in state.blocks) + 1):
+        bits = [int(b) for b in rng.integers(0, 2, size=length)]
+        got = recorded(premeasure, state, system, bits)
+        assert got == recorded(padded_walk_premeasure, state, system, bits), length
+    bits = [int(b) for b in rng.integers(0, 2, size=100_000)]
+    state = FactoredState.witness_state()
+    assert recorded(premeasure, state, system, bits) == recorded(padded_walk_premeasure, state, system, bits)
+
+
+def test_only_complex_bases_walk(monkeypatch):
+    walked = []
+    walk = measurement._walk_groups
+
+    def counted(blocks, k):
+        walked.append(k)
+        return walk(blocks, k)
+
+    monkeypatch.setattr(measurement, "_walk_groups", counted)
+    state, complex_system = FactoredState.witness_state, systems()["explicit"]
+    bits = [int(b) for b in np.random.default_rng(4).integers(0, 2, size=1000)]
+    got = recorded(sample_bits, state(), complex_system, 1000, 0)
+    assert walked == [2]
+    assert got == recorded(padded_walk_sample, state(), complex_system, 1000, 0)
+    assert premeasure(state(), complex_system, bits) == padded_walk_premeasure(state(), complex_system, bits)
+    assert walked == [2, 2, 1, 1]  # each reference walks too
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a real basis must not walk")
+
+    monkeypatch.setattr(measurement, "_walk_groups", forbidden)
+    monkeypatch.setattr(measurement, "_read_outcomes", forbidden)
+    for system in real_systems().values():
+        sample = sample_bits(state(), system, 1000, 0)
+        want_bits, want_conds = per_bit_sample(state(), system, 1000, 0)
+        assert same_bytes(sample.bits, want_bits) and same_bytes(sample.conditional_probs, want_conds)
+        assert premeasure(state(), system, bits) == per_block_premeasure(state(), system, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +685,18 @@ def test_premeasure_walks_all_complete_blocks_at_once(monkeypatch):
 
     monkeypatch.setattr(measurement, "paired_coordinate_sum", counted)
     bits = [int(b) for b in np.random.default_rng(3).integers(0, 2, size=2000)]
-    value = premeasure(FactoredState.witness_state(), MeasurementSystem.hadamard(), bits)
-    # blocks 5..62 are complete, 58 rows padded to 62 qubits; block 63 is cut after 57 qubits
+    state = FactoredState.witness_state
+    # a complex basis walks: blocks 5..62 are complete, 58 rows padded to 62
+    # qubits; block 63 is cut after 57 qubits
+    complex_system = systems()["explicit"]
+    value = premeasure(state(), complex_system, bits)
     assert calls == [(58, 1, 62, 2)]
-    assert value == per_block_premeasure(
-        FactoredState.witness_state(), MeasurementSystem.hadamard(), bits
-    )
+    assert value == per_block_premeasure(state(), complex_system, bits)
+    # a real basis takes one segmented product and no paired sum
+    calls.clear()
+    value = premeasure(state(), MeasurementSystem.hadamard(), bits)
+    assert calls == []
+    assert value == per_block_premeasure(state(), MeasurementSystem.hadamard(), bits)
 
 
 def test_premeasure_underflow_warns_once():
