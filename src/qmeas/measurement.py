@@ -20,16 +20,13 @@ after ``take`` qubits contributes exactly 2**-take.
 Block measures come from two batched kernels over rows of (block, offset).
 ``_block_measures`` takes each row's outcome bits, padded to the widest
 block: one row and one outcome for ``block_measure``, one row and all 2**n
-outcomes for the factored tables, and the padded digit walk of a complex
-basis.  ``premeasure`` (one outcome per complete block, read from the
-string) and the sampler (the two outcomes of each block's last bit) read
-their blocks from the bit string through ``_string_measures``: on a real
-basis every complete block's product of 2 f0 over its own positions is one
-segmented product, O(string length) for all blocks at once; a complex basis
-walks groups of padded rows.  Every measure and table is clipped to [0, 1]
-by one ``clamp01``, which takes a float or a whole array and warns at most
-once per call: the real path clips all of a string's measures at once, a
-complex walk each group's.
+outcomes for the factored tables.  ``premeasure`` (one outcome per complete
+block) and the sampler (the two outcomes of each block's last bit) get a
+string's complete blocks from ``_string_measures`` as one (blocks, outcomes)
+array: one segmented product, O(string length), on a real basis, bounded
+groups of padded rows of ``_block_measures`` on a complex one.  Every
+measure and table is clipped to [0, 1] by one ``clamp01`` per call, which
+warns at most once, so a string's clipping warns at most once on any basis.
 """
 
 from __future__ import annotations
@@ -397,22 +394,16 @@ def _premeasure_factored(state: FactoredState, system: MeasurementSystem, bits) 
     """
     segments = list(state.segments(len(bits)))
     complete = [(block, offset) for block, offset, take in segments if take == block.n]
-    string = np.array(bits, dtype=np.intp)
-    factors = []
-    for _, measures in _string_measures(system, complete, string, 1):
-        factors += clamp01(measures[:, 0], "block measure").tolist()
-    positive = all(f > 0.0 for f in factors)
-    if len(complete) < len(segments):
-        factors.append(math.ldexp(1.0, -segments[-1][2]))
-    value, tiny_at = 1.0, None
-    for index, factor in enumerate(factors):
-        value *= factor
-        if tiny_at is None and value < sys.float_info.min:
-            tiny_at = index
-    if positive and tiny_at is not None:
-        block, offset, _ = segments[tiny_at]
+    measures = _string_measures(system, complete, np.array(bits, dtype=np.intp), 1)
+    factors = clamp01(measures[:, 0], "block measure")
+    cut = [math.ldexp(1.0, -segments[-1][2])] if len(complete) < len(segments) else []
+    # running products in block order, one rounded multiply each; the leading 1 puts block i at i + 1
+    products = np.multiply.accumulate(np.concatenate([[1.0], factors, cut]))
+    value, tiny = float(products[-1]), np.flatnonzero(products < sys.float_info.min)
+    if tiny.size and np.all(factors > 0.0):
+        block, offset, _ = segments[tiny[0] - 1]
         warnings.warn(
-            f"premeasure underflows at block {tiny_at} (n={block.n}, offset {offset}): "
+            f"premeasure underflows at block {tiny[0] - 1} (n={block.n}, offset {offset}): "
             f"the product of positive block factors is {value!r}",
             NumericHealthWarning,
             stacklevel=3,
@@ -598,6 +589,8 @@ def sample_bits(
     """
     if length < 0:
         raise BadQuery(f"length must be non-negative, got {length}")
+    if seed < 0:
+        raise BadQuery(f"seeds must be non-negative, got {seed}")
     if not isinstance(state, FactoredState):
         raise BadQuery("sampling is defined for factored states")
     complete, zero_step = [], None
@@ -621,46 +614,42 @@ def sample_bits(
     conds.fill(0.5)
     if zero_step is not None:
         conds[zero_step] = 0.0
-    warned = False
     rows = [(block, offset) for _, block, offset in complete]
-    for group, measures in _string_measures(system, rows, bits, 2):
-        measures = clamp01(measures, "block measure")
-        prev = np.ldexp(1.0, [1 - block.n for block, _ in rows[group]])
-        # measures lie in [0, 1] and draws in [0, 1), so p0 needs no clip to
-        # [0, 1]: the bit is 1 unless draw < p0, NaN included
-        p0 = measures[:, 0] / prev
-        bit = ~(draws[group] < p0)
-        chosen = np.where(bit, measures[:, 1], measures[:, 0])
-        conds[lasts[group]] = chosen / prev
-        bits[lasts[group]] = bit
-        subnormal = np.flatnonzero(chosen < sys.float_info.min)
-        if subnormal.size and not warned:
-            warned = True
-            index, block, offset = complete[group][subnormal[0]]
-            warnings.warn(
-                f"block {index} (n={block.n}, offset {offset}) has subnormal measure "
-                f"{float(chosen[subnormal[0]])!r}; conditionals from here on lose precision",
-                NumericHealthWarning,
-                stacklevel=2,
-            )
+    measures = clamp01(_string_measures(system, rows, bits, 2), "block measure")
+    prev = np.ldexp(1.0, np.array([1 - block.n for block, _ in rows], dtype=np.intp))
+    # measures lie in [0, 1] and draws in [0, 1), so p0 needs no clip to
+    # [0, 1]: the bit is 1 unless draw < p0, NaN included
+    bit = ~(draws < measures[:, 0] / prev)
+    chosen = np.where(bit, measures[:, 1], measures[:, 0])
+    conds[lasts] = chosen / prev
+    bits[lasts] = bit
+    subnormal = np.flatnonzero(chosen < sys.float_info.min)
+    if subnormal.size:
+        index, block, offset = complete[subnormal[0]]
+        warnings.warn(
+            f"block {index} (n={block.n}, offset {offset}) has subnormal measure "
+            f"{float(chosen[subnormal[0]])!r}; conditionals from here on lose precision",
+            NumericHealthWarning,
+            stacklevel=2,
+        )
     return BitSample(bits, int(seed), system.label, state.label, conds)
 
 
-def _string_measures(system: MeasurementSystem, rows, string: np.ndarray, k: int):
-    """Yield (slice of ``rows``, unclamped block measures shaped (rows in the slice, k)).
+def _string_measures(system: MeasurementSystem, rows, string: np.ndarray, k: int) -> np.ndarray:
+    """Unclamped block measures of complete blocks read from ``string``, shape (len(rows), k).
 
     ``rows`` lists (block, offset) of complete blocks in string order, and
     each row's outcomes are its bits read from ``string``; with k = 2 its
-    last bit is set to 0 and to 1.  A real basis yields every row in one
-    slice (``_segmented_measures``).  A complex one walks ``_walk_groups``
-    of padded rows, one group per step, so the caller clamps, and warns,
-    group by group.
+    last bit is set to 0 and to 1.  A real basis measures every row in one
+    segmented product (``_segmented_measures``); a complex one fills the
+    array from ``_walk_groups`` of padded rows.  No rows give an empty array.
     """
-    if rows and system._real_pair_factors is not None:
-        yield slice(0, len(rows)), _segmented_measures(system, rows, string, k)
-        return
-    for group in _walk_groups([block for block, _ in rows], k):
-        yield group, _block_measures(system, rows[group], _read_outcomes(string, rows[group], k))
+    if not rows:
+        return np.empty((0, k))
+    if system._real_pair_factors is not None:
+        return _segmented_measures(system, rows, string, k)
+    groups = _walk_groups([block for block, _ in rows], k)
+    return np.concatenate([_block_measures(system, rows[g], _read_outcomes(string, rows[g], k)) for g in groups])
 
 
 def _segmented_measures(system: MeasurementSystem, rows, string: np.ndarray, k: int) -> np.ndarray:

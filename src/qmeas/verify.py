@@ -4,10 +4,11 @@ Each check draws random product vectors from a seeded generator, evaluates
 the quantity in question through the structured closed forms, and reports
 the worst margin against the claimed bound.  Margins are signed: positive
 means strictly inside the bound, and a check passes when the worst margin
-stays above ``-slack``.  Trials are drawn and evaluated in row chunks of a
-fixed number of entries, keeping only running extremes, so a check's memory
-does not grow with its trial count; the chunked draws are bit for bit one
-whole draw from the same seed.
+stays above ``-slack``; a bound check's slack is relative to its block's
+scale 2^-n (``_bound_block``).  Trials are drawn and evaluated in row
+chunks of a fixed number of entries, keeping only running extremes, so a
+check's memory does not grow with its trial count; the chunked draws are
+bit for bit one whole draw from the same seed.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ def _factor_chunks(seed, trials: int, n: int, width: int):
     """
     if trials < 1:
         raise BadQuery(f"need at least one trial, got {trials}")
+    if seed < 0:
+        raise BadQuery(f"seeds must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     phase_rng = copy.deepcopy(rng)
     phase_rng.bit_generator.advance(trials * n)
@@ -85,6 +88,15 @@ def _factor_chunks(seed, trials: int, n: int, width: int):
         (start, random_product_factors(rng, min(rows, trials - start), n, phase_rng))
         for start in range(0, trials, rows)
     )
+
+
+def _bound_block(n: int, check: str) -> tuple[DensityBlock, float]:
+    """A bound check's canonical block and slack ``BOUND_SLACK`` * 2^-n, the block's scale."""
+    if n < 5:
+        raise BadQuery(f"{check} check applies to blocks n >= 5, got {n}")
+    if n > 1022:  # from n = 1,023 on, 2^-n is subnormal or 0
+        raise BadQuery(f"{check} check needs 2^-n in the normal float range, n <= 1022, got {n}")
+    return build_corner_block(n), math.ldexp(BOUND_SLACK, -n)
 
 
 def verify_kron_pairing(n: int = 8, trials: int = 1000, seed: int = 0) -> LemmaReport:
@@ -128,9 +140,7 @@ def verify_quadratic_bounds(
     time, keeping only the running extremes, so memory does not grow with
     ``trials``; ``trials`` must be at least 1.
     """
-    if n < 5:
-        raise BadQuery(f"quadratic-bound check applies to blocks n >= 5, got {n}")
-    block = build_corner_block(n)
+    block, slack = _bound_block(n, "quadratic-bound")
     lo = block.diag_value * (1.0 - 2.0 / n)
     hi = block.diag_value * (1.0 + 2.0 / n)
     checked = min(trials, ORACLE_TRIALS) if n <= 10 else 0
@@ -168,8 +178,8 @@ def verify_quadratic_bounds(
         lemma_id="quadratic_bounds",
         trials=trials,
         worst_margin=margin,
-        slack=BOUND_SLACK,
-        passed=margin >= -BOUND_SLACK and oracle_dev <= ORACLE_TOL,
+        slack=slack,
+        passed=margin >= -slack and oracle_dev <= ORACLE_TOL,
         parameters=params,
     )
 
@@ -183,9 +193,7 @@ def verify_corner_block_bound(n: int = 8, trials: int = 10_000, seed: int = 0) -
     Trials are drawn and evaluated a chunk at a time, so memory does not
     grow with ``trials``; ``trials`` must be at least 1.
     """
-    if n < 5:
-        raise BadQuery(f"corner-block check applies to blocks n >= 5, got {n}")
-    block = build_corner_block(n)
+    block, slack = _bound_block(n, "corner-block")
     bound = 2.0 ** (1 - n) / n
     margin, max_value = math.inf, -math.inf
     for _, factors in _factor_chunks(seed, trials, n - 1, n - 1):
@@ -196,8 +204,8 @@ def verify_corner_block_bound(n: int = 8, trials: int = 10_000, seed: int = 0) -
         lemma_id="corner_block_bound",
         trials=trials,
         worst_margin=margin,
-        slack=BOUND_SLACK,
-        passed=margin >= -BOUND_SLACK,
+        slack=slack,
+        passed=margin >= -slack,
         parameters={
             "n": n,
             "seed": seed,

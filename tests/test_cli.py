@@ -617,6 +617,13 @@ DENSE_TABLE = ["measure", "--tau-depth", "3", "--path", "dense"]
         (["state", "--check-depth", "5", "--state"], GENERAL_OF(6, '"0.01"'), 2, "bad_spec"),
         (DENSE_TABLE, {"QMEAS_DENSE_CAP": "x"}, 2, "bad_spec"),
         (DENSE_TABLE, {"QMEAS_DENSE_CAP": "0"}, 2, "bad_spec"),
+        (["sample", "--seed", "-1", "--bits", "10"], None, 2, "bad_query"),
+        (["sample", "--seeds=-2..-1", "--bits", "10"], None, 2, "bad_query"),
+        (["verify", "kron-pairing", "--seed", "-1"], None, 2, "bad_query"),
+        (["verify", "quadratic-bounds", "--seed", "-1"], None, 2, "bad_query"),
+        (["verify", "corner-block", "--seed", "-1"], None, 2, "bad_query"),
+        (["verify", "quadratic-bounds", "--n", "1100", "--trials", "1"], None, 2, "bad_query"),
+        (["verify", "corner-block", "--n", "1023", "--trials", "1"], None, 2, "bad_query"),
     ],
     ids=[
         "canonical-4",
@@ -653,6 +660,13 @@ DENSE_TABLE = ["measure", "--tau-depth", "3", "--path", "dense"]
         "general-g-numeric-text",
         "dense-cap-text",
         "dense-cap-zero",
+        "sample-seed-negative",
+        "sample-seeds-negative",
+        "kron-pairing-seed-negative",
+        "quadratic-bounds-seed-negative",
+        "corner-block-seed-negative",
+        "quadratic-bounds-n-1100",
+        "corner-block-n-1023",
     ],
 )
 def test_bad_input_ends_in_one_error_document(

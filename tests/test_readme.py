@@ -1,9 +1,10 @@
 """The README's library sketch runs as written and prints what its comments say, and its
-cookbook parses and runs from a fresh directory."""
+cookbook parses and runs, line by line, from a fresh directory."""
 
 import ast
 import contextlib
 import io
+import json
 import math
 import re
 import shlex
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qmeas.cli import build_parser
+from qmeas.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ELEVEN_256 = 11 / 256
@@ -87,3 +88,41 @@ def test_cookbook_makes_each_output_directory_first():
             if directory and directory not in made:
                 unmade.append(line)
     assert prefixes and unmade == []
+
+
+# the documents the cookbook reads but never makes; test.json is the README's staged test
+COOKBOOK_DOCUMENTS = {
+    "h.json": {"h": {"5": 6, "6": 10}},
+    "g.json": {"g": {"5": 0.015, "6": 0.0078125}},
+    "family.json": {"h": {"5": 6, "6": 10}, "g": {"5": 0.015, "6": 0.0078125}},
+}
+
+
+def test_cookbook_runs(capsys, monkeypatch, tmp_path):
+    """Every cookbook line runs in a fresh directory and exits 0 (0 or 1 for `battery --aggregate`).
+
+    Each side of a pipe is one call of ``main``, the first call's stdout the second's stdin.
+    """
+    monkeypatch.chdir(tmp_path)
+    (staged,) = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    for name, doc in {**COOKBOOK_DOCUMENTS, "test.json": json.loads(staged)}.items():
+        Path(name).write_text(json.dumps(doc), encoding="utf-8")
+    ran = []
+    for line in cookbook_block().splitlines():
+        stdin = None
+        for part in line.split("|"):
+            argv = shlex.split(part, comments=True)
+            if argv[:2] == ["mkdir", "-p"]:
+                for directory in argv[2:]:
+                    Path(directory).mkdir(parents=True, exist_ok=True)
+                continue
+            if not argv:
+                continue
+            assert argv[0] == "qmeas", line
+            if stdin is not None:
+                monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            code = main(argv[1:])
+            stdin = capsys.readouterr().out
+            assert code in ((0, 1) if argv[1] == "battery" and "--aggregate" in argv else (0,)), part
+            ran.append(argv[1])
+    assert ran.count("battery") == 2 and len(ran) == len(re.findall(r"\bqmeas ", cookbook_block()))

@@ -633,6 +633,49 @@ def test_only_complex_bases_walk(monkeypatch):
         assert premeasure(state(), system, bits) == per_block_premeasure(state(), system, bits)
 
 
+def complete_rows(state, length, corners_only=False):
+    """(block, offset) of the complete blocks of a string of ``length`` bits, in string order."""
+    return [
+        (block, offset)
+        for block, offset, take in state.segments(length)
+        if take == block.n and (block.corner_count or not corners_only)
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(systems()))
+def test_string_measures_are_one_array_on_every_basis(kind):
+    system = systems()[kind]
+    cases = [(FactoredState.witness_state(), length) for length in (0, 4, 5, 9, 10_000)]
+    cases += [(FactoredState.maximally_mixed(), 1000), (uneven_state(), 250)]
+    for state, length in cases:
+        string = np.random.default_rng(length).integers(0, 2, size=length)
+        for k in (1, 2):
+            # the sampler reads only blocks with corners: none on the mixed state
+            for rows in (complete_rows(state, length), complete_rows(state, length, k == 2)):
+                measures = measurement._string_measures(system, rows, string, k)
+                assert isinstance(measures, np.ndarray) and measures.dtype == float
+                assert measures.shape == (len(rows), k), (length, k)
+
+
+def test_clipping_warns_once_per_call_on_a_complex_walk(monkeypatch):
+    """A string's measures are clipped as one array, however many walk groups fill it."""
+    state, system, length = FactoredState.witness_state, systems()["explicit"], 10_000
+    for k, corners_only in ((1, False), (2, True)):
+        blocks = [block for block, _ in complete_rows(state(), length, corners_only)]
+        assert len(list(measurement._walk_groups(blocks, k))) >= 2
+    walk = measurement._block_measures
+    # 2 in every group, so every group's clip moves by 1, far past the rounding scale
+    monkeypatch.setattr(measurement, "_block_measures", lambda *args: np.full_like(walk(*args), 2.0))
+    bits = [int(b) for b in np.random.default_rng(5).integers(0, 2, size=length)]
+    for call, args in ((sample_bits, (state(), system, length, 0)), (premeasure, (state(), system, bits))):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(*args)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (NumericHealthWarning, "block measure clamped by 1.000e+00, beyond the rounding scale")
+        ], call
+
+
 # ---------------------------------------------------------------------------
 # premeasure
 
@@ -697,6 +740,19 @@ def test_premeasure_walks_all_complete_blocks_at_once(monkeypatch):
     value = premeasure(state(), MeasurementSystem.hadamard(), bits)
     assert calls == []
     assert value == per_block_premeasure(state(), MeasurementSystem.hadamard(), bits)
+
+
+@pytest.mark.parametrize("length", [10_000, 100_000])
+def test_complex_premeasure_over_several_walk_groups(length):
+    """Two and eight walk groups: each block factor is its looped block measure."""
+    state, system = FactoredState.witness_state(), systems()["explicit"]
+    bits = [int(b) for b in np.random.default_rng(length).integers(0, 2, size=length)]
+    rows = complete_rows(state, length)
+    assert len(list(measurement._walk_groups([block for block, _ in rows], 1))) >= 2
+    measures = measurement._string_measures(system, rows, np.array(bits), 1)[:, 0]
+    looped = [looped_block_measure(block, system, offset, bits[offset : offset + block.n]) for block, offset in rows]
+    assert same_bytes(clamp01(measures, "block measure"), np.array(looped))
+    assert recorded(premeasure, state, system, bits) == recorded(padded_walk_premeasure, state, system, bits)
 
 
 def test_premeasure_underflow_warns_once():

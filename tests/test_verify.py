@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qmeas import verify as verify_mod
 from qmeas.cli import main
 from qmeas.errors import BadFamilyParams, BadQuery
 from qmeas.jsonio import canonical_dumps
@@ -336,8 +337,8 @@ def whole_quadratic_bounds(n, trials, seed):
         lemma_id="quadratic_bounds",
         trials=trials,
         worst_margin=margin,
-        slack=BOUND_SLACK,
-        passed=margin >= -BOUND_SLACK and oracle_ok,
+        slack=BOUND_SLACK * 2.0**-n,
+        passed=margin >= -BOUND_SLACK * 2.0**-n and oracle_ok,
         parameters=params,
     )
 
@@ -353,8 +354,8 @@ def whole_corner_block_bound(n, trials, seed):
         lemma_id="corner_block_bound",
         trials=trials,
         worst_margin=margin,
-        slack=BOUND_SLACK,
-        passed=margin >= -BOUND_SLACK,
+        slack=BOUND_SLACK * 2.0**-n,
+        passed=margin >= -BOUND_SLACK * 2.0**-n,
         parameters={"n": n, "seed": seed, "bound": bound, "max_value": float(np.max(values))},
     )
 
@@ -391,6 +392,29 @@ def test_chunked_checks_are_the_whole_array_checks(check, n):
     for trials in trial_counts(n):
         for seed in (0, 3, 11):
             assert chunked(n=n, trials=trials, seed=seed) == whole(n, trials, seed), (trials, seed)
+
+
+@pytest.mark.parametrize("n", [10, 40, 50, 200, 1022])
+def test_a_wrong_kernel_fails_the_bound_checks_at_every_n(monkeypatch, n):
+    """100 s + 10 for the paired sum s misses the window and the bound, both about 2^-n wide.
+
+    The slack is ``BOUND_SLACK`` * 2^-n, at the block's scale, so the kernel
+    fails at every n; an absolute slack would pass it from n of about 45 on.
+    """
+    right = verify_mod.paired_coordinate_sum
+    monkeypatch.setattr(verify_mod, "paired_coordinate_sum", lambda f, c: 100 * right(f, c) + 10)
+    for check in (verify_quadratic_bounds, verify_corner_block_bound):
+        assert not check(n=n, trials=20, seed=0).passed, check
+
+
+@pytest.mark.parametrize("check", [verify_quadratic_bounds, verify_corner_block_bound])
+def test_bound_checks_take_blocks_while_2_to_the_minus_n_is_normal(check):
+    report = check(n=1022, trials=200, seed=0)
+    assert report.passed and report.worst_margin > 1e-3 * 2.0**-1022
+    assert report.slack == BOUND_SLACK * 2.0**-1022 > 0.0  # subnormal, and printed as used
+    for n in (4, 1023, 1100):
+        with pytest.raises(BadQuery):
+            check(n=n, trials=1, seed=0)
 
 
 @pytest.mark.parametrize("n, width", [(1, 1), (6, 6), (5, 1 << 5), (10, 1 << 10), (12, 1 << 12)])
