@@ -370,102 +370,155 @@ def cmd_verify_family(args) -> tuple[dict, int]:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections raise ``BadQuery``, for one error document."""
+
+    def error(self, message):
+        raise BadQuery(message)
+
+
+def _state_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--paper-rho", action="store_true", help="the built-in block-product state (default)")
+    p.add_argument("--mixed", action="store_true", help="the maximally mixed state")
+    p.add_argument("--general", nargs=2, metavar=("H_JSON", "G_JSON"), help="corner family from h/g tables")
+    p.add_argument("--state", help="state document path, or paper-rho / mixed")
+    p.add_argument("--check-depth", type=int, help="run coherence + density checks to this depth")
+    p.add_argument("--eigen", type=int, metavar="N", help="summarize the eigenstructure of the size-N block")
+    p.set_defaults(handler=cmd_state)
+
+
+def _measure_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--state", default="paper-rho")
+    p.add_argument("--basis", default="standard")
+    p.add_argument("--tau", action="append", help="a 0/1 prefix; repeatable")
+    p.add_argument("--tau-depth", type=int, help="tabulate all prefixes of this length")
+    p.add_argument("--path", choices=("auto", "dense", "factored"), default="auto")
+    p.add_argument("--additivity", action="store_true", help="report the worst additivity deviation")
+    p.add_argument("--oracle-compare", action="store_true", help="compare factored and dense paths")
+    p.add_argument("--depth", type=int, help="depth for --oracle-compare")
+    p.set_defaults(handler=cmd_measure)
+
+
+def _sample_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--state", default="paper-rho")
+    p.add_argument("--basis", default="standard")
+    p.add_argument("--bits", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seeds", help="inclusive seed range A..B")
+    p.add_argument("--out-prefix", help="write PREFIX.bits / PREFIX.json instead of stdout")
+    p.set_defaults(handler=cmd_sample)
+
+
+def _battery_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("files", nargs="*", help="bit files, or - for one stream per stdin line")
+    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--aggregate", action="store_true")
+    p.set_defaults(handler=cmd_battery)
+
+
+_BUDGET_HELP = "largest allowed block size; the default 64 reaches level 3: N(3) = 35 <= 64 < N(4) = 69"
+
+
+def _witness_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--budget", type=int, default=64, help=_BUDGET_HELP)
+    p.add_argument("--state", default="paper-rho")
+    p.add_argument("--delta", type=float, default=0.0)
+    p.set_defaults(handler=cmd_qmlt_witness)
+
+
+def _lift_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mlt", required=True, help="classical test document")
+    p.add_argument("--basis", default="standard")
+    p.add_argument("--state", help="optionally evaluate this state on the lifted test")
+    p.add_argument("--delta", type=float, default=0.0)
+    p.set_defaults(handler=cmd_qmlt_lift)
+
+
+def _eval_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--witness", type=int, metavar="M", help="witness levels 1..M")
+    p.add_argument("--mlt", "--lifted", dest="mlt", help="classical test document to lift")
+    p.add_argument("--basis", default="standard")
+    p.add_argument("--budget", type=int, default=64, help=_BUDGET_HELP)
+    p.add_argument("--state", default="paper-rho")
+    p.add_argument("--delta", type=float, default=0.0)
+    p.set_defaults(handler=cmd_qmlt_eval)
+
+
+def _lemma_args(trials: int, handler):
+    def add(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--n", type=int, default=8)
+        p.add_argument("--trials", type=int, default=trials)
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(handler=handler)
+
+    return add
+
+
+def _family_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--spec", help="family document with h/g tables")
+    p.add_argument("--canonical", type=int, default=30, metavar="N_MAX",
+                   help="check the built-in family up to this block size")
+    p.set_defaults(handler=cmd_verify_family)
+
+
+# name -> (help, arguments of a command or the table of a command group);
+# the verify subcommands are listed without help
+_COMMANDS = {
+    "state": ("build a state and run its checks", _state_args),
+    "measure": ("premeasure values and diagnostics", _measure_args),
+    "sample": ("draw measurement bit streams", _sample_args),
+    "battery": ("statistical battery over bit streams", _battery_args),
+    "qmlt": ("staged tests: witness construction, lifting, evaluation", {
+        "witness": ("build the witness test at one level", _witness_args),
+        "lift": ("lift a classical staged test", _lift_args),
+        "eval": ("failure report of a state against a test", _eval_args),
+    }),
+    "verify": ("lemma checks", {
+        "kron-pairing": (None, _lemma_args(1000, cmd_verify_kron_pairing)),
+        "quadratic-bounds": (None, _lemma_args(100_000, cmd_verify_quadratic)),
+        "corner-block": (None, _lemma_args(10_000, cmd_verify_corner)),
+        "family": (None, _family_args),
+    }),
+}
+
+
+def _command_path(argv: list[str], table: dict = _COMMANDS) -> list[str]:
+    """The command names ``argv`` invokes: at each level, its first token not starting with "-"."""
+    index = next((i for i, token in enumerate(argv) if not token.startswith("-")), None)
+    if index is None or argv[index] not in table:
+        return []
+    name = argv[index]
+    spec = table[name][1]
+    return [name] + (_command_path(argv[index + 1 :], spec) if isinstance(spec, dict) else [])
+
+
+def _add_commands(parser: argparse.ArgumentParser, table: dict, dest: str, path) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, spec) in table.items():
+        child = sub.add_parser(name, **({} if help_text is None else {"help": help_text}))
+        if path is not None and path[:1] != [name]:
+            continue  # registered with its help, but given no arguments
+        if isinstance(spec, dict):
+            _add_commands(child, spec, "subcommand", None if path is None else path[1:])
+        else:
+            spec(child)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The ``qmeas`` parser; its rejections raise ``BadQuery``.
+
+    With no ``argv`` every command gets its arguments.  Given ``argv``, every
+    command and subcommand name is still registered with its help, so usage,
+    help listings and invalid-choice messages are unchanged, but only the
+    command path ``argv`` names (``sample``, or ``verify family``) gets its
+    arguments: an invocation builds one command's parser, not fourteen.
+    """
+    parser = _Parser(
         prog="qmeas",
         description="Structured-state measurement experiments on bit sequences.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_state = sub.add_parser("state", help="build a state and run its checks")
-    p_state.add_argument("--paper-rho", action="store_true", help="the built-in block-product state (default)")
-    p_state.add_argument("--mixed", action="store_true", help="the maximally mixed state")
-    p_state.add_argument("--general", nargs=2, metavar=("H_JSON", "G_JSON"), help="corner family from h/g tables")
-    p_state.add_argument("--state", help="state document path, or paper-rho / mixed")
-    p_state.add_argument("--check-depth", type=int, help="run coherence + density checks to this depth")
-    p_state.add_argument("--eigen", type=int, metavar="N", help="summarize the eigenstructure of the size-N block")
-    p_state.set_defaults(handler=cmd_state)
-
-    p_measure = sub.add_parser("measure", help="premeasure values and diagnostics")
-    p_measure.add_argument("--state", default="paper-rho")
-    p_measure.add_argument("--basis", default="standard")
-    p_measure.add_argument("--tau", action="append", help="a 0/1 prefix; repeatable")
-    p_measure.add_argument("--tau-depth", type=int, help="tabulate all prefixes of this length")
-    p_measure.add_argument("--path", choices=("auto", "dense", "factored"), default="auto")
-    p_measure.add_argument("--additivity", action="store_true", help="report the worst additivity deviation")
-    p_measure.add_argument("--oracle-compare", action="store_true", help="compare factored and dense paths")
-    p_measure.add_argument("--depth", type=int, help="depth for --oracle-compare")
-    p_measure.set_defaults(handler=cmd_measure)
-
-    p_sample = sub.add_parser("sample", help="draw measurement bit streams")
-    p_sample.add_argument("--state", default="paper-rho")
-    p_sample.add_argument("--basis", default="standard")
-    p_sample.add_argument("--bits", type=int, required=True)
-    p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--seeds", help="inclusive seed range A..B")
-    p_sample.add_argument("--out-prefix", help="write PREFIX.bits / PREFIX.json instead of stdout")
-    p_sample.set_defaults(handler=cmd_sample)
-
-    p_battery = sub.add_parser("battery", help="statistical battery over bit streams")
-    p_battery.add_argument("files", nargs="*", help="bit files, or - for one stream per stdin line")
-    p_battery.add_argument("--alpha", type=float, default=0.01)
-    p_battery.add_argument("--aggregate", action="store_true")
-    p_battery.set_defaults(handler=cmd_battery)
-
-    p_qmlt = sub.add_parser("qmlt", help="staged tests: witness construction, lifting, evaluation")
-    qmlt_sub = p_qmlt.add_subparsers(dest="subcommand", required=True)
-
-    budget_help = "largest allowed block size; the default 64 reaches level 3: N(3) = 35 <= 64 < N(4) = 69"
-    p_witness = qmlt_sub.add_parser("witness", help="build the witness test at one level")
-    p_witness.add_argument("--m", type=int, required=True)
-    p_witness.add_argument("--budget", type=int, default=64, help=budget_help)
-    p_witness.add_argument("--state", default="paper-rho")
-    p_witness.add_argument("--delta", type=float, default=0.0)
-    p_witness.set_defaults(handler=cmd_qmlt_witness)
-
-    p_lift = qmlt_sub.add_parser("lift", help="lift a classical staged test")
-    p_lift.add_argument("--mlt", required=True, help="classical test document")
-    p_lift.add_argument("--basis", default="standard")
-    p_lift.add_argument("--state", help="optionally evaluate this state on the lifted test")
-    p_lift.add_argument("--delta", type=float, default=0.0)
-    p_lift.set_defaults(handler=cmd_qmlt_lift)
-
-    p_eval = qmlt_sub.add_parser("eval", help="failure report of a state against a test")
-    p_eval.add_argument("--witness", type=int, metavar="M", help="witness levels 1..M")
-    p_eval.add_argument("--mlt", "--lifted", dest="mlt", help="classical test document to lift")
-    p_eval.add_argument("--basis", default="standard")
-    p_eval.add_argument("--budget", type=int, default=64, help=budget_help)
-    p_eval.add_argument("--state", default="paper-rho")
-    p_eval.add_argument("--delta", type=float, default=0.0)
-    p_eval.set_defaults(handler=cmd_qmlt_eval)
-
-    p_verify = sub.add_parser("verify", help="lemma checks")
-    verify_sub = p_verify.add_subparsers(dest="subcommand", required=True)
-
-    p_pairing = verify_sub.add_parser("kron-pairing")
-    p_pairing.add_argument("--n", type=int, default=8)
-    p_pairing.add_argument("--trials", type=int, default=1000)
-    p_pairing.add_argument("--seed", type=int, default=0)
-    p_pairing.set_defaults(handler=cmd_verify_kron_pairing)
-
-    p_quad = verify_sub.add_parser("quadratic-bounds")
-    p_quad.add_argument("--n", type=int, default=8)
-    p_quad.add_argument("--trials", type=int, default=100_000)
-    p_quad.add_argument("--seed", type=int, default=0)
-    p_quad.set_defaults(handler=cmd_verify_quadratic)
-
-    p_corner = verify_sub.add_parser("corner-block")
-    p_corner.add_argument("--n", type=int, default=8)
-    p_corner.add_argument("--trials", type=int, default=10_000)
-    p_corner.add_argument("--seed", type=int, default=0)
-    p_corner.set_defaults(handler=cmd_verify_corner)
-
-    p_family = verify_sub.add_parser("family")
-    p_family.add_argument("--spec", help="family document with h/g tables")
-    p_family.add_argument("--canonical", type=int, default=30, metavar="N_MAX",
-                          help="check the built-in family up to this block size")
-    p_family.set_defaults(handler=cmd_verify_family)
-
+    _add_commands(parser, _COMMANDS, "command", None if argv is None else _command_path(list(argv)))
     return parser
 
 
@@ -482,11 +535,14 @@ def _emit_error(args_command: str, exc: QmeasError) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser(argv).parse_args(argv)
+    except SystemExit as exc:  # --help
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
+    except BadQuery as exc:
+        _emit_error(".".join(_command_path(argv)) or "qmeas", exc)
+        return EXIT_BAD_INPUT
     command = _payload_command(args)
     config = {k: v for k, v in sorted(vars(args).items()) if k != "handler"}
     try:
@@ -508,7 +564,8 @@ def main(argv=None) -> int:
             "command": command,
             "config": config,
             "config_hash": config_hash(config),
-            "seed": config.get("seed"),
+            # a --seeds range chose the seeds: each stream entry names its own
+            "seed": None if config.get("seeds") is not None else config.get("seed"),
             "report": report,
         }
         sys.stdout.write(canonical_dumps(payload) + "\n")

@@ -4,6 +4,11 @@ Reports must be byte-identical across runs for a fixed configuration and
 seed, so floats are written with 17 significant digits (full double
 round-trip precision), dictionary keys are sorted, and nothing time- or
 path-dependent is ever placed in a payload.
+
+Flat float lists, 1-D float64 arrays and ``{str: float}`` tables are written
+run by run: each run of equal bit patterns is found in one numpy pass, and
+each distinct pattern is formatted once, so a sampler sidecar of 10^5 values,
+nearly all exactly 0.5, costs a few hundred formats and joins.
 """
 
 from __future__ import annotations
@@ -43,18 +48,23 @@ def _decimal_repr(x: int) -> str:
     return str(decimal.Decimal(x))
 
 
-def _float_reprs(values: Sequence[float]) -> list[str]:
-    """``_float_repr`` of each value, formatting each distinct bit pattern once.
+def _float_runs(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """``_float_repr`` of each run of equal float64 bit patterns, and the run lengths.
 
-    Sampler sidecars repeat a few hundred values (nearly all exactly 0.5)
-    across their whole length.  Keying on bit patterns keeps 0.0 and -0.0
-    apart; a non-finite value still raises ``ValueError``.
+    Runs are found in one ``!=`` pass over the bit patterns, and only the run
+    heads are sorted and searched, so each distinct pattern is formatted once.
+    Keying on bit patterns keeps 0.0 and -0.0 apart; a non-finite value still
+    raises ``ValueError``.  ``np.repeat(reprs, lengths)`` is one repr per value.
     """
     patterns = np.asarray(values, dtype=np.float64).view(np.uint64)
-    # a plain sort and a search of the few distinct patterns: return_inverse would argsort
-    distinct = np.unique(patterns)
+    is_head = np.ones(patterns.size, dtype=bool)
+    np.not_equal(patterns[1:], patterns[:-1], out=is_head[1:])
+    starts = np.flatnonzero(is_head)
+    lengths = np.diff(np.append(starts, patterns.size))
+    heads = patterns[starts]
+    distinct = np.unique(heads)
     reprs = np.array([_float_repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
-    return reprs[np.searchsorted(distinct, patterns)].tolist()
+    return reprs[np.searchsorted(distinct, heads)], lengths
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -85,7 +95,7 @@ def _write(obj: Any, out: list[str]) -> None:
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
         if set(map(type, obj.values())) <= {float}:
             # flat {str: float} tables: one join instead of one call per value
-            reprs = _float_reprs([obj[key] for key in keys])
+            reprs = np.repeat(*_float_runs([obj[key] for key in keys])).tolist()
             out.append(
                 "{"
                 + ",".join(encode_basestring_ascii(k) + ":" + r for k, r in zip(keys, reprs))
@@ -106,8 +116,10 @@ def _write(obj: Any, out: list[str]) -> None:
         else:
             flat = set(map(type, obj)) <= {float}
         if flat:
-            # flat float lists and arrays (sampler sidecars): one join
-            out.append("[" + ",".join(_float_reprs(obj)) + "]")
+            # flat float lists and arrays (sampler sidecars): one join over the runs
+            reprs, lengths = _float_runs(obj)
+            runs = ((r + ",") * (k - 1) + r for r, k in zip(reprs.tolist(), lengths.tolist()))
+            out.append("[" + ",".join(runs) + "]")
             return
         out.append("[")
         for i, item in enumerate(obj):

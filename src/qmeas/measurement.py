@@ -536,8 +536,12 @@ class BitSample:
     def __len__(self) -> int:
         return int(self.bits.shape[0])
 
+    def _digits(self) -> np.ndarray:
+        """The ASCII codes of the bits, one ``uint8`` per bit."""
+        return np.not_equal(self.bits, 0).astype(np.uint8) + ord("0")
+
     def bit_string(self) -> str:
-        return (np.not_equal(self.bits, 0).astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+        return self._digits().tobytes().decode("ascii")
 
     def conditional_product(self) -> float:
         return float(np.prod(self.conditional_probs)) if len(self) else 1.0
@@ -556,9 +560,14 @@ class BitSample:
         """Write ASCII bits (64 per line) and a JSON sidecar; returns the paths."""
         bits_path = f"{path_prefix}.bits"
         sidecar_path = f"{path_prefix}.json"
-        text = self.bit_string()
+        # rows of 64 digits and a newline, then the short last line, in one buffer
+        digits = self._digits()
+        rows, tail = divmod(digits.size, 64)
+        text = np.full(digits.size + rows + (tail > 0), ord("\n"), dtype=np.uint8)
+        text[: rows * 65].reshape(rows, 65)[:, :64] = digits[: rows * 64].reshape(rows, 64)
+        text[rows * 65 : rows * 65 + tail] = digits[rows * 64 :]
         with open(bits_path, "w", encoding="ascii") as fh:
-            fh.write("".join(text[i : i + 64] + "\n" for i in range(0, len(text), 64)))
+            fh.write(text.tobytes().decode("ascii"))
         with open(sidecar_path, "w", encoding="ascii") as fh:
             fh.write(jsonio.canonical_dumps(self.sidecar()))
             fh.write("\n")

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line driver: exit codes, payload shape,
 byte determinism, and the plumbing between subcommands."""
 
+import argparse
 import dataclasses
 import io
 import json
@@ -8,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from qmeas.cli import main
+from qmeas.cli import build_parser, main
 from qmeas.jsonio import canonical_dumps
 from qmeas.matrixcore import is_density_matrix
 from qmeas.measurement import MeasurementSystem, sample_bits
@@ -50,6 +51,55 @@ def test_help_exits_zero(capsys):
 def test_unknown_subcommand_is_bad_input(capsys):
     code, _, _ = run_cli(capsys, ["frobnicate"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, command, message",
+    [
+        (["sample", "--bits", "x"], "sample", "argument --bits: invalid int value: 'x'"),
+        (["sample"], "sample", "the following arguments are required: --bits"),
+        (["verify"], "verify", "the following arguments are required: subcommand"),
+        (["verify", "family", "--zz"], "verify.family", "unrecognized arguments: --zz"),
+        (["qmlt", "witness", "--m", "1", "--zz"], "qmlt.witness", "unrecognized arguments: --zz"),
+        (["frobnicate", "--bits", "x"], "qmeas", "argument command: invalid choice: 'frobnicate'"),
+        (["--zz"], "qmeas", "the following arguments are required: command"),
+    ],
+)
+def test_argument_errors_name_the_command_path(capsys, argv, command, message):
+    """An argparse rejection is one document naming the command path recognised so far."""
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    doc = json.loads(err)
+    assert doc["command"] == command and doc["error"]["code"] == "bad_query"
+    assert doc["error"]["message"].startswith(message)
+
+
+# every command path of the CLI, the top level first
+COMMAND_PATHS = [
+    [], ["state"], ["measure"], ["sample"], ["battery"],
+    ["qmlt"], ["qmlt", "witness"], ["qmlt", "lift"], ["qmlt", "eval"],
+    ["verify"], ["verify", "kron-pairing"], ["verify", "quadratic-bounds"],
+    ["verify", "corner-block"], ["verify", "family"],
+]
+
+
+def _subparser(parser, path):
+    for name in path:
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = action.choices[name]
+    return parser
+
+
+@pytest.mark.parametrize("path", COMMAND_PATHS, ids=lambda p: ".".join(p) or "qmeas")
+def test_help_of_each_command_path_is_that_of_the_full_parser(capsys, monkeypatch, path):
+    """The parser built for one command path prints the help and usage of the full tree,
+    and ``--help`` prints that help on stdout and exits 0."""
+    monkeypatch.setenv("COLUMNS", "100")
+    full = _subparser(build_parser(), path)
+    lazy = _subparser(build_parser(path), path)
+    assert lazy.format_help() == full.format_help()
+    assert lazy.format_usage() == full.format_usage()
+    assert run_cli(capsys, path + ["--help"]) == (0, full.format_help(), "")
 
 
 def test_missing_file_is_bad_input(capsys):
@@ -350,6 +400,18 @@ def test_sample_writes_deterministic_files(capsys, tmp_path):
     assert (tmp_path / "run.bits").read_text() == first
 
 
+def test_seed_is_null_when_a_range_chose_the_seeds(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(
+        capsys, ["sample", "--bits", "10", "--seeds", "3..3", "--seed", "5", "--out-prefix", "o"]
+    )
+    doc = payload_of(out)
+    assert code == 0 and doc["seed"] is None
+    assert [entry["seed"] for entry in doc["report"]["streams"]] == [3]
+    code, out, _ = run_cli(capsys, ["sample", "--bits", "10", "--seed", "5", "--out-prefix", "o"])
+    assert payload_of(out)["seed"] == 5
+
+
 def test_sample_pipes_into_battery(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys, ["sample", "--bits", "1200", "--seeds", "0..2", "--basis", "hadamard"]
@@ -624,6 +686,11 @@ DENSE_TABLE = ["measure", "--tau-depth", "3", "--path", "dense"]
         (["verify", "corner-block", "--seed", "-1"], None, 2, "bad_query"),
         (["verify", "quadratic-bounds", "--n", "1100", "--trials", "1"], None, 2, "bad_query"),
         (["verify", "corner-block", "--n", "1023", "--trials", "1"], None, 2, "bad_query"),
+        (["sample", "--bits", "x"], None, 2, "bad_query"),
+        (["sample"], None, 2, "bad_query"),
+        (["frobnicate"], None, 2, "bad_query"),
+        (["verify"], None, 2, "bad_query"),
+        (["measure", "--path", "zzz"], None, 2, "bad_query"),
     ],
     ids=[
         "canonical-4",
@@ -667,6 +734,11 @@ DENSE_TABLE = ["measure", "--tau-depth", "3", "--path", "dense"]
         "corner-block-seed-negative",
         "quadratic-bounds-n-1100",
         "corner-block-n-1023",
+        "argparse-bits-not-int",
+        "argparse-bits-missing",
+        "argparse-unknown-command",
+        "argparse-verify-no-subcommand",
+        "argparse-path-invalid-choice",
     ],
 )
 def test_bad_input_ends_in_one_error_document(

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from qmeas.cli import build_parser, main
+from qmeas.errors import BadQuery
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ELEVEN_256 = 11 / 256
@@ -71,7 +72,7 @@ def test_cookbook_commands_parse():
             try:
                 with contextlib.redirect_stderr(io.StringIO()):
                     build_parser().parse_args(argv[1:])
-            except SystemExit:
+            except (SystemExit, BadQuery):  # --help exits; a rejection raises BadQuery
                 rejected.append(command)
     assert commands and rejected == []
 

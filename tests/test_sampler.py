@@ -778,14 +778,16 @@ def test_premeasure_underflow_warns_once():
 
 
 def test_written_files_are_the_per_line_and_per_value_output(tmp_path):
-    sample = sample_bits(FactoredState.witness_state(), MeasurementSystem.hadamard(), 1000, 3)
-    bits_path, sidecar_path = sample.write(str(tmp_path / "s"))
-    text = "".join("1" if b else "0" for b in sample.bits)
-    lines = "".join(text[i : i + 64] + "\n" for i in range(0, len(text), 64))
-    assert Path(bits_path).read_text(encoding="ascii") == lines
-    sidecar = dict(sample.sidecar(), conditional_probs=[float(c) for c in sample.conditional_probs])
-    assert Path(sidecar_path).read_text(encoding="ascii") == per_value_dumps(sidecar) + "\n"
-    assert sample.bit_string() == text
+    # full rows of 64 digits, and a short last line or none
+    for length in (0, 1, 63, 64, 65, 128, 1000):
+        sample = sample_bits(FactoredState.witness_state(), MeasurementSystem.hadamard(), length, 3)
+        bits_path, sidecar_path = sample.write(str(tmp_path / "s"))
+        text = "".join("1" if b else "0" for b in sample.bits)
+        lines = "".join(text[i : i + 64] + "\n" for i in range(0, len(text), 64))
+        assert Path(bits_path).read_text(encoding="ascii") == lines
+        sidecar = dict(sample.sidecar(), conditional_probs=[float(c) for c in sample.conditional_probs])
+        assert Path(sidecar_path).read_text(encoding="ascii") == per_value_dumps(sidecar) + "\n"
+        assert sample.bit_string() == text
     empty = BitSample(np.zeros(0, dtype=np.uint8), 0, "b", "s", np.ones(0))
     assert empty.bit_string() == ""
 
@@ -816,6 +818,31 @@ def test_flat_float_payloads_match_the_per_value_writer(rng):
     # dtypes are written as today, row by row or value by value
     for doc in docs[:5] + [values]:
         assert canonical_dumps(np.array(doc, dtype=np.float64)) == per_value_dumps(doc)
+    # the writer joins runs of equal bit patterns: runs of 0.0 next to -0.0, a run
+    # at each end, single and alternating values, each as a list, a 1-D array and
+    # a table
+    runs = [
+        [0.0] * 5 + [-0.0] * 3 + [0.0] * 2 + [-0.0],
+        [0.5] * 7 + [0.25, 0.75] + [0.5] * 9,
+        [0.1] * 4 + [0.2] + [0.3] * 2,
+        [0.5],
+        [0.5, 0.25] * 50,
+        [0.5, -0.0, 0.5, 0.0, 5e-324],
+        [1e300] * 3 + [-1e300] * 3 + [1e300],
+    ]
+    for doc in runs:
+        assert canonical_dumps(doc) == per_value_dumps(doc)
+        assert canonical_dumps(np.array(doc)) == per_value_dumps(doc)
+        table = {format(i, "04d"): v for i, v in enumerate(doc)}
+        assert canonical_dumps(table) == per_value_dumps(table)
+    # the longest Hadamard stream on the witness state: its last conditional, at
+    # the block's zero step, is 0.0, and 1,057 distinct values run through it
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NumericHealthWarning)
+        deep = sample_bits(FactoredState.witness_state(), MeasurementSystem.hadamard(), 579_415, 0)
+    conditionals = deep.sidecar()["conditional_probs"]
+    assert conditionals[-1] == 0.0 and len(np.unique(conditionals)) > 1000
+    assert canonical_dumps(conditionals) == per_value_dumps(conditionals.tolist())
     for array in (np.array([[0.0, -0.0], [5e-324, -5e-324]]), np.array([0.1, -0.0], np.float32)):
         assert canonical_dumps(array) == per_value_dumps(array.tolist())
     for bad in (math.nan, math.inf, -math.inf):
