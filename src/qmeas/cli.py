@@ -147,7 +147,9 @@ def _table_keys(depth: int) -> list[str]:
     """Bit strings of all table indices, qubit 1 (the least-significant bit) first."""
     if depth == 0:
         return [""]
-    return [format(idx, f"0{depth}b")[::-1] for idx in range(1 << depth)]
+    # one row of ASCII digits per index, read as one byte string each
+    digits = ((np.arange(1 << depth)[:, None] >> np.arange(depth)) & 1).astype(np.uint8) + ord("0")
+    return digits.view(f"S{depth}")[:, 0].astype(str).tolist()
 
 
 def cmd_measure(args) -> tuple[dict, int]:

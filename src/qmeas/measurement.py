@@ -17,10 +17,12 @@ pairs) every paired product is the same, and the sum is the closed form
 binary digits of the count (see ``paired_coordinate_sum``).  A block cut
 after ``take`` qubits contributes exactly 2**-take.
 
-Block measures come from two batched kernels over rows of (block, offset).
-``_block_measures`` takes each row's outcome bits, padded to the widest
-block: one row and one outcome for ``block_measure``, one row and all 2**n
-outcomes for the factored tables.  ``premeasure`` (one outcome per complete
+Block measures come from two batched kernels over a state's block columns
+(``BlockColumns``: each block's n, first qubit, exact corner count r, r /
+2**n and kappa), read with whole-array steps.  ``_block_measures`` takes
+each block's outcome bits, padded to the widest block: one block and one
+outcome for ``block_measure``, one block and all 2**n outcomes for the
+factored tables.  ``premeasure`` (one outcome per complete
 block) and the sampler (the two outcomes of each block's last bit) get a
 string's complete blocks from ``_string_measures`` as one (blocks, outcomes)
 array: one segmented product, O(string length), on a real basis, bounded
@@ -31,6 +33,7 @@ warns at most once, so a string's clipping warns at most once on any basis.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 import warnings
@@ -49,7 +52,7 @@ from .errors import (
     NumericHealthWarning,
 )
 from .matrixcore import require_unit_vector
-from .states import DenseStatePrefix, DensityBlock, FactoredState
+from .states import BlockColumns, DenseStatePrefix, DensityBlock, FactoredState
 
 _CLAMP_WARN = 1e-9
 # 2**-s halves exactly down to the smallest subnormal 2**-1074; one more
@@ -355,7 +358,8 @@ def block_measure(
     bits = as_bits(sigma)
     if len(bits) != block.n:
         raise BadQuery(f"block of size {block.n} needs {block.n} bits, got {len(bits)}")
-    measure = _block_measures(system, [(block, block_offset)], np.array(bits)[None, None])
+    columns = BlockColumns.of([dataclasses.astuple(block)], block_offset)
+    measure = _block_measures(system, columns, np.array(bits)[None, None])
     return clamp01(float(measure[0, 0]), "block measure")
 
 
@@ -392,18 +396,18 @@ def _premeasure_factored(state: FactoredState, system: MeasurementSystem, bits) 
     product still falls below the normal range, one ``NumericHealthWarning``
     names the first block at which it did.
     """
-    segments = list(state.segments(len(bits)))
-    complete = [(block, offset) for block, offset, take in segments if take == block.n]
-    measures = _string_measures(system, complete, np.array(bits, dtype=np.intp), 1)
+    columns = state.columns(len(bits))
+    take = len(bits) - int(columns.offset[-1]) if len(columns) else 0
+    cut = bool(len(columns) and take < columns.n[-1])  # only the last block can be cut
+    measures = _string_measures(system, columns[:-1] if cut else columns, np.array(bits, dtype=np.intp), 1)
     factors = clamp01(measures[:, 0], "block measure")
-    cut = [math.ldexp(1.0, -segments[-1][2])] if len(complete) < len(segments) else []
     # running products in block order, one rounded multiply each; the leading 1 puts block i at i + 1
-    products = np.multiply.accumulate(np.concatenate([[1.0], factors, cut]))
+    products = np.multiply.accumulate(np.concatenate([[1.0], factors, [math.ldexp(1.0, -take)] if cut else []]))
     value, tiny = float(products[-1]), np.flatnonzero(products < sys.float_info.min)
     if tiny.size and np.all(factors > 0.0):
-        block, offset, _ = segments[tiny[0] - 1]
+        index = int(tiny[0]) - 1
         warnings.warn(
-            f"premeasure underflows at block {tiny[0] - 1} (n={block.n}, offset {offset}): "
+            f"premeasure underflows at block {index} (n={columns.n[index]}, offset {columns.offset[index]}): "
             f"the product of positive block factors is {value!r}",
             NumericHealthWarning,
             stacklevel=3,
@@ -444,11 +448,13 @@ def premeasure_table_factored(
     if depth > MAX_TABLE_DEPTH:
         raise CapExceeded(f"factored table of depth {depth} is past the bound {MAX_TABLE_DEPTH}")
     table = np.ones(1)
-    for block, offset, take in state.segments(depth):
-        if take == block.n:
+    columns = state.columns(depth)
+    for index, (n, offset) in enumerate(zip(columns.n.tolist(), columns.offset.tolist())):
+        take = min(n, depth - offset)
+        if take == n:
             # outcome i reads bit (i >> q) & 1 at qubit offset+q+1
             outcomes = (np.arange(1 << take)[:, None] >> np.arange(take)) & 1
-            part = _block_measures(system, [(block, offset)], outcomes[None])[0]
+            part = _block_measures(system, columns[index : index + 1], outcomes[None])[0]
             part = clamp01(part, "block measure table")
         else:
             part = np.full(1 << take, math.ldexp(1.0, -take))
@@ -602,30 +608,29 @@ def sample_bits(
         raise BadQuery(f"seeds must be non-negative, got {seed}")
     if not isinstance(state, FactoredState):
         raise BadQuery("sampling is defined for factored states")
-    complete, zero_step = [], None
-    for index, (block, offset, take) in enumerate(state.segments(length)):
-        if not block.corner_count:
-            continue  # every conditional 1/2, every bit u >= 0.5: the buffer's own values
-        if take > _HALVINGS + 1:
-            # the partial factor before step _HALVINGS + 1 is 2**-1075, which is zero
-            raise MeasureZeroPrefix(
-                f"prefix of measure zero inside block {index} (offset {offset})"
-            )
-        if take == block.n:
-            complete.append((index, block, offset))
-        elif take > _HALVINGS:
-            # a cut block: halving 2**-1074 rounds to zero, so that step's conditional is 0
-            zero_step = offset + _HALVINGS
+    columns = state.columns(length)
+    take = np.minimum(columns.n, length - columns.offset)
+    # a corner-free block's conditionals are all 1/2, its bits u >= 0.5: the buffer's own values
+    corners = columns.count.astype(bool)
+    # the partial factor before step _HALVINGS + 1 is 2**-1075, which is zero
+    doomed = np.flatnonzero(corners & (take > _HALVINGS + 1))
+    if doomed.size:
+        index = int(doomed[0])
+        raise MeasureZeroPrefix(
+            f"prefix of measure zero inside block {index} (offset {columns.offset[index]})"
+        )
+    complete = np.flatnonzero(corners & (take == columns.n))
+    # a cut block: halving 2**-1074 rounds to zero, so that step's conditional is 0
+    zero_steps = columns.offset[corners & (take < columns.n) & (take > _HALVINGS)] + _HALVINGS
     conds = np.random.default_rng(seed).random(length)  # the draws, until overwritten
     bits = (conds >= 0.5).view(np.uint8)
-    lasts = np.array([offset + block.n - 1 for _, block, offset in complete], dtype=np.intp)
+    rows = columns[complete]
+    lasts = rows.offset + rows.n - 1
     draws = conds[lasts]
     conds.fill(0.5)
-    if zero_step is not None:
-        conds[zero_step] = 0.0
-    rows = [(block, offset) for _, block, offset in complete]
+    conds[zero_steps] = 0.0
     measures = clamp01(_string_measures(system, rows, bits, 2), "block measure")
-    prev = np.ldexp(1.0, np.array([1 - block.n for block, _ in rows], dtype=np.intp))
+    prev = np.ldexp(1.0, 1 - rows.n)
     # measures lie in [0, 1] and draws in [0, 1), so p0 needs no clip to
     # [0, 1]: the bit is 1 unless draw < p0, NaN included
     bit = ~(draws < measures[:, 0] / prev)
@@ -634,51 +639,53 @@ def sample_bits(
     bits[lasts] = bit
     subnormal = np.flatnonzero(chosen < sys.float_info.min)
     if subnormal.size:
-        index, block, offset = complete[subnormal[0]]
+        first = subnormal[0]
         warnings.warn(
-            f"block {index} (n={block.n}, offset {offset}) has subnormal measure "
-            f"{float(chosen[subnormal[0]])!r}; conditionals from here on lose precision",
+            f"block {complete[first]} (n={rows.n[first]}, offset {rows.offset[first]}) has subnormal measure "
+            f"{float(chosen[first])!r}; conditionals from here on lose precision",
             NumericHealthWarning,
             stacklevel=2,
         )
     return BitSample(bits, int(seed), system.label, state.label, conds)
 
 
-def _string_measures(system: MeasurementSystem, rows, string: np.ndarray, k: int) -> np.ndarray:
+def _string_measures(system: MeasurementSystem, rows: BlockColumns, string: np.ndarray, k: int) -> np.ndarray:
     """Unclamped block measures of complete blocks read from ``string``, shape (len(rows), k).
 
-    ``rows`` lists (block, offset) of complete blocks in string order, and
-    each row's outcomes are its bits read from ``string``; with k = 2 its
-    last bit is set to 0 and to 1.  A real basis measures every row in one
+    ``rows`` holds the columns of complete blocks in string order, and each
+    block's outcomes are its bits read from ``string``; with k = 2 its last
+    bit is set to 0 and to 1.  A real basis measures every block in one
     segmented product (``_segmented_measures``); a complex one fills the
-    array from ``_walk_groups`` of padded rows.  No rows give an empty array.
+    array from ``_walk_groups`` of padded rows.  No blocks give an empty
+    array.
     """
-    if not rows:
+    if not len(rows):
         return np.empty((0, k))
     if system._real_pair_factors is not None:
         return _segmented_measures(system, rows, string, k)
-    groups = _walk_groups([block for block, _ in rows], k)
+    groups = _walk_groups(rows.n.tolist(), k)
     return np.concatenate([_block_measures(system, rows[g], _read_outcomes(string, rows[g], k)) for g in groups])
 
 
-def _segmented_measures(system: MeasurementSystem, rows, string: np.ndarray, k: int) -> np.ndarray:
-    """``_string_measures`` of every row on a real basis, in O(string length).
+def _segmented_measures(system: MeasurementSystem, rows: BlockColumns, string: np.ndarray, k: int) -> np.ndarray:
+    """``_string_measures`` of every block on a real basis, in O(string length).
 
     2 f0 is gathered per position from the basis table, and one
-    ``np.multiply.reduceat`` over the rows' first and last qubits multiplies
-    each block's first n - 1 factors, left to right; each outcome's
-    last-qubit factor multiplies in last.  That is the order in which
-    ``paired_coordinate_sum`` multiplies a padded row of ``_block_measures``,
-    whose pad factors are exactly 1, so both kernels give the same bits.
+    ``np.multiply.reduceat`` over the blocks' first and last qubits
+    multiplies each block's first n - 1 factors, left to right; each
+    outcome's last-qubit factor multiplies in last.  That is the order in
+    which ``paired_coordinate_sum`` multiplies a padded row of
+    ``_block_measures``, whose pad factors are exactly 1, so both kernels
+    give the same bits.
     """
     pair_factors = system._real_pair_factors
     period = len(system._table)
-    starts = np.array([offset for _, offset in rows], dtype=np.intp)
-    lasts = starts + [block.n - 1 for block, _ in rows]
+    starts = rows.offset
+    lasts = starts + rows.n - 1
     base, end = int(starts[0]), int(lasts[-1]) + 1
-    index = np.arange(base, end)  # each qubit's flat [pair][bit] row, built in place
-    index %= period
-    index *= 2
+    # each qubit's flat [pair][bit] row: 2 (q % period) + bit, the pair rows tiled, not divided
+    first, count = base % period, end - base
+    index = np.tile(np.arange(0, 2 * period, 2), (first + count) // period + 1)[first : first + count]
     index += string[base:end]
     # segment i covers qubits starts[i] .. lasts[i] - 1; the segments from each last
     # qubit to the next start are dropped
@@ -686,64 +693,66 @@ def _segmented_measures(system: MeasurementSystem, rows, string: np.ndarray, k: 
     heads[starts == lasts] = 1.0  # a one-qubit block: reduceat gives its factor, the product is empty
     last_bits = np.array([0, 1]) if k == 2 else string[lasts, None]
     tails = pair_factors[2 * (lasts % period)[:, None] + last_bits]
-    ratios = np.array([[block.corner_count / (1 << block.n)] for block, _ in rows])
-    return _measures(rows, _closed_form(ratios, heads[:, None] * tails))
+    return _measures(rows, _closed_form(rows.ratio[:, None], heads[:, None] * tails))
 
 
-def _walk_groups(blocks, k: int):
-    """Slices of consecutive blocks whose padded walk of k outcomes fits in ``_WALK_ENTRIES``."""
+def _walk_groups(sizes, k: int):
+    """Slices of consecutive blocks, by size, whose padded walk of k outcomes fits in ``_WALK_ENTRIES``."""
     start, width = 0, 0
-    for stop, block in enumerate(blocks):
-        width = max(width, block.n)
+    for stop, n in enumerate(sizes):
+        width = max(width, n)
         if stop > start and k * (stop - start + 1) * width > _WALK_ENTRIES:
             yield slice(start, stop)
-            start, width = stop, block.n
-    if start < len(blocks):
-        yield slice(start, len(blocks))
+            start, width = stop, n
+    if start < len(sizes):
+        yield slice(start, len(sizes))
 
 
-def _read_outcomes(string: np.ndarray, rows, k: int) -> np.ndarray:
+def _read_outcomes(string: np.ndarray, rows: BlockColumns, k: int) -> np.ndarray:
     """Outcome bits of k outcomes per complete block, read from ``string``.
 
-    Shape (len(rows), k, width) for the widest block; each row's bits fill
-    its last block.n columns, and the columns before them read some valid
-    bit, which ``_block_measures`` pads over.  With k = 2 the two outcomes
-    set the block's last bit to 0 and to 1.
+    Shape (len(rows), k, width) for the widest block; each block's bits fill
+    its last n columns, and the columns before them read some valid bit,
+    which ``_block_measures`` pads over.  With k = 2 the two outcomes set
+    the block's last bit to 0 and to 1.
     """
-    width = max(block.n for block, _ in rows)
-    starts = np.array([[offset + block.n - width] for block, offset in rows])
+    width = int(rows.n.max())
+    starts = (rows.offset + rows.n - width)[:, None]
     outcomes = np.repeat(string[np.maximum(starts + np.arange(width), 0)][:, None], k, axis=1)
     if k == 2:
         outcomes[..., -1] = (0, 1)
     return outcomes
 
 
-def _block_measures(system: MeasurementSystem, rows, outcomes: np.ndarray) -> np.ndarray:
+def _block_measures(system: MeasurementSystem, rows: BlockColumns, outcomes: np.ndarray) -> np.ndarray:
     """Unclamped block measures, shape (len(rows), k), of outcomes shaped (len(rows), k, width).
 
-    ``rows`` lists (block, offset) of complete blocks; each row's k outcomes
-    hold the block's bits, for qubits offset+1..offset+n, in their last
-    block.n columns.  All rows share one gather from the basis table and one
-    ``paired_coordinate_sum``.  The columns before a row's own take the
+    ``rows`` holds the columns of complete blocks; each block's k outcomes
+    hold its bits, for qubits offset+1..offset+n, in their last n columns.
+    All blocks share one gather from the basis table and one
+    ``paired_coordinate_sum``.  The columns before a block's own take the
     factor (1, 1/2) and its count is shifted past them, which keeps
     count / 2^n: the pad's 2 f0, its pair sum 1/2 + 1/2, is exactly 1, and
-    the walk records nothing there, so the products over the row's own
+    the walk records nothing there, so the products over the block's own
     positions are unchanged.
     """
     width = outcomes.shape[-1]
-    pads = np.array([[width - block.n] for block, _ in rows])
-    starts = np.array([[offset] for _, offset in rows]) - pads  # qubit of column 0, pad included
-    factors = system._chosen(outcomes, starts[:, None])
-    np.copyto(factors, (1.0, 0.5), where=(np.arange(width) < pads)[:, None, :, None])
-    counts = np.empty((len(rows), 1), dtype=object)
-    counts[:, 0] = [block.corner_count << (width - block.n) for block, _ in rows]
+    pads = width - rows.n
+    starts = rows.offset - pads  # qubit of column 0, pad included
+    factors = system._chosen(outcomes, starts[:, None, None])
+    np.copyto(factors, (1.0, 0.5), where=(np.arange(width) < pads[:, None])[:, None, :, None])
+    # exact shifts of Python ints, however large
+    counts = (rows.count << pads.astype(object))[:, None]
     return _measures(rows, paired_coordinate_sum(factors, counts))
 
 
-def _measures(rows, sums: np.ndarray) -> np.ndarray:
-    """diag + corner * 2 Re(s): block measures from paired coordinate sums shaped (len(rows), k)."""
-    diag = np.array([[block.diag_value] for block, _ in rows])
-    corner = np.array([[block.corner_value] for block, _ in rows])
+def _measures(rows: BlockColumns, sums: np.ndarray) -> np.ndarray:
+    """diag + corner * 2 Re(s): block measures from paired coordinate sums shaped (len(rows), k).
+
+    diag is 2^-n and corner kappa 2^-n, both 0 past n = 1074.
+    """
+    diag = np.ldexp(1.0, -rows.n)[:, None]
+    corner = np.ldexp(rows.kappa, -rows.n)[:, None]
     return diag + corner * 2.0 * np.real(sums)
 
 

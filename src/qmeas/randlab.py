@@ -152,12 +152,17 @@ def runs_test(bits: np.ndarray, alpha: float) -> TestResult:
 
 
 def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
-    """Counts of the 2**m overlapping m-bit patterns, wrapping around the end (m >= 1)."""
+    """Counts of the 2**m overlapping m-bit patterns, wrapping around the end (m >= 1).
+
+    Each position's pattern index is built in place in the narrowest
+    unsigned type that holds m bits, one byte at m <= 8.
+    """
     n = bits.size
-    extended = np.concatenate([bits, bits[: m - 1]])
-    idx = np.zeros(n, dtype=np.int64)
+    extended = np.concatenate([bits, bits[: m - 1]]).astype(np.uint8, copy=False)
+    idx = np.zeros(n, dtype=np.min_scalar_type((1 << m) - 1))
     for j in range(m):
-        idx = (idx << 1) | extended[j : j + n]
+        idx <<= 1
+        idx |= extended[j : j + n]
     return np.bincount(idx, minlength=1 << m).astype(np.float64)
 
 
@@ -200,8 +205,11 @@ def _serial_results(tables: list[np.ndarray], n: int, alpha: float, m: int) -> l
 
 def cumulative_sums_test(bits: np.ndarray, alpha: float) -> TestResult:
     n = bits.size
-    partial = np.cumsum(2 * bits.astype(np.int64) - 1)
-    z = float(np.max(np.abs(partial)))
+    walk = bits.astype(np.int64)  # the +-1 steps, then their partial sums, in one buffer
+    walk *= 2
+    walk -= 1
+    np.cumsum(walk, out=walk)
+    z = float(max(walk.max(), -walk.min()))
     if z == 0.0:
         return TestResult("cumulative_sums", 0.0, 0.0, False, {"note": "degenerate"})
     sn = math.sqrt(n)

@@ -6,15 +6,21 @@ equal off-diagonal entries placed symmetrically on the anti-diagonal: entry
 the mirror image.  A block is stored scale-free, as (n, r, kappa) with kappa
 in [0, 1], and prints as exactly those fields; the canonical block has
 r = floor(2**n / n) and kappa = 1.  A full state is an infinite tensor
-product of such blocks, realized lazily.  Both built-in states have block i
-of i + 5 qubits: the witness state's blocks are canonical, and the maximally
-mixed state's are corner-free, I / 2**(i+5).  Checks on a factored state
-answer from its blocks, so their reports are sized by the blocks, not by
-the depth checked.
+product of such blocks, realized lazily.  A ``FactoredState`` keeps its
+realized blocks as columns (``BlockColumns``): sizes n and first qubits as
+int arrays, the exact corner counts r with their correctly rounded ratios
+r / 2**n, and kappa.  The kernels read those columns whole; a
+``DensityBlock`` is built only when a caller asks for one.  Both built-in
+states have block i of i + 5 qubits: the witness state's blocks are
+canonical, and the maximally mixed state's are corner-free, I / 2**(i+5);
+extending either appends fields and builds no block.  Checks on a factored
+state answer from its blocks, so their reports are sized by the blocks, not
+by the depth checked.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -38,8 +44,8 @@ class DensityBlock:
     """Structured density block: diagonal 2**-n plus anti-diagonal corners kappa * 2**-n.
 
     A block prints as its fields (n, corner_count, corner_ratio), exact at
-    every n.  The derived floats ``diag_value`` and ``corner_value``, which
-    the kernels read, underflow to 0 past n = 1074.
+    every n.  The derived floats ``diag_value`` and ``corner_value`` underflow
+    to 0 past n = 1074.
     """
 
     n: int
@@ -82,7 +88,12 @@ def build_corner_block(n: int) -> DensityBlock:
     """Canonical block: floor(2**n / n) corner pairs of value 2**-n (kappa = 1)."""
     if n < 3:
         raise BadBlock(f"canonical blocks need n >= 3, got {n}")
-    return DensityBlock(n, (1 << n) // n, 1.0)
+    return DensityBlock(*_canonical_fields(n))
+
+
+def _canonical_fields(n: int) -> tuple[int, int, float]:
+    """The canonical block's exact fields (n, floor(2**n / n), 1.0)."""
+    return n, (1 << n) // n, 1.0
 
 
 def build_corner_block_general(n: int, corner_count: int, corner_value: float) -> DensityBlock:
@@ -225,23 +236,78 @@ class DenseStateChain:
         return DenseStatePrefix(k, self._prefixes[k])
 
 
+@dataclass(frozen=True, eq=False)
+class BlockColumns:
+    """Consecutive blocks as columns, one entry per block.
+
+    ``n`` and ``offset`` (the block's first qubit, 0-based) are int arrays,
+    ``count`` holds the exact corner counts r as Python ints, ``ratio``
+    their correctly rounded r / 2**n, and ``kappa`` the corner ratios.
+    Indexing by a slice, mask or index array selects blocks.
+    """
+
+    n: np.ndarray
+    offset: np.ndarray
+    count: np.ndarray
+    ratio: np.ndarray
+    kappa: np.ndarray
+
+    @classmethod
+    def of(cls, fields, start: int = 0) -> "BlockColumns":
+        """Columns of consecutive blocks given as exact (n, r, kappa), the first at qubit ``start``.
+
+        r / 2**n is one int true division per block, correctly rounded at any n.
+        """
+        sizes, counts, kappas = zip(*fields) if fields else ((), (), ())
+        n = np.array(sizes, dtype=np.intp)
+        ratio = np.array([r / (1 << k) for k, r in zip(sizes, counts)], dtype=float)
+        return cls(n, start + np.cumsum(n) - n, np.array(counts, dtype=object), ratio, np.array(kappas, dtype=float))
+
+    def __len__(self) -> int:
+        return self.n.size
+
+    def __getitem__(self, index) -> "BlockColumns":
+        return BlockColumns(*(column[index] for column in self._columns()))
+
+    def _columns(self) -> tuple:
+        return self.n, self.offset, self.count, self.ratio, self.kappa
+
+    @property
+    def end(self) -> int:
+        """The qubit after the last block (0 with no block)."""
+        return int(self.offset[-1] + self.n[-1]) if len(self) else 0
+
+    def extended(self, fields) -> "BlockColumns":
+        """These blocks followed by blocks given as exact (n, r, kappa)."""
+        more = BlockColumns.of(fields, self.end)
+        return BlockColumns(*map(np.concatenate, zip(self._columns(), more._columns())))
+
+
 class FactoredState:
-    """Tensor product of structured blocks, extendable on demand."""
+    """Tensor product of structured blocks, extendable on demand.
+
+    The realized blocks are ``BlockColumns``.  ``factory`` maps a block
+    index to that block's exact fields (n, r, kappa); extending the state
+    appends them to the columns.  ``block(i)`` builds a realized block's
+    ``DensityBlock`` on first request and keeps it.
+    """
 
     def __init__(
         self,
         blocks: list[DensityBlock],
-        factory: Callable[[int], DensityBlock] | None = None,
+        factory: Callable[[int], tuple[int, int, float]] | None = None,
         label: str = "factored",
     ):
-        self._blocks = list(blocks)
+        blocks = list(blocks)
+        self._columns = BlockColumns.of([dataclasses.astuple(b) for b in blocks])
+        self._built = dict(enumerate(blocks))
         self._factory = factory
         self.label = label
 
     @classmethod
     def witness_state(cls) -> "FactoredState":
         """The built-in product of canonical corner blocks of sizes 5, 6, 7, ..."""
-        return cls([], factory=lambda i: build_corner_block(i + 5), label="paper_rho")
+        return cls([], factory=lambda i: _canonical_fields(i + 5), label="paper_rho")
 
     @classmethod
     def general_family(cls, corner_counts, corner_values, label: str = "general") -> "FactoredState":
@@ -253,44 +319,45 @@ class FactoredState:
     @classmethod
     def maximally_mixed(cls) -> "FactoredState":
         """Product of corner-free blocks of sizes 5, 6, 7, ...: I / 2**k at depth k."""
-        return cls([], factory=lambda i: build_corner_block_general(i + 5, 0, 0.0), label="max_mixed")
+        return cls([], factory=lambda i: (i + 5, 0, 0.0), label="max_mixed")
 
     @classmethod
     def from_blocks(cls, blocks: list[DensityBlock], label: str = "factored") -> "FactoredState":
         return cls(list(blocks), label=label)
 
     def ensure_covers(self, qubits: int) -> None:
-        """Materialize enough blocks to cover the first ``qubits`` positions."""
-        total = sum(b.n for b in self._blocks)
+        """Realize enough blocks to cover the first ``qubits`` positions, as fields."""
+        total, index, fields = self._columns.end, len(self._columns), []
         while total < qubits:
             if self._factory is None:
                 raise BadQuery(
                     f"state {self.label!r} covers only {total} qubits, needs {qubits}"
                 )
-            block = self._factory(len(self._blocks))
-            self._blocks.append(block)
-            total += block.n
+            fields.append(self._factory(index))
+            total += fields[-1][0]
+            index += 1
+        if fields:
+            self._columns = self._columns.extended(fields)
+
+    def columns(self, qubits: int) -> BlockColumns:
+        """The columns of the blocks covering the first ``qubits`` positions; only the last can be cut."""
+        self.ensure_covers(qubits)
+        return self._columns[: int(np.searchsorted(self._columns.offset, qubits))]
 
     @property
     def blocks(self) -> list[DensityBlock]:
-        return list(self._blocks)
+        return [self.block(i) for i in range(len(self._columns))]
 
     def block(self, i: int) -> DensityBlock:
-        """Block i; past the materialized blocks, the factory's block, materializing nothing."""
-        if i >= len(self._blocks) and self._factory is not None:
-            return self._factory(i)
-        if not 0 <= i < len(self._blocks):
-            raise BadQuery(f"state has {len(self._blocks)} blocks, asked for index {i}")
-        return self._blocks[i]
-
-    def block_offsets(self) -> list[int]:
-        """Qubit offset of each materialized block (first block at offset 0)."""
-        offsets = []
-        total = 0
-        for b in self._blocks:
-            offsets.append(total)
-            total += b.n
-        return offsets
+        """Block i, built once from the columns; past them, the factory's block, realizing nothing."""
+        if i not in self._built:
+            c = self._columns
+            if i >= len(c) and self._factory is not None:
+                return DensityBlock(*self._factory(i))
+            if not 0 <= i < len(c):
+                raise BadQuery(f"state has {len(c)} blocks, asked for index {i}")
+            self._built[i] = DensityBlock(int(c.n[i]), c.count[i], float(c.kappa[i]))
+        return self._built[i]
 
     def segments(self, qubits: int):
         """Yield (block, offset, take) for the blocks covering the first ``qubits`` positions.
@@ -298,13 +365,9 @@ class FactoredState:
         ``offset`` is the block's first qubit position (0-based) and ``take``
         how many of its qubits fall inside; only the last block can be cut.
         """
-        self.ensure_covers(qubits)
-        offset = 0
-        for block in self._blocks:
-            if offset >= qubits:
-                return
-            yield block, offset, min(block.n, qubits - offset)
-            offset += block.n
+        columns = self.columns(qubits)
+        for i, (n, offset) in enumerate(zip(columns.n.tolist(), columns.offset.tolist())):
+            yield self.block(i), offset, min(n, qubits - offset)
 
     @property
     def extendable(self) -> bool:
@@ -317,7 +380,7 @@ class FactoredState:
         return {
             "label": self.label,
             "extendable": self.extendable,
-            "blocks": list(self._blocks),
+            "blocks": self.blocks,
         }
 
 
@@ -464,6 +527,7 @@ def family_tables(h_raw, g_raw) -> tuple[dict[int, int], dict[int, float]]:
 
 
 __all__ = [
+    "BlockColumns",
     "CoherenceReport",
     "DenseStateChain",
     "DenseStatePrefix",

@@ -59,7 +59,10 @@ def random_product_factors(
     phase = (rng if phase_rng is None else phase_rng).uniform(0.0, 2.0 * np.pi, size=(trials, n))
     out = np.empty((trials, n, 2), dtype=complex)
     out[:, :, 0] = np.sqrt((1.0 + cos_theta) / 2.0)
-    out[:, :, 1] = np.sqrt((1.0 - cos_theta) / 2.0) * np.exp(1j * phase)
+    # sqrt((1 - c) / 2) e^(i phase), written part by part: no complex temporary
+    scale = np.sqrt((1.0 - cos_theta) / 2.0)
+    np.multiply(scale, np.cos(phase), out=out.real[:, :, 1])
+    np.multiply(scale, np.sin(phase), out=out.imag[:, :, 1])
     return out
 
 

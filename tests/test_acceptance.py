@@ -191,8 +191,7 @@ def test_criterion_10_sampling_consistency():
     conds = np.stack([s.conditional_probs for s in samples])
 
     # frequency cells: the first three complete blocks (sizes 5, 6, 7)
-    state.ensure_covers(18)
-    offsets = state.block_offsets()
+    offsets = state.columns(18).offset
     cells = ok_cells = 0
     for b in range(3):
         block = state.block(b)
@@ -210,9 +209,8 @@ def test_criterion_10_sampling_consistency():
 
     # each stream's conditionals multiply back to the premeasure, checked
     # block by block (the full 10^4-bit product underflows doubles)
-    state.ensure_covers(n_bits)
     worst = 0.0
-    for b, o in enumerate(state.block_offsets()):
+    for b, o in enumerate(state.columns(n_bits).offset.tolist()):
         block = state.block(b)
         if o + block.n > n_bits:
             break

@@ -140,18 +140,18 @@ def test_mixed_mass_is_tau_through_level_eight(capsys):
 def test_state_eigen_lookup_builds_at_most_one_block(capsys, monkeypatch):
     """Block N - 5 is looked up, not searched for: one block built, none materialized."""
     built, sizes = [], []
-    real_state, real_block = FactoredState.maximally_mixed, states.build_corner_block_general
+    real_state, real_check = FactoredState.maximally_mixed, states.DensityBlock.__post_init__
 
     def spy():
         built.append(real_state())
         return built[-1]
 
-    def counted(n, corner_count, corner_value):
-        sizes.append(n)
-        return real_block(n, corner_count, corner_value)
+    def counted(block):
+        sizes.append(block.n)
+        real_check(block)
 
     monkeypatch.setattr(FactoredState, "maximally_mixed", spy)
-    monkeypatch.setattr(states, "build_corner_block_general", counted)
+    monkeypatch.setattr(states.DensityBlock, "__post_init__", counted)
     assert main("state --mixed --eigen 100000".split()) == 0
     eigen = report_of(capsys.readouterr().out)["eigen"]
     assert (eigen["block_index"], eigen["zero_multiplicity"]) == (99_995, 0)

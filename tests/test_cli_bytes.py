@@ -127,3 +127,18 @@ def test_depth_zero_table_has_the_empty_key(capsys):
     assert main(["measure", "--tau-depth", "0"]) == 0
     report = json.loads(capsys.readouterr().out)["report"]
     assert report["table"] == {"": 1.0}
+
+
+# SHA-256 of the stdout of ``battery`` over the three pinned sample files above
+BATTERY_DIGEST = "a3941e530fc69de8480af15fe5cf04dde19879b7ee0ed31c2f7de69c2f6d1c01"
+
+
+def test_battery_over_the_pinned_samples_is_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rot.json").write_text(json.dumps(ROTATION), encoding="ascii")
+    prefixes = {"hadamard": "h", "standard": "s", "rot.json": "r"}
+    for basis, prefix in prefixes.items():
+        assert main(["sample", "--bits", "100000", "--basis", basis, "--out-prefix", prefix]) == 0
+    capsys.readouterr()
+    files = [f"{prefix}.bits" for prefix in prefixes.values()]
+    assert stdout_digest(["battery", *files, "--aggregate"], capsys, tmp_path, monkeypatch) == BATTERY_DIGEST

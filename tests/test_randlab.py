@@ -189,6 +189,26 @@ def test_cumulative_sums_known_answer():
     assert result.p_value == pytest.approx(0.4116588, abs=1e-6)
 
 
+@pytest.mark.parametrize("name", ["random", "all-zero", "alternating"])
+def test_pattern_counts_against_dict_counting(name):
+    """Counts at m = 1..9, across the one-byte to two-byte index boundary at m = 9."""
+    bits = {
+        "random": uniform_bits(41, 3001),
+        "all-zero": np.zeros(3001, dtype=np.uint8),
+        "alternating": np.tile([0, 1], 1500).astype(np.uint8),
+    }[name]
+    text = "".join(map(str, bits.tolist()))
+    for m in range(1, 10):
+        wrapped = text + text[: m - 1]
+        counts = {}
+        for i in range(bits.size):
+            pattern = int(wrapped[i : i + m], 2)
+            counts[pattern] = counts.get(pattern, 0) + 1
+        got = _pattern_counts(bits, m)
+        assert got.dtype == np.float64 and got.size == 1 << m
+        assert got.tolist() == [float(counts.get(p, 0)) for p in range(1 << m)], m
+
+
 def test_psi_squared_against_dict_counting(rng):
     bits = (rng.random(1000) < 0.5).astype(np.uint8)
     for m in (1, 2, 3):

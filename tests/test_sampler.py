@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qmeas.cli import main
 from qmeas.errors import BadQuery, MeasureZeroPrefix, NumericHealthWarning
 from qmeas.jsonio import canonical_dumps
 from qmeas import measurement
@@ -427,6 +428,41 @@ def test_doomed_length_fails_before_drawing_or_walking(deep_oracle, monkeypatch)
     assert str(failure.value) == message
 
 
+def test_doomed_cli_sample_fails_before_drawing(capsys, tmp_path, monkeypatch):
+    """``sample --bits 600000`` ends in one error document, with no draw and no file written."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a doomed length must not draw")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    assert main(["sample", "--bits", "600000", "--out-prefix", "deep"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "code": "measure_zero_prefix",
+        "message": "prefix of measure zero inside block 1071 (offset 578340)",
+    }
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("state", [FactoredState.witness_state, FactoredState.maximally_mixed])
+def test_sampling_builds_no_density_block(state, monkeypatch):
+    """The sampler reads the state's block columns; growing a built-in state appends fields only."""
+    built = []
+    check = DensityBlock.__post_init__
+
+    def counted(block):
+        built.append(block.n)
+        check(block)
+
+    monkeypatch.setattr(DensityBlock, "__post_init__", counted)
+    for system in systems().values():
+        sample = sample_bits(state(), system, 100_000, 3)
+        assert len(sample) == 100_000
+    assert built == []
+
+
 def test_underflow_warns_once_past_block_1022():
     system = MeasurementSystem.hadamard()
     with warnings.catch_warnings(record=True) as caught:
@@ -476,11 +512,12 @@ def padded_walk_sample(state, system, length, seed):
     if zero_step is not None:
         conds[zero_step] = 0.0
     warned = False
-    for group in measurement._walk_groups([block for _, block, _ in complete], 2):
-        rows = [(block, offset) for _, block, offset in complete[group]]
+    columns = state.columns(length)
+    for group in measurement._walk_groups([block.n for _, block, _ in complete], 2):
+        rows = columns[[index for index, _, _ in complete[group]]]
         outcomes = measurement._read_outcomes(bits, rows, 2)
         measures = clamp01(measurement._block_measures(system, rows, outcomes), "block measure")
-        prev = np.ldexp(1.0, [1 - block.n for block, _ in rows])
+        prev = np.ldexp(1.0, [1 - block.n for _, block, _ in complete[group]])
         bit = ~(draws[group] < measures[:, 0] / prev)
         chosen = np.where(bit, measures[:, 1], measures[:, 0])
         conds[lasts[group]] = chosen / prev
@@ -503,8 +540,9 @@ def padded_walk_premeasure(state, system, bits):
     complete = [(block, offset) for block, offset, take in segments if take == block.n]
     string = np.array(bits, dtype=np.intp)
     factors = []
-    for group in measurement._walk_groups([block for block, _ in complete], 1):
-        rows = complete[group]
+    columns = state.columns(len(bits))
+    for group in measurement._walk_groups([block.n for block, _ in complete], 1):
+        rows = columns[group]
         outcomes = measurement._read_outcomes(string, rows, 1)
         measures = measurement._block_measures(system, rows, outcomes)
         factors += clamp01(measures[:, 0], "block measure").tolist()
@@ -634,12 +672,12 @@ def test_only_complex_bases_walk(monkeypatch):
 
 
 def complete_rows(state, length, corners_only=False):
-    """(block, offset) of the complete blocks of a string of ``length`` bits, in string order."""
-    return [
-        (block, offset)
-        for block, offset, take in state.segments(length)
-        if take == block.n and (block.corner_count or not corners_only)
-    ]
+    """Columns of the complete blocks of a string of ``length`` bits, in string order."""
+    columns = state.columns(length)
+    keep = columns.offset + columns.n <= length
+    if corners_only:
+        keep &= columns.count.astype(bool)
+    return columns[keep]
 
 
 @pytest.mark.parametrize("kind", sorted(systems()))
@@ -661,8 +699,8 @@ def test_clipping_warns_once_per_call_on_a_complex_walk(monkeypatch):
     """A string's measures are clipped as one array, however many walk groups fill it."""
     state, system, length = FactoredState.witness_state, systems()["explicit"], 10_000
     for k, corners_only in ((1, False), (2, True)):
-        blocks = [block for block, _ in complete_rows(state(), length, corners_only)]
-        assert len(list(measurement._walk_groups(blocks, k))) >= 2
+        sizes = complete_rows(state(), length, corners_only).n.tolist()
+        assert len(list(measurement._walk_groups(sizes, k))) >= 2
     walk = measurement._block_measures
     # 2 in every group, so every group's clip moves by 1, far past the rounding scale
     monkeypatch.setattr(measurement, "_block_measures", lambda *args: np.full_like(walk(*args), 2.0))
@@ -748,9 +786,10 @@ def test_complex_premeasure_over_several_walk_groups(length):
     state, system = FactoredState.witness_state(), systems()["explicit"]
     bits = [int(b) for b in np.random.default_rng(length).integers(0, 2, size=length)]
     rows = complete_rows(state, length)
-    assert len(list(measurement._walk_groups([block for block, _ in rows], 1))) >= 2
+    assert len(list(measurement._walk_groups(rows.n.tolist(), 1))) >= 2
     measures = measurement._string_measures(system, rows, np.array(bits), 1)[:, 0]
-    looped = [looped_block_measure(block, system, offset, bits[offset : offset + block.n]) for block, offset in rows]
+    complete = [(block, offset) for block, offset, take in state.segments(length) if take == block.n]
+    looped = [looped_block_measure(block, system, offset, bits[offset : offset + block.n]) for block, offset in complete]
     assert same_bytes(clamp01(measures, "block measure"), np.array(looped))
     assert recorded(premeasure, state, system, bits) == recorded(padded_walk_premeasure, state, system, bits)
 

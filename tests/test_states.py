@@ -143,8 +143,7 @@ def test_prefix_density_depth_zero_and_cap(monkeypatch):
 
 def test_block_offsets():
     state = FactoredState.witness_state()
-    state.ensure_covers(35)
-    assert state.block_offsets()[:5] == [0, 5, 11, 18, 26]
+    assert state.columns(35).offset.tolist() == [0, 5, 11, 18, 26]
     assert sum(range(5, 10)) == 35
 
 

@@ -38,6 +38,28 @@ def test_random_factors_are_unit(rng):
     assert np.allclose(norms, 1.0, atol=1e-12)
 
 
+def exponential_draw(rng, trials, n, phase_rng=None):
+    """The lemma draw as it was written first: one complex exponential of the phase."""
+    cos_theta = rng.uniform(-1.0, 1.0, size=(trials, n))
+    phase = (rng if phase_rng is None else phase_rng).uniform(0.0, 2.0 * np.pi, size=(trials, n))
+    out = np.empty((trials, n, 2), dtype=complex)
+    out[:, :, 0] = np.sqrt((1.0 + cos_theta) / 2.0)
+    out[:, :, 1] = np.sqrt((1.0 - cos_theta) / 2.0) * np.exp(1j * phase)
+    return out
+
+
+def test_random_factors_are_the_exponential_draw():
+    """cos and sin of the phase, written part by part, are exp(1j * phase) bit for bit: 200,000 draws each."""
+    for seed in (0, 7):
+        for phase_seed in (None, seed + 1):
+            streams = [
+                (np.random.default_rng(seed), None if phase_seed is None else np.random.default_rng(phase_seed))
+                for _ in range(2)
+            ]
+            got = random_product_factors(streams[0][0], 20_000, 10, streams[0][1])
+            assert got.tobytes() == exponential_draw(streams[1][0], 20_000, 10, streams[1][1]).tobytes()
+
+
 def test_product_vectors_dense_convention(rng):
     factors = random_product_factors(rng, 1, 2)
     v = product_vectors_dense(factors)[0]
