@@ -52,7 +52,6 @@ from .qmlt import (
     failure_report,
     lift_classical_mlt,
     required_witness_blocks,
-    tau,
     witness_depth,
 )
 from .randlab import BatteryReport, aggregate, run_battery
@@ -134,7 +133,6 @@ __all__ = [
     "required_witness_blocks",
     "run_battery",
     "sample_bits",
-    "tau",
     "verify_corner_block_bound",
     "verify_family",
     "verify_kron_pairing",

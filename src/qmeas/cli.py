@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -536,6 +537,11 @@ def _emit_error(args_command: str, exc: QmeasError) -> None:
     sys.stderr.write(canonical_dumps(doc) + "\n")
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as one stderr line, naming no source file: its bytes do not depend on the install."""
+    return f"{category.__name__}: {message}\n"
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -547,6 +553,7 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     command = _payload_command(args)
     config = {k: v for k, v in sorted(vars(args).items()) if k != "handler"}
+    format_warning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         report, code = args.handler(args)
     except CapExceeded as exc:
@@ -561,6 +568,8 @@ def main(argv=None) -> int:
             + "\n"
         )
         return EXIT_BAD_INPUT
+    finally:
+        warnings.formatwarning = format_warning
     if report is not None:
         payload = {
             "command": command,

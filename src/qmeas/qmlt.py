@@ -8,23 +8,24 @@ measure and tr(rho_i p_i) the role of membership mass.  Lifting a classical
 test under a product basis sends each prefix to its basis product vector.
 
 Every stage answers one protocol: ``qubits``, ``rank``, ``density()`` and
-``mass(state)`` = tr(rho_qubits p).  A witness stage answers ``mass`` in
-closed form only (``FactoredEigenProjection.mass``) and has no ``matrix()``.
-A lifted stage sums factored premeasures on a factored state and takes the
-dense expectation against ``state.prefix(qubits)`` otherwise.  A padded
-class is zero below its lowest stage and returns its top stage at deeper
-depths: identity padding multiplies the rank by 2 per qubit, keeps the
-density, and traces out of the mass.  A lifted stage stores its prefixes and
-basis and builds its product-vector columns only for a dense presentation.
+``mass(state)`` = tr(rho_qubits p); no stage builds its matrix.  A witness
+stage (``FactoredEigenProjection``) answers ``mass`` in closed form only.  A
+lifted stage (``SpanProjection``) stores its prefixes and basis: it sums
+factored premeasures on a factored state, and builds its product-vector
+columns only for the dense expectation against ``state.prefix(qubits)`` on
+any other state.  An empty stage is a ``ZeroProjection``.  A padded class is
+zero below its lowest stage and returns its top stage at deeper depths:
+identity padding multiplies the rank by 2 per qubit, keeps the density, and
+traces out of the mass.
 
 The witness test certifies non-randomness of the built-in block-product
 state: level m keeps, for every block of the first N(m) sizes, the span of
 the block's eigen groups with positive eigenvalue, where N(m) is the first
 N with prod_{n=5}^{N} (1 - 1/n + 2**-n) < 2**-m.  A span stores the groups
 it selects (``states.eigenvalue_groups``, the one home of a block's
-spectrum), and its rank, density, trace and columns read them.  Each is an
-exact dyadic ratio of ints rounded once by int true division, and so are tau
-and a mass.  The state evaluates to 1 on every level while the rank density
+spectrum), and its rank, trace ratio and columns read them.  Tau, a trace
+and a mass are each an exact dyadic ratio of ints rounded once by int true
+division.  The state evaluates to 1 on every level while the rank density
 drops below 2**-m.
 """
 
@@ -34,7 +35,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -181,50 +181,11 @@ class ZeroProjection:
     def density(self) -> float:
         return 0.0
 
-    def matrix(self) -> np.ndarray:
-        require_dense_qubits(self.qubits, "projection matrix")
-        return np.zeros((1 << self.qubits, 1 << self.qubits), dtype=complex)
-
     def mass(self, state) -> float:
         return 0.0
 
 
 class SpanProjection:
-    """Projection onto the span of explicit orthonormal columns."""
-
-    def __init__(self, qubits: int, columns: np.ndarray):
-        columns = np.asarray(columns, dtype=complex)
-        if columns.ndim != 2 or columns.shape[0] != 1 << qubits:
-            raise BadQuery(f"columns must be ({1 << qubits}, k), got {columns.shape}")
-        gram = columns.conj().T @ columns
-        dev = float(np.max(np.abs(gram - np.eye(columns.shape[1])))) if columns.shape[1] else 0.0
-        if dev > 1e-9:
-            raise BadQuery(f"projection columns are not orthonormal (deviation {dev:.3e})")
-        self.qubits = qubits
-        self.columns = columns
-
-    @property
-    def rank(self) -> int:
-        return int(self.columns.shape[1])
-
-    def density(self) -> float:
-        return self.rank / (1 << self.qubits)
-
-    def matrix(self) -> np.ndarray:
-        require_dense_qubits(self.qubits, "projection matrix")
-        return self.columns @ self.columns.conj().T
-
-    def expectation(self, rho: np.ndarray) -> float:
-        """tr(rho p) against a dense density matrix on ``qubits`` qubits."""
-        if not self.rank:
-            return 0.0
-        return float(np.real(np.vdot(self.columns, rho @ self.columns)))
-
-    def mass(self, state) -> float:
-        return self.expectation(state.prefix(self.qubits).rho)
-
-
-class LiftedProjection(SpanProjection):
     """Span of the basis product vectors of one stage's prefixes.
 
     ``MeasurementSystem`` admits only orthonormal basis pairs, so distinct
@@ -242,16 +203,23 @@ class LiftedProjection(SpanProjection):
     def rank(self) -> int:
         return len(self.prefixes)
 
+    def density(self) -> float:
+        return self.rank / (1 << self.qubits)
+
     @cached_property
     def columns(self) -> np.ndarray:
         return np.stack([self.system.product_vector(p) for p in self.prefixes], axis=1)
+
+    def expectation(self, rho: np.ndarray) -> float:
+        """tr(rho p) against a dense density matrix on ``qubits`` qubits."""
+        return float(np.real(np.vdot(self.columns, rho @ self.columns)))
 
     def mass(self, state) -> float:
         if isinstance(state, FactoredState):
             # one table, its entries summed and rounded once by fsum
             table = premeasure_table_factored(state, self.system, self.qubits)
             return math.fsum(table[int(p[::-1], 2)] for p in self.prefixes)
-        return super().mass(state)
+        return self.expectation(state.prefix(self.qubits).rho)
 
 
 @dataclass(frozen=True)
@@ -270,9 +238,6 @@ class BlockEigenSpan:
         """Span of all eigenvectors with strictly positive eigenvalue."""
         return cls(block, tuple([g for g in eigenvalue_groups(block) if g.positive]))
 
-    def density(self) -> float:
-        return self.rank / self.block.dim
-
     def trace_ratio(self, other: DensityBlock) -> tuple[int, int]:
         """tr(other * P) for the span projector P exactly, as (k, e) with trace k / 2**e.
 
@@ -288,11 +253,6 @@ class BlockEigenSpan:
         sign = kinds.count("pair_plus") - kinds.count("pair_minus")
         corners = min(self.block.corner_count, other.corner_count)
         return self.rank * q + sign * corners * p, q.bit_length() - 1 + other.n
-
-    def trace_against(self, other: DensityBlock) -> float:
-        """``trace_ratio`` rounded once."""
-        k, e = self.trace_ratio(other)
-        return k / (1 << e)
 
     def columns(self) -> np.ndarray:
         """Dense orthonormal columns (small blocks only)."""
@@ -348,12 +308,7 @@ class FactoredEigenProjection:
 class QuantumSigmaClass:
     """Depth-indexed nested projections; a padded class also answers every other depth."""
 
-    def __init__(
-        self,
-        stages: dict[int, object],
-        pad_above: bool = False,
-        label: str = "",
-    ):
+    def __init__(self, stages: dict[int, object], pad_above: bool = False):
         if not stages:
             raise BadSpec("a staged projection class needs at least one stage")
         self.stages = {int(d): p for d, p in stages.items()}
@@ -361,7 +316,6 @@ class QuantumSigmaClass:
             if proj.qubits != depth:
                 raise BadQuery(f"stage at depth {depth} acts on {proj.qubits} qubits")
         self.pad_above = pad_above
-        self.label = label
 
     def depths(self) -> list[int]:
         return sorted(self.stages)
@@ -392,29 +346,6 @@ class QuantumSigmaClass:
 
     def tau_at(self, depth: int) -> float:
         return self.stage_at(depth).density()
-
-    def check_nesting(self) -> float:
-        """Max deviation of p_{i+1} (p_i x I) from (p_i x I) over stored stages.
-
-        Dense-only diagnostic; stages beyond the cap cannot be checked here.
-        """
-        worst = 0.0
-        depths = self.depths()
-        for lo, hi in zip(depths, depths[1:]):
-            low = self.stages[lo].matrix()
-            for _ in range(hi - lo):
-                low = np.kron(np.eye(2, dtype=complex), low)
-            high = self.stages[hi].matrix()
-            dev = float(np.max(np.abs(high @ low - low)))
-            worst = max(worst, dev)
-        if worst > 1e-9:
-            raise BadSpec(f"stages are not nested (deviation {worst:.3e})")
-        return worst
-
-
-def tau(cls: QuantumSigmaClass, depth: int) -> float:
-    """Rank density rank(p_depth) / 2**depth."""
-    return cls.tau_at(depth)
 
 
 def evaluate_state(cls: QuantumSigmaClass, state, depth: int) -> float:
@@ -458,19 +389,9 @@ def lift_classical_mlt(test: ClassicalMLT, system: MeasurementSystem) -> Quantum
                     f"lifting a stage of depth {depth} exceeds the dense cap 2^{cap}"
                 )
             prefixes = sc.prefixes_at(depth)
-            if not prefixes:
-                stages[depth] = ZeroProjection(depth)
-            else:
-                stages[depth] = LiftedProjection(depth, prefixes, system)
-        if not stages:
-            # a level with no stages covers nothing: the all-zero class
-            levels[m] = QuantumSigmaClass(
-                {1: ZeroProjection(1)},
-                pad_above=True,
-                label=f"lifted[{m}]",
-            )
-        else:
-            levels[m] = QuantumSigmaClass(stages, label=f"lifted[{m}]")
+            stages[depth] = SpanProjection(depth, prefixes, system) if prefixes else ZeroProjection(depth)
+        # a level with no stages covers nothing: the all-zero class
+        levels[m] = QuantumSigmaClass(stages or {1: ZeroProjection(1)}, pad_above=not stages)
     return QuantumMLT(levels)
 
 
@@ -523,12 +444,7 @@ def build_witness_test(m: int, block_budget: int = 64) -> tuple[QuantumSigmaClas
         )
     spans = tuple(_canonical_span(n) for n in range(5, last + 1))
     depth = witness_depth(last)
-    cls = QuantumSigmaClass(
-        {depth: FactoredEigenProjection(spans)},
-        pad_above=True,
-        label=f"witness[{m}]",
-    )
-    return cls, last
+    return QuantumSigmaClass({depth: FactoredEigenProjection(spans)}, pad_above=True), last
 
 
 @functools.cache
@@ -569,12 +485,7 @@ class FailureReport:
     note: str
 
 
-def failure_report(
-    test: QuantumMLT,
-    state,
-    delta: float,
-    depth_schedule: Mapping[int, int] | None = None,
-) -> FailureReport:
+def failure_report(test: QuantumMLT, state, delta: float) -> FailureReport:
     """Evaluate the state on every level and compare the minimum against delta.
 
     Evaluations are non-decreasing in depth, so each entry is a lower bound
@@ -586,7 +497,7 @@ def failure_report(
     entries = []
     for m in sorted(test.levels):
         cls = test.levels[m]
-        depth = cls.max_depth() if depth_schedule is None else int(depth_schedule[m])
+        depth = cls.max_depth()
         entries.append(
             LevelEvaluation(
                 level=m,
@@ -614,7 +525,6 @@ __all__ = [
     "FactoredEigenProjection",
     "FailureReport",
     "LevelEvaluation",
-    "LiftedProjection",
     "QuantumMLT",
     "QuantumSigmaClass",
     "SpanProjection",
@@ -626,7 +536,6 @@ __all__ = [
     "failure_report",
     "lift_classical_mlt",
     "required_witness_blocks",
-    "tau",
     "witness_block_bound_factor",
     "witness_depth",
 ]

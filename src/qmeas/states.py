@@ -201,7 +201,9 @@ class DenseStatePrefix:
 class DenseStateChain:
     """Explicit coherent chain of dense prefixes rho_0, rho_1, ..., rho_D."""
 
-    def __init__(self, prefixes: list[np.ndarray], label: str = "dense_prefix"):
+    label = "dense_prefix"
+
+    def __init__(self, prefixes: list[np.ndarray]):
         mats = [np.asarray(p) for p in prefixes]
         if not mats or mats[0].shape != (1, 1):
             raise BadSpec("a dense chain starts with the scalar prefix [[1.0]]")
@@ -209,22 +211,21 @@ class DenseStateChain:
             if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != 1 << depth:
                 raise BadSpec(f"prefix at depth {depth} must be {1 << depth}x{1 << depth}")
         self._prefixes = mats
-        self.label = label
 
     @classmethod
-    def from_top(cls, rho: np.ndarray, label: str = "dense_prefix") -> "DenseStateChain":
+    def from_top(cls, rho: np.ndarray) -> "DenseStateChain":
         """Build the chain under a top matrix by repeated partial traces."""
         rho = np.asarray(rho)
         depth = num_qubits_of(rho.shape[0])
         mats = [rho]
         for _ in range(depth):
             mats.append(partial_trace_last_qubit(mats[-1]))
-        return cls(mats[::-1], label=label)
+        return cls(mats[::-1])
 
     @classmethod
-    def from_matrices(cls, matrices: list[np.ndarray], label: str = "dense_prefix") -> "DenseStateChain":
+    def from_matrices(cls, matrices: list[np.ndarray]) -> "DenseStateChain":
         """Chain from explicit rho_1..rho_D (the scalar prefix is implied)."""
-        return cls([np.eye(1)] + [np.asarray(m) for m in matrices], label=label)
+        return cls([np.eye(1)] + [np.asarray(m) for m in matrices])
 
     @property
     def depth(self) -> int:
@@ -310,20 +311,16 @@ class FactoredState:
         return cls([], factory=lambda i: _canonical_fields(i + 5), label="paper_rho")
 
     @classmethod
-    def general_family(cls, corner_counts, corner_values, label: str = "general") -> "FactoredState":
+    def general_family(cls, corner_counts, corner_values) -> "FactoredState":
         """Family state from per-size corner tables (see ``family_tables``)."""
         counts, values = family_tables(corner_counts, corner_values)
         blocks = [build_corner_block_general(n, counts[n], values[n]) for n in counts]
-        return cls(blocks, label=label)
+        return cls(blocks, label="general")
 
     @classmethod
     def maximally_mixed(cls) -> "FactoredState":
         """Product of corner-free blocks of sizes 5, 6, 7, ...: I / 2**k at depth k."""
         return cls([], factory=lambda i: (i + 5, 0, 0.0), label="max_mixed")
-
-    @classmethod
-    def from_blocks(cls, blocks: list[DensityBlock], label: str = "factored") -> "FactoredState":
-        return cls(list(blocks), label=label)
 
     def ensure_covers(self, qubits: int) -> None:
         """Realize enough blocks to cover the first ``qubits`` positions, as fields."""

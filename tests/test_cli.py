@@ -5,6 +5,11 @@ import argparse
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,6 +415,23 @@ def test_seed_is_null_when_a_range_chose_the_seeds(capsys, tmp_path, monkeypatch
     assert [entry["seed"] for entry in doc["report"]["streams"]] == [3]
     code, out, _ = run_cli(capsys, ["sample", "--bits", "10", "--seed", "5", "--out-prefix", "o"])
     assert payload_of(out)["seed"] == 5
+
+
+def test_a_warning_is_one_stderr_line_naming_no_file(capsys, tmp_path):
+    """From a cold start, the subnormal block's warning is one line without the path of ``cli.py``;
+    ``main`` restores the warning format when it returns, so library calls keep Python's."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["sample", "--bits", "579000", "--out-prefix", "deep"]
+    out = subprocess.run(
+        [sys.executable, "-m", "qmeas.cli", *argv], env=env, cwd=tmp_path, capture_output=True, text=True
+    )
+    assert out.returncode == 0
+    (line,) = out.stderr.splitlines()
+    assert line.startswith("NumericHealthWarning: block 1018 (n=1023, offset 522743) has subnormal measure")
+    library_format = warnings.formatwarning
+    assert run_cli(capsys, ["sample", "--bits", "8"])[0] == 0
+    assert warnings.formatwarning is library_format
 
 
 def test_sample_pipes_into_battery(capsys, monkeypatch):

@@ -28,7 +28,12 @@ def _lift_mlt() -> dict:
     return {"levels": {"1": {"10": prefixes}}}
 
 
-INPUTS = {"rot.json": ROTATION, "gen.json": _lift_mlt()}
+INPUTS = {
+    "rot.json": ROTATION,
+    "gen.json": _lift_mlt(),
+    "empty_stage.json": {"levels": {"1": {"2": []}}},
+    "empty_level.json": {"levels": {"1": {}}},
+}
 
 PINNED = {
     "factored14": (
@@ -46,6 +51,18 @@ PINNED = {
     "lift_mixed": (
         ["qmlt", "lift", "--mlt", "gen.json", "--basis", "hadamard", "--state", "mixed"],
         "5936c7b841fd08d758b4d63f18cc11e042288df06af3716b2cad57e03750b87e",
+    ),
+    "lift_empty_stage": (
+        ["qmlt", "lift", "--mlt", "empty_stage.json", "--state", "paper-rho"],
+        "b32f462ee3b2d2c3a85e67737bc62e97b62bec74e68cec79a8bd78ab22f64126",
+    ),
+    "lift_empty_level": (
+        ["qmlt", "lift", "--mlt", "empty_level.json", "--state", "paper-rho"],
+        "cd646d390614db1fd38a72ab9b074ba7a26b1dbea59c3222bc7e025344d24313",
+    ),
+    "eval_mixed": (
+        ["qmlt", "eval", "--mlt", "gen.json", "--basis", "hadamard", "--state", "mixed"],
+        "4012cdc0fddeae7c083ac31fd6baba9e4a22491afcd40590dd5be571fda292d4",
     ),
     "state11": (
         ["state", "--paper-rho", "--check-depth", "11", "--eigen", "5"],

@@ -197,12 +197,12 @@ HUGE_BLOCK = DensityBlock(1100, 0, 0.0)
         (lambda system: partial_block_factor(HUGE_BLOCK, system, 0, "000"), 0.125),
         (
             lambda system: premeasure_table_factored(
-                FactoredState.from_blocks([HUGE_BLOCK]), system, 3
+                FactoredState([HUGE_BLOCK]), system, 3
             ).tolist(),
             [0.125] * 8,
         ),
         (
-            lambda system: premeasure(FactoredState.from_blocks([HUGE_BLOCK]), system, "0" * 1000),
+            lambda system: premeasure(FactoredState([HUGE_BLOCK]), system, "0" * 1000),
             2.0**-1000,
         ),
     ],

@@ -26,7 +26,6 @@ from qmeas.qmlt import (
     failure_report,
     lift_classical_mlt,
     required_witness_blocks,
-    tau,
     witness_block_bound_factor,
     witness_depth,
 )
@@ -85,12 +84,16 @@ def test_classical_mlt_doc_round_trip():
 # lifting
 
 
+def projector(stage) -> np.ndarray:
+    """The dense projection onto a lifted stage's columns."""
+    return stage.columns @ stage.columns.conj().T
+
+
 def test_lift_standard_basis_golden_projector():
     """A_2 = {00, 01} under the standard basis projects onto indices 0 and 2."""
     test = ClassicalMLT({1: StagedSigmaClass({2: ("00", "01")})})
     lifted = lift_classical_mlt(test, MeasurementSystem.standard())
-    p = lifted.levels[1].stage_at(2).matrix()
-    assert np.allclose(p, np.diag([1.0, 0.0, 1.0, 0.0]), atol=1e-14)
+    assert np.allclose(projector(lifted.levels[1].stage_at(2)), np.diag([1.0, 0.0, 1.0, 0.0]), atol=1e-14)
 
 
 def test_lift_preserves_measure_exactly(rng):
@@ -102,7 +105,7 @@ def test_lift_preserves_measure_exactly(rng):
         test = ClassicalMLT({1: StagedSigmaClass({depth: tuple(chosen)})})
         lifted = lift_classical_mlt(test, random_basis(rng))
         assert lifted.levels[1].rank_at(depth) == len(chosen)
-        assert tau(lifted.levels[1], depth) == len(chosen) * 2.0**-depth
+        assert lifted.levels[1].tau_at(depth) == len(chosen) * 2.0**-depth
 
 
 def test_lift_trace_identity_against_premeasure(rng):
@@ -123,11 +126,13 @@ def test_lift_trace_identity_against_premeasure(rng):
 
 
 def test_lift_nesting_of_stages(rng):
+    """p_3 (p_2 x I) = p_2 x I, with the identity on qubit 3."""
     test = ClassicalMLT(
         {1: StagedSigmaClass({2: ("00", "10"), 3: ("000", "100", "001", "101")})}
     )
-    lifted = lift_classical_mlt(test, random_basis(rng))
-    assert lifted.levels[1].check_nesting() <= 1e-12
+    cls = lift_classical_mlt(test, random_basis(rng)).levels[1]
+    low = kron(projector(cls.stage_at(2)), np.eye(2))
+    assert np.max(np.abs(projector(cls.stage_at(3)) @ low - low)) <= 1e-12
 
 
 def test_lift_beyond_cap_raises(monkeypatch):
@@ -149,15 +154,9 @@ def test_empty_stage_lifts_to_zero_projection():
 # projections
 
 
-def test_span_projection_requires_orthonormal_columns():
-    cols = np.array([[1.0, 0.8], [0.0, 0.6]], dtype=complex)
-    with pytest.raises(BadQuery):
-        SpanProjection(1, cols)
-
-
 def test_padded_projection_small_golden(rng):
-    """|0><0| padded by one identity qubit is diag(1, 0, 1, 0)."""
-    base = SpanProjection(1, np.array([[1.0], [0.0]], dtype=complex))
+    """|0><0|, the prefix 0 lifted in the standard basis, padded by one identity qubit is diag(1, 0, 1, 0)."""
+    base = SpanProjection(1, ("0",), MeasurementSystem.standard())
     cls = QuantumSigmaClass({1: base}, pad_above=True)
     assert cls.rank_at(2) == 2
     assert cls.tau_at(2) == base.density() == 0.5
@@ -189,17 +188,19 @@ def test_padding_is_depth_arithmetic(k, rng):
 
 
 def test_lifted_stage_dense_presentation_is_its_product_vector_span(rng):
-    """matrix() and the dense mass equal a SpanProjection of the stacked product vectors."""
+    """The columns are the stacked product vectors, orthonormal with no Gram check in the
+    stage, and the dense mass is the trace against their projection."""
     system = random_basis(rng, periods=3)
     prefixes = ("0000", "0101", "0110", "1011", "1111")
     test = ClassicalMLT({1: StagedSigmaClass({4: prefixes})})
     stage = lift_classical_mlt(test, system).levels[1].stage_at(4)
-    explicit = SpanProjection(4, np.stack([system.product_vector(p) for p in prefixes], axis=1))
-    chain = DenseStateChain.from_top(random_density(rng, 16))
-    assert stage.rank == explicit.rank == 5
-    assert stage.density() == explicit.density()
-    assert np.array_equal(stage.matrix(), explicit.matrix())
-    assert stage.mass(chain) == explicit.mass(chain)
+    cols = np.stack([system.product_vector(p) for p in prefixes], axis=1)
+    rho = random_density(rng, 16)
+    assert stage.rank == 5 and stage.density() == 5 / 16
+    assert np.array_equal(stage.columns, cols)
+    assert np.allclose(cols.conj().T @ cols, np.eye(5), atol=1e-12)
+    oracle = float(np.real(np.trace(rho @ projector(stage))))
+    assert stage.mass(DenseStateChain.from_top(rho)) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_block_eigen_span_rank_and_density():
@@ -207,7 +208,13 @@ def test_block_eigen_span_rank_and_density():
     span = BlockEigenSpan.nonzero(block)
     assert [g.kind for g in span.groups] == ["pair_plus", "middle"]
     assert span.rank == 32 - 6
-    assert span.density() == (32 - 6) / 32
+    assert FactoredEigenProjection((span,)).density() == (32 - 6) / 32
+
+
+def rounded(ratio) -> float:
+    """A ``trace_ratio`` (k, e), k / 2**e rounded once."""
+    k, e = ratio
+    return k / (1 << e)
 
 
 def test_block_eigen_span_trace_closed_form_oracle(rng):
@@ -218,7 +225,7 @@ def test_block_eigen_span_trace_closed_form_oracle(rng):
     for h, g in [(6, 2.0**-5), (4, 0.01), (0, 0.0), (16, 0.02)]:
         other = build_corner_block_general(5, h, g)
         oracle = float(np.real(np.trace(other.to_dense() @ proj)))
-        assert span.trace_against(other) == pytest.approx(oracle, abs=1e-13)
+        assert rounded(span.trace_ratio(other)) == pytest.approx(oracle, abs=1e-13)
 
 
 def test_block_eigen_span_full_rank_when_no_zero_eigenvalue():
@@ -235,11 +242,11 @@ def test_block_trace_and_spectrum_are_exact_at_any_size(n):
     r = block.corner_count
     groups = [(g.kind, g.multiplicity, g.positive) for g in eigenvalue_groups(block)]
     assert groups == [("pair_plus", r, True), ("pair_minus", r, False), ("middle", block.dim - 2 * r, True)]
-    state = FactoredState.from_blocks([block])
+    state = FactoredState([block])
     assert check_density(state, n).trace_deviation == 0.0 and check_coherence(state, n).ok
     span = BlockEigenSpan.nonzero(block)
-    assert span.rank == block.dim - r and span.trace_against(block) == 1.0
-    assert span.density() == float(Fraction(block.dim - r, block.dim))
+    assert span.rank == block.dim - r and rounded(span.trace_ratio(block)) == 1.0
+    assert FactoredEigenProjection((span,)).density() == float(Fraction(block.dim - r, block.dim))
 
 
 def exact_trace(span, other):
@@ -262,7 +269,7 @@ def test_trace_against_is_the_exact_trace_rounded_once(n):
         groups = eigenvalue_groups(block)
         spans = [BlockEigenSpan.nonzero(block)] + [BlockEigenSpan(block, (g,)) for g in groups]
         for span, other in itertools.product(spans, blocks):
-            assert span.trace_against(other) == float(exact_trace(span, other))
+            assert rounded(span.trace_ratio(other)) == float(exact_trace(span, other))
 
 
 def test_factored_projection_rank_golden():
@@ -330,7 +337,7 @@ def test_witness_tau_fraction_oracle():
     oracle = Fraction(1)
     for n in range(5, 10):
         oracle *= 1 - Fraction((1 << n) // n, 1 << n)
-    value = tau(cls, witness_depth(9))
+    value = cls.tau_at(witness_depth(9))
     assert value == pytest.approx(float(oracle), rel=1e-12)
     assert value < 0.5
 
@@ -346,7 +353,7 @@ def test_witness_evaluation_is_one(m, witness_levels):
     maximally mixed state's mass is tau bit for bit, past the float range of 2^-n too."""
     cls = witness_levels.levels[m]
     depth = cls.max_depth()
-    value = tau(cls, depth)
+    value = cls.tau_at(depth)
     assert value == float(Fraction(cls.rank_at(depth), 1 << depth))
     assert value < 2.0**-m
     assert evaluate_state(cls, FactoredState.witness_state(), depth) == 1.0
@@ -357,9 +364,9 @@ def test_witness_stage_extension_rules():
     cls, last = build_witness_test(1)
     depth = witness_depth(last)
     state = FactoredState.witness_state()
-    assert tau(cls, depth - 1) == 0.0
+    assert cls.tau_at(depth - 1) == 0.0
     assert evaluate_state(cls, state, depth - 1) == 0.0
-    assert tau(cls, depth + 3) == tau(cls, depth)
+    assert cls.tau_at(depth + 3) == cls.tau_at(depth)
     assert cls.rank_at(depth + 3) == cls.rank_at(depth) << 3
     assert evaluate_state(cls, state, depth + 3) == pytest.approx(1.0, abs=1e-9)
 
@@ -368,7 +375,7 @@ def test_witness_mixed_state_evaluates_to_tau():
     cls, last = build_witness_test(1)
     depth = witness_depth(last)
     mixed = FactoredState.maximally_mixed()
-    assert evaluate_state(cls, mixed, depth) == pytest.approx(tau(cls, depth), rel=1e-12)
+    assert evaluate_state(cls, mixed, depth) == pytest.approx(cls.tau_at(depth), rel=1e-12)
 
 
 def test_witness_budget_exceeded_reports_requirement():
@@ -402,16 +409,6 @@ def test_stage_depth_mismatch_rejected():
         QuantumSigmaClass({3: ZeroProjection(2)})
 
 
-def test_check_nesting_catches_non_nested_stages():
-    p1 = SpanProjection(1, np.array([[1.0], [0.0]], dtype=complex))
-    v = np.zeros((4, 1), dtype=complex)
-    v[3, 0] = 1.0  # |11>, orthogonal to |0> x anything
-    p2 = SpanProjection(2, v)
-    cls = QuantumSigmaClass({1: p1, 2: p2})
-    with pytest.raises(BadSpec):
-        cls.check_nesting()
-
-
 def test_evaluate_monotone_in_depth(rng):
     test = ClassicalMLT(
         {1: StagedSigmaClass({2: ("00", "10"), 4: tuple(p + q for p in ("00", "10") for q in ("00", "01", "10", "11"))})}
@@ -423,15 +420,6 @@ def test_evaluate_monotone_in_depth(rng):
     v2 = evaluate_state(lifted.levels[1], chain, 2)
     v4 = evaluate_state(lifted.levels[1], chain, 4)
     assert v2 <= v4 + 1e-10
-
-
-def test_rank_one_projection_recovers_top_eigenvalue(rng):
-    rho = random_density(rng, 8)
-    values, vectors = np.linalg.eigh(rho)
-    top = SpanProjection(3, vectors[:, -1:])
-    cls = QuantumSigmaClass({3: top})
-    chain = DenseStateChain.from_top(rho)
-    assert evaluate_state(cls, chain, 3) == pytest.approx(values[-1], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +458,7 @@ def test_failure_report_rejects_bad_delta():
 
 
 def test_quantum_mlt_tau_bound_validation():
-    base = SpanProjection(1, np.eye(2, dtype=complex))  # rank density 1
+    base = SpanProjection(1, ("0", "1"), MeasurementSystem.standard())  # rank density 1
     test = QuantumMLT({1: QuantumSigmaClass({1: base})})
     with pytest.raises(BadSpec):
         test.validate_tau_bounds()

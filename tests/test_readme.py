@@ -99,12 +99,13 @@ COOKBOOK_DOCUMENTS = {
 }
 
 
-def test_cookbook_runs(capsys, monkeypatch, tmp_path):
-    """Every cookbook line runs in a fresh directory and exits 0 (0 or 1 for `battery --aggregate`).
+def run_cookbook(capsys, monkeypatch, directory) -> list[str]:
+    """Run every cookbook line in ``directory``; return the commands run, in order.
 
     Each side of a pipe is one call of ``main``, the first call's stdout the second's stdin.
+    Each call exits 0 (0 or 1 for `battery --aggregate`).
     """
-    monkeypatch.chdir(tmp_path)
+    monkeypatch.chdir(directory)
     (staged,) = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
     for name, doc in {**COOKBOOK_DOCUMENTS, "test.json": json.loads(staged)}.items():
         Path(name).write_text(json.dumps(doc), encoding="utf-8")
@@ -126,4 +127,10 @@ def test_cookbook_runs(capsys, monkeypatch, tmp_path):
             stdin = capsys.readouterr().out
             assert code in ((0, 1) if argv[1] == "battery" and "--aggregate" in argv else (0,)), part
             ran.append(argv[1])
+    return ran
+
+
+def test_cookbook_runs(capsys, monkeypatch, tmp_path):
+    """Every cookbook line runs in a fresh directory and exits 0 (0 or 1 for `battery --aggregate`)."""
+    ran = run_cookbook(capsys, monkeypatch, tmp_path)
     assert ran.count("battery") == 2 and len(ran) == len(re.findall(r"\bqmeas ", cookbook_block()))

@@ -331,7 +331,7 @@ def test_chosen_factors_index_the_periodic_table(rng):
 def sandwich_state():
     """A corner-free block between corner blocks, then corner blocks of growing size."""
     head = [build_corner_block(5), DensityBlock(12, 0, 0.0), build_corner_block(7)]
-    return FactoredState.from_blocks(head + [build_corner_block(n) for n in range(8, 150)])
+    return FactoredState(head + [build_corner_block(n) for n in range(8, 150)])
 
 
 @pytest.mark.parametrize("kind", ["standard", "hadamard", "rotation", "explicit"])
@@ -369,7 +369,7 @@ def test_sampler_pads_blocks_of_unequal_sizes(kind):
         DensityBlock(n, (1 << (n - 1)) * (i % 3) // 2, (i % 4) / 3)
         for i, n in enumerate(sizes)
     ]
-    state = FactoredState.from_blocks(blocks)
+    state = FactoredState(blocks)
     system = systems()[kind]
     for seed in (0, 1, 7):
         sample = sample_bits(state, system, sum(sizes), seed)
@@ -598,7 +598,7 @@ def uneven_state():
         DensityBlock(n, max(1, (1 << (n - 1)) * (i % 3) // 2), (i % 4 + 1) / 4)
         for i, n in enumerate(sizes)
     ]
-    return FactoredState.from_blocks(blocks[:5] + [DensityBlock(4, 0, 0.0)] + blocks[5:] + [DensityBlock(1, 0, 0.0)])
+    return FactoredState(blocks[:5] + [DensityBlock(4, 0, 0.0)] + blocks[5:] + [DensityBlock(1, 0, 0.0)])
 
 
 # 9 ends inside block n=6; block 1018 (n=1023, offset 522,743) has the first

@@ -129,7 +129,7 @@ def test_prefix_density_straddles_a_block():
 
 def test_prefix_cut_into_a_block_past_the_cap_is_uniform():
     """A cut block traces down to I / 2**take; the block itself is never built."""
-    state = FactoredState.from_blocks([build_corner_block(20)])
+    state = FactoredState([build_corner_block(20)])
     assert np.array_equal(state.prefix(3).rho, np.eye(8) / 8)
 
 
@@ -179,7 +179,8 @@ def test_maximally_mixed_prefixes():
 
 
 def test_from_blocks_is_not_extendable():
-    state = FactoredState.from_blocks([build_corner_block(5)])
+    """A state built from a list of blocks has no factory: it covers those blocks only."""
+    state = FactoredState([build_corner_block(5)])
     assert not state.extendable
     state.ensure_covers(5)
     with pytest.raises(BadQuery):
@@ -338,7 +339,7 @@ def test_coherence_of_a_factored_state_builds_no_matrix(monkeypatch):
         assert (report.ok, report.max_deviation, report.failed_at) == (True, 0.0, None)
     # the diagonal 2^-1100 of the second block underflows a float, but its trace is
     # 2^1100 * 2^-1100 = 1 by construction: every deviation is 0
-    state = FactoredState.from_blocks([build_corner_block(5), DensityBlock(1100, 0, 0.0)])
+    state = FactoredState([build_corner_block(5), DensityBlock(1100, 0, 0.0)])
     report = check_coherence(state, 9)
     assert report == CoherenceReport(True, 0.0, None, 1e-10)
     assert check_density(state, 1105).trace_deviation == 0.0

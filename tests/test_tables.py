@@ -112,7 +112,7 @@ def test_factored_table_clamps_with_a_health_warning():
     # past the bound without validation to force a negative block measure
     block = DensityBlock(5, 16, 1.0)
     object.__setattr__(block, "corner_ratio", 1.5)
-    state = FactoredState.from_blocks([block])
+    state = FactoredState([block])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         table = premeasure_table_factored(state, MeasurementSystem.hadamard(), 5)
