@@ -60,7 +60,6 @@ from .states import (
     DenseStatePrefix,
     DensityBlock,
     FactoredState,
-    analytic_eigensystem,
     build_corner_block,
     build_corner_block_general,
     check_coherence,
@@ -107,7 +106,6 @@ __all__ = [
     "StagedSigmaClass",
     "additivity_check",
     "aggregate",
-    "analytic_eigensystem",
     "block_measure",
     "build_corner_block",
     "build_corner_block_general",
@@ -136,6 +134,6 @@ __all__ = [
     "verify_corner_block_bound",
     "verify_family",
     "verify_kron_pairing",
-    "witness_depth",
     "verify_quadratic_bounds",
+    "witness_depth",
 ]

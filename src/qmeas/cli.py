@@ -71,7 +71,7 @@ def _state_label(state) -> str:
     return getattr(state, "label", state.__class__.__name__)
 
 
-def _parse_seeds(args) -> list[int]:
+def _parse_seeds(args) -> range:
     if args.seeds is not None:
         lo, sep, hi = args.seeds.partition("..")
         if not sep:
@@ -82,8 +82,8 @@ def _parse_seeds(args) -> list[int]:
             raise BadQuery(f"--seeds wants integer endpoints, got {args.seeds!r}") from None
         if last < first:
             raise BadQuery(f"--seeds range {args.seeds!r} is empty")
-        return list(range(first, last + 1))
-    return [args.seed]
+        return range(first, last + 1)
+    return range(args.seed, args.seed + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +206,14 @@ def cmd_sample(args) -> tuple[dict | None, int]:
     if args.bits < 0:
         raise BadQuery(f"--bits must be non-negative, got {args.bits}")
     seeds = _parse_seeds(args)
+    one_stream = seeds.stop - seeds.start == 1  # len() overflows past 2**63 seeds
     entries = []
     for seed in seeds:
         sample = sample_bits(state, system, args.bits, seed)
         if args.out_prefix is None:
             sys.stdout.write(sample.bit_string() + "\n")
         else:
-            prefix = args.out_prefix if len(seeds) == 1 else f"{args.out_prefix}_s{seed}"
+            prefix = args.out_prefix if one_stream else f"{args.out_prefix}_s{seed}"
             paths = sample.write(prefix)
             entries.append(
                 {

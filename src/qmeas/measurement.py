@@ -363,26 +363,6 @@ def block_measure(
     return clamp01(float(measure[0, 0]), "block measure")
 
 
-def partial_block_factor(
-    block: DensityBlock, system: MeasurementSystem, block_offset: int, prefix
-) -> float:
-    """Measure factor of a block measured only on its first ``len(prefix)`` qubits.
-
-    The projector on the measured qubits tensors with identity on the rest.
-    Corner entries pair an index with its bitwise complement, so as long as
-    at least one qubit stays unmeasured the corner terms carry a Kronecker
-    delta between a slow index and its complement and vanish; only the
-    constant diagonal survives, and 2**-n summed over the 2**(n - j)
-    unmeasured indices is exactly 2**-j, whatever the bits.
-    """
-    bits = as_bits(prefix)
-    if len(bits) > block.n:
-        raise BadQuery(f"prefix of length {len(bits)} exceeds block size {block.n}")
-    if len(bits) < block.n:
-        return math.ldexp(1.0, -len(bits))
-    return block_measure(block, system, block_offset, bits)
-
-
 def premeasure_factored(state: FactoredState, system: MeasurementSystem, tau) -> float:
     """Premeasure of tau on a factored state, one factor per touched block."""
     return _premeasure_factored(state, system, as_bits(tau))
@@ -537,7 +517,6 @@ class BitSample:
     basis_label: str
     state_label: str
     conditional_probs: np.ndarray
-    generator: str = "numpy-pcg64"
 
     def __len__(self) -> int:
         return int(self.bits.shape[0])
@@ -555,7 +534,7 @@ class BitSample:
     def sidecar(self) -> dict:
         return {
             "seed": self.seed,
-            "generator": self.generator,
+            "generator": "numpy-pcg64",
             "basis": self.basis_label,
             "state": self.state_label,
             "n_bits": len(self),
@@ -590,13 +569,14 @@ def sample_bits(
     variate.  The recorded conditionals telescope, so their product equals
     the premeasure of the emitted string.
 
-    Inside a block the partial factor after s measured qubits is 2**-s
-    whatever the bits (``partial_block_factor``), so every bit but a block's
-    last is a fair coin with conditional exactly 1/2.  Only a complete
-    block's last bit depends on the block's other bits; its two outcomes are
-    divided by 2**-(n-1).  A corner-free block's last bit is a fair coin
-    too, so such blocks are skipped whole and have no float limit: the
-    maximally mixed state samples at any length.  The first block whose
+    Inside a block the partial factor after s < n measured qubits is 2**-s
+    whatever the bits: a corner entry pairs an index with its bitwise
+    complement, so it drops out while a qubit stays unmeasured.  Every bit
+    but a block's last is a fair coin with conditional exactly 1/2.  Only a
+    complete block's last bit depends on the block's other bits; its two
+    outcomes are divided by 2**-(n-1).  A corner-free block's last bit is a
+    fair coin too, so such blocks are skipped whole and have no float limit:
+    the maximally mixed state samples at any length.  The first block whose
     chosen measure is subnormal emits one ``NumericHealthWarning``: from
     there on the conditionals lose precision.  A length whose prefix reaches
     measure zero in a block with corners raises ``MeasureZeroPrefix`` before
@@ -764,7 +744,6 @@ __all__ = [
     "block_measure",
     "clamp01",
     "paired_coordinate_sum",
-    "partial_block_factor",
     "premeasure",
     "premeasure_dense",
     "premeasure_factored",

@@ -23,7 +23,7 @@ state: level m keeps, for every block of the first N(m) sizes, the span of
 the block's eigen groups with positive eigenvalue, where N(m) is the first
 N with prod_{n=5}^{N} (1 - 1/n + 2**-n) < 2**-m.  A span stores the groups
 it selects (``states.eigenvalue_groups``, the one home of a block's
-spectrum), and its rank, trace ratio and columns read them.  Tau, a trace
+spectrum), and its rank and trace ratio read them.  Tau, a trace
 and a mass are each an exact dyadic ratio of ints rounded once by int true
 division.  The state evaluates to 1 on every level while the rank density
 drops below 2**-m.
@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import dense_cap_exponent, require_dense_qubits
+from .config import dense_cap_exponent
 from .errors import (
     BadQuery,
     BadSpec,
@@ -51,7 +51,6 @@ from .states import (
     DensityBlock,
     EigenGroup,
     FactoredState,
-    analytic_eigensystem,
     build_corner_block,
     eigenvalue_groups,
 )
@@ -253,15 +252,6 @@ class BlockEigenSpan:
         sign = kinds.count("pair_plus") - kinds.count("pair_minus")
         corners = min(self.block.corner_count, other.corner_count)
         return self.rank * q + sign * corners * p, q.bit_length() - 1 + other.n
-
-    def columns(self) -> np.ndarray:
-        """Dense orthonormal columns (small blocks only)."""
-        require_dense_qubits(self.block.n, "eigen span columns")
-        kinds = {g.kind for g in self.groups}
-        cols = [p.vector() for p in analytic_eigensystem(self.block) if p.kind in kinds]
-        if not cols:
-            return np.zeros((self.block.dim, 0), dtype=complex)
-        return np.stack(cols, axis=1).astype(complex)
 
 
 class FactoredEigenProjection:

@@ -106,33 +106,6 @@ def build_corner_block_general(n: int, corner_count: int, corner_value: float) -
         raise BadFamilyParams(f"corner value {corner_value} out of range at n={n}") from None
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    """Analytic eigenpair of a structured block.
-
-    kind "pair_plus"/"pair_minus" are (e_i +- e_{2^n-i+1})/sqrt(2) for a
-    1-based corner index i; kind "middle" is the basis vector e_i.
-    """
-
-    value: float
-    kind: str
-    index: int
-    n: int
-
-    def vector(self) -> np.ndarray:
-        dim = 1 << self.n
-        v = np.zeros(dim)
-        if self.kind == "middle":
-            v[self.index - 1] = 1.0
-        elif self.kind in ("pair_plus", "pair_minus"):
-            s = 1.0 if self.kind == "pair_plus" else -1.0
-            v[self.index - 1] = 1.0 / math.sqrt(2.0)
-            v[dim - self.index] = s / math.sqrt(2.0)
-        else:
-            raise BadQuery(f"unknown eigenvector kind {self.kind!r}")
-        return v
-
-
 class EigenGroup(NamedTuple):
     """One eigenvalue of a block, its multiplicity and whether it is positive, decided exactly."""
 
@@ -159,20 +132,6 @@ def eigenvalue_groups(block: DensityBlock) -> list[EigenGroup]:
     if middle:
         groups.append(EigenGroup("middle", diag, middle, True))
     return groups
-
-
-def analytic_eigensystem(block: DensityBlock) -> list[EigenPair]:
-    """``eigenvalue_groups`` expanded into eigenpairs, group by group.
-
-    Pair groups run over the corner indices 1..r, the middle group over
-    r+1..2^n-r.
-    """
-    pairs = []
-    for g in eigenvalue_groups(block):
-        first = block.corner_count + 1 if g.kind == "middle" else 1
-        for i in range(first, first + g.multiplicity):
-            pairs.append(EigenPair(g.value, g.kind, i, block.n))
-    return pairs
 
 
 @dataclass(frozen=True)
@@ -387,7 +346,8 @@ def prefix_density(state: FactoredState, k: int) -> DenseStatePrefix:
     Complete blocks multiply in as Kronecker factors.  A straddling block
     traced down to its first ``take`` qubits is I / 2**take: its corner
     entries pair indices that differ in every qubit, so the trace drops them
-    (``partial_block_factor``), and the block itself is never materialized.
+    and leaves 2**-take whatever the bits.  The block itself is never
+    materialized.
     """
     if k < 0:
         raise BadQuery(f"prefix depth must be non-negative, got {k}")
@@ -530,9 +490,7 @@ __all__ = [
     "DenseStatePrefix",
     "DensityBlock",
     "EigenGroup",
-    "EigenPair",
     "FactoredState",
-    "analytic_eigensystem",
     "build_corner_block",
     "build_corner_block_general",
     "check_coherence",

@@ -4,8 +4,6 @@ independent oracle computed inside the test, or a published reference
 number; tolerances are stated inline next to each assertion.
 """
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -24,7 +22,6 @@ from qmeas.randlab import aggregate, run_battery
 from qmeas.states import (
     DenseStateChain,
     FactoredState,
-    analytic_eigensystem,
     build_corner_block,
     build_corner_block_general,
     prefix_density,
@@ -37,6 +34,7 @@ from qmeas.verify import (
 )
 
 from conftest import random_basis, random_density
+from exact import analytic_eigensystem, family_tau
 
 
 def test_criterion_01_premeasure_additivity():
@@ -137,11 +135,8 @@ def test_criterion_07_witness_test():
     test1, last1 = qmlt.build_witness_test(1)
     assert last1 == 9
     depth1 = qmlt.witness_depth(last1)
-    oracle = Fraction(1)
-    for n in range(5, 10):
-        oracle *= 1 - Fraction((1 << n) // n, 1 << n)
     tau = test1.tau_at(depth1)
-    assert tau == pytest.approx(float(oracle), rel=1e-12)
+    assert tau == pytest.approx(float(family_tau(last1)), rel=1e-12)
     assert tau < 0.5
     state = FactoredState.witness_state()
     for m, (cls, last) in ((1, (test1, last1)), (2, qmlt.build_witness_test(2))):

@@ -8,7 +8,6 @@ digits; the writer then converts through ``decimal``.  Where no limit exists
 import contextlib
 import decimal
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -18,6 +17,8 @@ from qmeas import jsonio, qmlt, states
 from qmeas.cli import main
 from qmeas.jsonio import canonical_dumps
 from qmeas.states import FactoredState
+
+from exact import family_tau
 
 
 @contextlib.contextmanager
@@ -123,9 +124,9 @@ def test_level_eight_certifies_exactly(capsys):
     """Blocks from size 1,075 on have float scales 0.0; the witness reads their ratios exactly."""
     assert main("qmlt witness --m 8 --budget 100000".split()) == 0
     report = report_of(capsys.readouterr().out)
-    rank = math.prod((1 << n) - (1 << n) // n for n in range(5, report["n_blocks"] + 1))
-    assert report["rank"] == rank
-    assert report["tau"] == float(Fraction(rank, 2 ** report["depth"]))
+    tau = family_tau(report["n_blocks"])
+    assert report["rank"] == tau * 2 ** report["depth"]
+    assert report["tau"] == float(tau)
     assert report["evaluation"] == 1
 
 

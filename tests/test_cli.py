@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qmeas import cli
 from qmeas.cli import build_parser, main
+from qmeas.errors import MeasureZeroPrefix
 from qmeas.jsonio import canonical_dumps
 from qmeas.matrixcore import is_density_matrix
 from qmeas.measurement import MeasurementSystem, sample_bits
@@ -415,6 +417,21 @@ def test_seed_is_null_when_a_range_chose_the_seeds(capsys, tmp_path, monkeypatch
     assert [entry["seed"] for entry in doc["report"]["streams"]] == [3]
     code, out, _ = run_cli(capsys, ["sample", "--bits", "10", "--seed", "5", "--out-prefix", "o"])
     assert payload_of(out)["seed"] == 5
+
+
+def test_a_seed_range_past_2_to_the_63_is_read_lazily(capsys, tmp_path, monkeypatch):
+    """``--seeds 0..10**20`` draws seed after seed, one file pair each, until the first error."""
+
+    def two_seeds(state, system, bits, seed):
+        if seed == 2:
+            raise MeasureZeroPrefix("stop at seed 2")
+        return sample_bits(state, system, bits, seed)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "sample_bits", two_seeds)
+    code, out, err = run_cli(capsys, ["sample", "--bits", "3", "--seeds", f"0..{10**20}", "--out-prefix", "o"])
+    assert (code, out, json.loads(err)["error"]["message"]) == (2, "", "stop at seed 2")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o_s0.bits", "o_s0.json", "o_s1.bits", "o_s1.json"]
 
 
 def test_a_warning_is_one_stderr_line_naming_no_file(capsys, tmp_path):

@@ -16,7 +16,6 @@ from qmeas.measurement import (
     as_bits,
     block_measure,
     paired_coordinate_sum,
-    partial_block_factor,
     premeasure,
     premeasure_dense,
     premeasure_factored,
@@ -32,19 +31,7 @@ from qmeas.states import (
 )
 
 from conftest import random_basis, random_unit_pair
-
-
-def dense_vector(factors):
-    v = np.ones(1, dtype=complex)
-    for f in factors:
-        v = np.kron(np.asarray(f, dtype=complex), v)
-    return v
-
-
-def pair_sum_brute(factors, count):
-    v = dense_vector(factors)
-    dim = v.shape[0]
-    return sum(np.conj(v[k - 1]) * v[dim - k] for k in range(1, count + 1))
+from exact import dyadic_block_measure, kron_vector, pair_sum_brute, partial_block_factor
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +91,18 @@ def test_hadamard_block_golden_value():
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
 def test_hadamard_block_parity_formula(n):
-    """All-Hadamard outcomes depend only on the outcome parity."""
+    """All-Hadamard outcomes depend only on the outcome parity: the definition's sum of
+    w_k w_~k, with coordinates (-1)^popcount(sigma & k) 2^(-n/2), is r (-1)^parity 2^-n."""
     block = build_corner_block(n)
     system = MeasurementSystem.hadamard()
-    r = block.corner_count
-    for trial_bits in ([0] * n, [1] + [0] * (n - 1), [1, 1] + [0] * (n - 2)):
-        sign = (-1) ** (sum(trial_bits) % 2)
-        expected = float(
-            Fraction(1, 2**n) * (1 + Fraction(2 * r * sign, 2**n))
-        )
-        value = block_measure(block, system, 0, trial_bits)
-        assert value == pytest.approx(expected, rel=1e-13)
+    r, full = block.corner_count, (1 << n) - 1
+    for sigma in range(1 << n):
+        parity = bin(sigma).count("1") % 2
+        signs = sum((-1) ** (bin(sigma & k).count("1") + bin(sigma & (full - k)).count("1")) for k in range(r))
+        assert signs == r * (-1) ** parity
+        exact = dyadic_block_measure("hadamard", n, r, block.corner_ratio, parity)
+        bits = [(sigma >> q) & 1 for q in range(n)]
+        assert block_measure(block, system, 0, bits) == pytest.approx(float(exact), rel=1e-13)
 
 
 def test_standard_basis_block_measure_is_exactly_uniform(rng):
@@ -142,9 +130,7 @@ def test_block_measure_respects_offset(rng):
     block = build_corner_block(5)
     system = random_basis(rng, periods=3)
     bits = [0, 1, 1, 0, 1]
-    v = np.ones(1, dtype=complex)
-    for i, b in enumerate(bits):
-        v = np.kron(system.basis_at(7 + i + 1)[b], v)
+    v = kron_vector([system.basis_at(7 + i + 1)[b] for i, b in enumerate(bits)])
     oracle = float(np.real(np.vdot(v, block.to_dense() @ v)))
     assert block_measure(block, system, 7, bits) == pytest.approx(oracle, abs=1e-13)
 
@@ -170,7 +156,6 @@ def test_partial_block_factor_dense_oracle(j, rng):
     if j == 0:
         assert value == 1.0
         return
-    proj = np.zeros((2**j, 2**j), dtype=complex)
     v = system.product_vector(prefix)
     proj = np.outer(v, v.conj())
     full = kron(proj, np.eye(2 ** (5 - j), dtype=complex)) if j < 5 else proj
@@ -370,7 +355,7 @@ def test_sampler_is_deterministic_per_seed():
     c = sample_bits(state, system, 200, seed=43)
     assert a.bit_string() == b.bit_string()
     assert a.bit_string() != c.bit_string()
-    assert a.generator == "numpy-pcg64"
+    assert a.sidecar()["generator"] == "numpy-pcg64"
 
 
 def test_sampler_conditionals_telescope_to_premeasure():

@@ -40,6 +40,7 @@ from qmeas.states import (
 )
 
 from conftest import random_basis, random_density
+from exact import exact_trace, family_tau, span_columns
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +221,7 @@ def rounded(ratio) -> float:
 def test_block_eigen_span_trace_closed_form_oracle(rng):
     base = build_corner_block(5)
     span = BlockEigenSpan.nonzero(base)
-    cols = span.columns()
+    cols = span_columns(span)
     proj = cols @ cols.conj().T
     for h, g in [(6, 2.0**-5), (4, 0.01), (0, 0.0), (16, 0.02)]:
         other = build_corner_block_general(5, h, g)
@@ -247,14 +248,6 @@ def test_block_trace_and_spectrum_are_exact_at_any_size(n):
     span = BlockEigenSpan.nonzero(block)
     assert span.rank == block.dim - r and rounded(span.trace_ratio(block)) == 1.0
     assert FactoredEigenProjection((span,)).density() == float(Fraction(block.dim - r, block.dim))
-
-
-def exact_trace(span, other):
-    """tr(other P) summed group by group in Fractions."""
-    unit, corner = Fraction(1, other.dim), Fraction(other.corner_value)
-    paired = min(span.block.corner_count, other.corner_count)
-    sign = {"pair_plus": 1, "pair_minus": -1, "middle": 0}
-    return sum(g.multiplicity * unit + sign[g.kind] * paired * corner for g in span.groups)
 
 
 @pytest.mark.parametrize("n", [5, 9, 64, 1000])
@@ -334,11 +327,8 @@ def test_witness_depth_sums_block_sizes():
 def test_witness_tau_fraction_oracle():
     cls, last = build_witness_test(1)
     assert last == 9
-    oracle = Fraction(1)
-    for n in range(5, 10):
-        oracle *= 1 - Fraction((1 << n) // n, 1 << n)
     value = cls.tau_at(witness_depth(9))
-    assert value == pytest.approx(float(oracle), rel=1e-12)
+    assert value == pytest.approx(float(family_tau(9)), rel=1e-12)
     assert value < 0.5
 
 
@@ -386,10 +376,8 @@ def test_witness_budget_exceeded_reports_requirement():
 
 def test_witness_rank_product():
     cls, last = build_witness_test(1)
-    expected = 1
-    for n in range(5, 10):
-        expected *= (1 << n) - (1 << n) // n
-    assert cls.rank_at(witness_depth(last)) == expected
+    depth = witness_depth(last)
+    assert cls.rank_at(depth) == family_tau(last) * 2**depth
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,6 @@ def run_invocations(directory: Path) -> list[int]:
 
 
 BENCH_TRACED = "bench/tracing.py wraps it by name; the traced bench run fails without it"
-TEST_REFERENCE = "a reference implementation the tests compare against"
 
 # unreached functions, each with the reason it stays
 UNREACHED = {
@@ -116,10 +115,6 @@ UNREACHED = {
     "measurement.premeasure_factored": BENCH_TRACED,
     "randlab.serial_tests": BENCH_TRACED,
     "randlab.approximate_entropy_test": BENCH_TRACED,
-    "measurement.partial_block_factor": TEST_REFERENCE,
-    "qmlt.BlockEigenSpan.columns": TEST_REFERENCE,
-    "states.EigenPair.vector": TEST_REFERENCE,
-    "states.analytic_eigensystem": TEST_REFERENCE,
     "states.DenseStatePrefix.prefix": "named in the README: a dense prefix answers state.prefix(k)",
 }
 

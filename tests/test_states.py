@@ -14,7 +14,6 @@ from qmeas.states import (
     DenseStateChain,
     DensityBlock,
     FactoredState,
-    analytic_eigensystem,
     build_corner_block,
     build_corner_block_general,
     check_coherence,
@@ -23,6 +22,8 @@ from qmeas.states import (
     parse_state_spec,
     prefix_density,
 )
+
+from exact import analytic_eigensystem
 
 
 def golden_d3():

@@ -10,7 +10,6 @@ quadratic oracles must agree with the einsums they stand in for.
 import math
 import random
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from qmeas.verify import (
 )
 
 from conftest import random_basis, random_density
+from exact import fraction_premeasure, kron_vector
 
 
 def per_tau_table(state, system, depth):
@@ -60,13 +60,6 @@ def rotation_table(prefix, system, offset=0):
         T = np.moveaxis(np.tensordot(T, np.conj(B), axes=([ra], [0])), -1, ra)
         T = np.moveaxis(np.tensordot(T, B, axes=([ca], [0])), -1, ca)
     return np.clip(np.real(np.diagonal(T.reshape(1 << k, 1 << k))), 0.0, 1.0)
-
-
-def kron_product_vector(system, bits):
-    v = np.ones(1, dtype=complex)
-    for i, b in enumerate(bits):
-        v = np.kron(system.basis_at(i + 1)[b], v)
-    return v
 
 
 def systems(rng):
@@ -120,31 +113,12 @@ def test_factored_table_clamps_with_a_health_warning():
     assert any(issubclass(w.category, NumericHealthWarning) for w in caught)
 
 
-def hadamard_block_fractions(n):
-    """Exact block measures from the definition: diag + corner * 2 sum w_k w_(~k).
-
-    Hadamard coordinates are (-1)^popcount(sigma & k) 2^(-n/2), so each paired
-    product is a signed 2^-n.
-    """
-    r = (1 << n) // n
-    full = (1 << n) - 1
-    out = []
-    for sigma in range(1 << n):
-        signs = sum(
-            (-1) ** (bin(sigma & k).count("1") + bin(sigma & (full - k)).count("1"))
-            for k in range(r)
-        )
-        out.append(Fraction(1, 1 << n) * (1 + 2 * Fraction(signs, 1 << n)))
-    return out
-
-
 def test_hadamard_depth14_table_matches_fraction_block_product():
     table = premeasure_table_factored(
         FactoredState.witness_state(), MeasurementSystem.hadamard(), 14
     )
-    b5, b6 = hadamard_block_fractions(5), hadamard_block_fractions(6)
-    # blocks 5 and 6 are complete; block 7 is cut after 3 qubits: 2^-3
-    exact = [b5[i & 31] * b6[(i >> 5) & 63] * Fraction(1, 8) for i in range(1 << 14)]
+    # blocks 5 and 6 are complete; block 7 is cut after 3 qubits
+    exact = [fraction_premeasure("hadamard", format(i, "014b")[::-1]) for i in range(1 << 14)]
     assert sum(exact) == 1
     want = np.array([float(x) for x in exact])
     # 1/sqrt(2) rounds up, so (1/sqrt(2))^2 = 0.5000000000000001 and each
@@ -268,22 +242,6 @@ def lifted_class(system, prefixes):
     return test.levels[1], depth
 
 
-def fraction_premeasure(kind, tau):
-    """Exact premeasure of tau on the witness state (blocks 5, 6, ...)."""
-    value = Fraction(1)
-    offset, n = 0, 5
-    while offset < len(tau):
-        part = tau[offset : offset + n]
-        if len(part) < n or kind == "standard":
-            value *= Fraction(1, 1 << len(part))
-        else:
-            sigma = int(part[::-1], 2)
-            value *= hadamard_block_fractions(n)[sigma]
-        offset += n
-        n += 1
-    return value
-
-
 @pytest.mark.parametrize("kind", ["standard", "hadamard"])
 def test_lifted_evaluation_is_the_exact_fraction_sum(kind):
     gen = random.Random(11)
@@ -301,7 +259,8 @@ def test_lifted_evaluation_is_the_exact_fraction_sum(kind):
 def test_product_vector_bytes_match_kron(rng):
     for system in systems(rng).values():
         for bits in ((0,), (1, 0, 1), (0, 1, 1, 0, 1, 0, 0, 1, 1)):
-            assert np.array_equal(system.product_vector(bits), kron_product_vector(system, bits))
+            factors = [system.basis_at(i + 1)[b] for i, b in enumerate(bits)]
+            assert np.array_equal(system.product_vector(bits), kron_vector(factors))
 
 
 def test_span_expectation_matches_einsum(rng):

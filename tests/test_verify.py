@@ -31,6 +31,8 @@ from qmeas.verify import (
     verify_quadratic_bounds,
 )
 
+from exact import family_tau
+
 
 def test_random_factors_are_unit(rng):
     factors = random_product_factors(rng, 50, 6)
@@ -125,10 +127,7 @@ def test_family_canonical_products():
     assert report.passed
     params = report.parameters
     assert params["kept_mass_product"] == pytest.approx(1.0, abs=1e-15)
-    oracle = 1.0
-    for n in range(5, 31):
-        oracle *= 1.0 - ((1 << n) // n) * 2.0**-n
-    assert params["rho_product"] == pytest.approx(oracle, rel=1e-13)
+    assert params["rho_product"] == pytest.approx(float(family_tau(30)), rel=1e-13)
 
 
 def test_family_zero_corners_gives_unit_products():
