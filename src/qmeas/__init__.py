@@ -60,6 +60,7 @@ from .states import (
     DenseStatePrefix,
     DensityBlock,
     FactoredState,
+    MatrixEntries,
     build_corner_block,
     build_corner_block_general,
     check_coherence,
@@ -67,6 +68,7 @@ from .states import (
     eigenvalue_groups,
     parse_state_spec,
     prefix_density,
+    prefix_entries,
 )
 from .verify import (
     LemmaReport,
@@ -95,6 +97,7 @@ __all__ = [
     "FactoredState",
     "InsufficientData",
     "LemmaReport",
+    "MatrixEntries",
     "MeasureZeroPrefix",
     "MeasurementSystem",
     "MissingStage",
@@ -123,6 +126,7 @@ __all__ = [
     "parse_state_spec",
     "partial_trace_last_qubit",
     "prefix_density",
+    "prefix_entries",
     "premeasure",
     "premeasure_dense",
     "premeasure_factored",

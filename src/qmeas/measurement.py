@@ -52,7 +52,7 @@ from .errors import (
     NumericHealthWarning,
 )
 from .matrixcore import require_unit_vector
-from .states import BlockColumns, DenseStatePrefix, DensityBlock, FactoredState
+from .states import BlockColumns, DenseStatePrefix, DensityBlock, FactoredState, MatrixEntries, prefix_entries
 
 _CLAMP_WARN = 1e-9
 # 2**-s halves exactly down to the smallest subnormal 2**-1074; one more
@@ -444,29 +444,70 @@ def premeasure_table_factored(
 
 
 def premeasure_table_dense(
-    prefix: DenseStatePrefix, system: MeasurementSystem, offset: int = 0
+    prefix: DenseStatePrefix | MatrixEntries, system: MeasurementSystem, offset: int = 0
 ) -> np.ndarray:
-    """All 2**k premeasure values of a depth-k dense prefix at once.
+    """All 2**k premeasure values of a depth-k prefix at once, contracted over its nonzero entries.
 
-    The returned array is indexed by the integer encoding of tau with qubit 1
-    as the least-significant bit.  Only the diagonal of the rotated prefix is
-    needed, so each qubit's row and column indices are contracted together
-    into one outcome index, slowest qubit first: O(4**k) in total, and no
-    rotated copy of the full matrix is ever formed.  A step whose partial
-    table and basis pair have no nonzero imaginary part (a real prefix in
-    the standard, Hadamard, rotation or a real explicit basis) contracts in
-    float64, bit for bit the real part of the complex einsum.
+    ``prefix`` is a ``DenseStatePrefix``, read through its ``entries()``,
+    or a prefix's ``MatrixEntries`` (``prefix_entries`` of a factored
+    state, which builds no matrix).  The table is indexed by the integer
+    encoding of tau, qubit 1 least significant.  Each qubit's row and
+    column indices contract into one outcome index, slowest qubit first
+    (``_contract_qubit``), so memory and time follow the nonzero entries
+    and the 2**k outcomes, not the 4**k entries of rho_k (3,696 of
+    4,194,304 for the witness state at k = 11).  Each value is, bit for
+    bit, the einsum "rt,rasb,st->abt" over the whole matrix; a step whose
+    entries and basis pair have no nonzero imaginary part (a real prefix in
+    the standard, Hadamard, rotation or a real explicit basis) runs in
+    float64, bit for bit the real part of the complex step.  The
+    single-string dense premeasure (``premeasure_dense``) and a lifted
+    stage's dense expectation still read rho_k itself.
     """
-    k = prefix.depth
-    # rows (qubit k .. 1), columns (qubit k .. 1); outcome axes collect at the end
-    T = np.asarray(prefix.rho)
+    entries = prefix.entries() if isinstance(prefix, DenseStatePrefix) else prefix
+    k = entries.qubits
+    # a key interleaves an entry's row and column bits, qubit k's pair on top; each
+    # step drops its qubit's pair and appends the outcome bit at the bottom
+    key = np.zeros(entries.rows.shape, dtype=np.int64)
+    for j in range(k):
+        key |= (entries.rows >> j & 1) << 2 * j + 1 | (entries.cols >> j & 1) << 2 * j
+    order = np.argsort(key)
+    key, values = key[order], entries.values[order]
     for q in range(k, 0, -1):
         B = np.stack(system.basis_at(offset + q), axis=1)  # columns are b0, b1
-        if not (np.any(B.imag) or np.iscomplexobj(T) and np.any(T.imag)):
-            T, B = T.real, B.real
-        half = 1 << (q - 1)
-        T = np.einsum("rt,rasb,st->abt", np.conj(B), T.reshape(2, half, 2, -1), B)
-    return clamp01(np.real(T.reshape(-1)), "premeasure table")
+        if not (np.any(B.imag) or np.iscomplexobj(values) and np.any(values.imag)):
+            values, B = values.real, B.real
+        key, values = _contract_qubit(key, values, B, q + k - 2)
+    table = np.zeros(1 << k)
+    table[key] = np.real(values)
+    return clamp01(table, "premeasure table")
+
+
+def _contract_qubit(key: np.ndarray, values: np.ndarray, basis: np.ndarray, width: int):
+    """Contract one qubit's row bit r and column bit s into an outcome bit t.
+
+    Bits width + 1 and width of each ``key``, sorted, are the qubit's r and
+    s, so the four (r, s) classes are consecutive runs, and the bits below
+    them name the group an entry adds to.  For t = 0, 1 a group sums
+    conj(basis[r, t]) v basis[s, t] over its entries v, from +0, one (r, s)
+    class at a time in row-major order, as the einsum adds each output; no
+    group occurs twice in a class.  Complex products are real multiplies
+    and adds, as in einsum's complex loop: numpy's complex multiply may fuse
+    them.  Returns the groups' keys with t as their lowest bit, and values.
+    """
+    bounds = [0, *np.searchsorted(key, np.arange(1, 4) << width), key.size]
+    groups, slots = np.unique(key & ((1 << width) - 1), return_inverse=True)
+    out = np.zeros((groups.size, 2), dtype=basis.dtype)
+    for rs in range(4):
+        x, y = np.conj(basis[rs >> 1]), basis[rs & 1]
+        at, v = slots[bounds[rs] : bounds[rs + 1]], values[bounds[rs] : bounds[rs + 1], None]
+        if np.iscomplexobj(basis):
+            re = x.real * v.real - x.imag * v.imag
+            im = x.real * v.imag + x.imag * v.real
+            out.real[at] += re * y.real - im * y.imag
+            out.imag[at] += re * y.imag + im * y.real
+        else:
+            out[at] += v * x * y
+    return (groups[:, None] << 1 | np.arange(2)).reshape(-1), out.reshape(-1)
 
 
 def _takes_factored_path(state, path: str) -> bool:
@@ -496,7 +537,8 @@ def premeasure_table(state, system: MeasurementSystem, depth: int, path: str = "
     """All 2**depth premeasures on ``premeasure``'s path, indexed qubit 1 least significant."""
     if _takes_factored_path(state, path):
         return premeasure_table_factored(state, system, depth)
-    return premeasure_table_dense(state.prefix(depth), system)
+    prefix = prefix_entries(state, depth) if isinstance(state, FactoredState) else state.prefix(depth)
+    return premeasure_table_dense(prefix, system)
 
 
 def additivity_check(state, system: MeasurementSystem, tau, path: str = "auto") -> float:

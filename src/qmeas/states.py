@@ -15,7 +15,9 @@ states have block i of i + 5 qubits: the witness state's blocks are
 canonical, and the maximally mixed state's are corner-free, I / 2**(i+5);
 extending either appends fields and builds no block.  Checks on a factored
 state answer from its blocks, so their reports are sized by the blocks, not
-by the depth checked.
+by the depth checked.  A block's and a factored prefix's nonzero entries
+(``MatrixEntries``) are listed from the fields, and their dense matrices
+are those entries scattered.
 """
 
 from __future__ import annotations
@@ -33,10 +35,24 @@ from .errors import BadBlock, BadFamilyParams, BadQuery, BadShape, BadSpec
 from .matrixcore import (
     DensityCheck,
     is_density_matrix,
-    kron,
     num_qubits_of,
     partial_trace_last_qubit,
 )
+
+
+class MatrixEntries(NamedTuple):
+    """A 2**qubits square matrix as its entries, row-major: m[rows, cols] = values, zero elsewhere."""
+
+    qubits: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    def to_dense(self) -> np.ndarray:
+        """Scatter the entries into a matrix of zeros."""
+        m = np.zeros((1 << self.qubits, 1 << self.qubits), dtype=self.values.dtype)
+        m[self.rows, self.cols] = self.values
+        return m
 
 
 @dataclass(frozen=True)
@@ -74,14 +90,21 @@ class DensityBlock:
     def dim(self) -> int:
         return 1 << self.n
 
+    def entries(self) -> MatrixEntries:
+        """The nonzero entries in row-major order, as ``np.nonzero`` lists them.
+
+        They are the diagonal and, unless the corner value is zero, the
+        corners (i, 2**n - 1 - i) and (2**n - 1 - i, i) for i < r, 0-based.
+        """
+        dim, c = self.dim, np.arange(self.corner_count if self.corner_value else 0)
+        flat = np.concatenate([np.arange(dim) * (dim + 1), c * dim + dim - 1 - c, (dim - 1 - c) * dim + c])
+        rows, cols = np.divmod(np.sort(flat), dim)
+        return MatrixEntries(self.n, rows, cols, np.where(rows == cols, self.diag_value, self.corner_value))
+
     def to_dense(self) -> np.ndarray:
-        """Materialize the block; fails loudly beyond the dense cap."""
+        """Materialize the block, its entries scattered; fails loudly beyond the dense cap."""
         require_dense_qubits(self.n, f"block of {self.n} qubits")
-        m = np.eye(self.dim) * self.diag_value
-        for i in range(1, self.corner_count + 1):
-            m[i - 1, self.dim - i] = self.corner_value
-            m[self.dim - i, i - 1] = self.corner_value
-        return m
+        return self.entries().to_dense()
 
 
 def build_corner_block(n: int) -> DensityBlock:
@@ -155,6 +178,11 @@ class DenseStatePrefix:
         if k != self.depth:
             raise BadQuery(f"a dense prefix answers only its own depth {self.depth}, not {k}")
         return self
+
+    def entries(self) -> MatrixEntries:
+        """The matrix's nonzero entries, as ``np.nonzero`` lists them."""
+        rows, cols = np.nonzero(self.rho)
+        return MatrixEntries(self.depth, rows, cols, self.rho[rows, cols])
 
 
 class DenseStateChain:
@@ -340,23 +368,41 @@ class FactoredState:
         }
 
 
-def prefix_density(state: FactoredState, k: int) -> DenseStatePrefix:
-    """Dense density matrix on the first k qubits of a factored state.
+def prefix_entries(state: FactoredState, k: int) -> MatrixEntries:
+    """The entries of a factored state's depth-k prefix, row-major, read from its blocks.
 
-    Complete blocks multiply in as Kronecker factors.  A straddling block
+    The prefix is the Kronecker product of its blocks, first block fastest.
+    A complete block contributes its ``entries()``.  A straddling block
     traced down to its first ``take`` qubits is I / 2**take: its corner
     entries pair indices that differ in every qubit, so the trace drops them
-    and leaves 2**-take whatever the bits.  The block itself is never
-    materialized.
+    and leaves 2**-take whatever the bits; the cut block's own entries are
+    never listed.  Each value is the block values' product, multiplied in
+    block order, the later block's value times the product so far.  The
+    prefix has Π(2**n + 2r) entries over its complete blocks, times 2**take
+    for a cut one, and no matrix is built.
     """
     if k < 0:
         raise BadQuery(f"prefix depth must be non-negative, got {k}")
     require_dense_qubits(k, f"prefix of depth {k}")
-    rho = np.eye(1)
+    rows = cols = np.zeros(1, dtype=np.intp)
+    values, qubits = np.ones(1), 0
     for block, _, take in state.segments(k):
-        part = block.to_dense() if take == block.n else np.eye(1 << take) / (1 << take)
-        rho = kron(rho, part)
-    return DenseStatePrefix(k, rho)
+        if take == block.n:
+            _, part_rows, part_cols, part_values = block.entries()
+        else:
+            part_rows = part_cols = np.arange(1 << take)
+            part_values = np.full(1 << take, math.ldexp(1.0, -take))
+        rows = (part_rows[:, None] << qubits | rows).reshape(-1)
+        cols = (part_cols[:, None] << qubits | cols).reshape(-1)
+        values = (part_values[:, None] * values).reshape(-1)
+        qubits += take
+    order = np.argsort(rows << k | cols)
+    return MatrixEntries(k, rows[order], cols[order], values[order])
+
+
+def prefix_density(state: FactoredState, k: int) -> DenseStatePrefix:
+    """Dense density matrix on the first k qubits of a factored state: its ``prefix_entries``, scattered."""
+    return DenseStatePrefix(k, prefix_entries(state, k).to_dense())
 
 
 @dataclass(frozen=True)
@@ -491,6 +537,7 @@ __all__ = [
     "DensityBlock",
     "EigenGroup",
     "FactoredState",
+    "MatrixEntries",
     "build_corner_block",
     "build_corner_block_general",
     "check_coherence",
@@ -499,4 +546,5 @@ __all__ = [
     "family_tables",
     "parse_state_spec",
     "prefix_density",
+    "prefix_entries",
 ]

@@ -138,7 +138,7 @@ def verify_quadratic_bounds(
     <W| d_n |W> lies in [2^-n (1 - 2/n), 2^-n (1 + 2/n)] for every product
     vector W.  Evaluated through the corner closed form; for n <= 10 the
     form W^H d W on dense product vectors, summed over the block's nonzero
-    entries as listed from its fields, cross-checks the first
+    entries (``DensityBlock.entries``), cross-checks the first
     ``ORACLE_TRIALS`` trials.  Trials are drawn and evaluated a chunk at a
     time, keeping only the running extremes, so memory does not grow with
     ``trials``; ``trials`` must be at least 1.
@@ -148,11 +148,8 @@ def verify_quadratic_bounds(
     hi = block.diag_value * (1.0 + 2.0 / n)
     checked = min(trials, ORACLE_TRIALS) if n <= 10 else 0
     oracle_rows = _rows(1 << n)
-    if checked:  # the diagonal and the corners, in row-major order as np.nonzero lists them
-        dim, c = block.dim, np.arange(block.corner_count)
-        corners = np.concatenate([c * dim + dim - 1 - c, (dim - 1 - c) * dim + c])
-        rows, cols = np.divmod(np.union1d(np.arange(dim) * (dim + 1), corners), dim)
-        entries = np.where(rows == cols, block.diag_value, block.corner_value)
+    if checked:
+        _, rows, cols, entries = block.entries()
     margin, min_value, max_value, oracle_dev = math.inf, math.inf, -math.inf, 0.0
     for start, factors in _factor_chunks(seed, trials, n, n):
         values = block.diag_value + block.corner_value * 2.0 * np.real(

@@ -3,7 +3,8 @@
 Test files import this module as they import ``conftest``; pytest does not
 collect it.  Standard and Hadamard block measures, premeasures, the witness
 test's tau and a span's trace are exact ``Fraction``s; a real basis's block
-measure is exact given its float factors.
+measure is exact given its float factors.  The dense references build
+blocks corner by corner, prefixes as Kronecker chains and tables by einsum.
 """
 
 import functools
@@ -13,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qmeas.measurement import block_measure
+from qmeas.measurement import block_measure, clamp01
 from qmeas.states import eigenvalue_groups
 
 
@@ -82,6 +83,41 @@ def partial_block_factor(block, system, block_offset, prefix):
     if len(prefix) < block.n:
         return math.ldexp(1.0, -len(prefix))
     return block_measure(block, system, block_offset, prefix)
+
+
+def dense_block(block):
+    """A block's dense matrix, corner by corner: diagonal 2^-n, corners (i, 2^n - i + 1) for 1-based i <= r."""
+    m = np.eye(block.dim) * block.diag_value
+    for i in range(1, block.corner_count + 1):
+        m[i - 1, block.dim - i] = block.corner_value
+        m[block.dim - i, i - 1] = block.corner_value
+    return m
+
+
+def kron_chain_prefix(state, k):
+    """A factored state's depth-k prefix as a Kronecker chain of dense blocks, first block fastest.
+
+    A block cut after ``take`` qubits is I / 2^take.
+    """
+    rho = np.eye(1)
+    for block, _, take in state.segments(k):
+        part = dense_block(block) if take == block.n else np.eye(1 << take) / (1 << take)
+        rho = np.kron(part, rho)
+    return rho
+
+
+def complex_einsum_table(rho, system, offset=0):
+    """The dense table of a depth-k prefix matrix, contracted one qubit at a time by complex einsums.
+
+    Basis pairs are complex arrays, so every einsum runs its complex loop,
+    a real ``rho`` included.
+    """
+    T = np.asarray(rho)
+    for q in range(T.shape[0].bit_length() - 1, 0, -1):
+        B = np.stack(system.basis_at(offset + q), axis=1)
+        half = 1 << (q - 1)
+        T = np.einsum("rt,rasb,st->abt", np.conj(B), T.reshape(2, half, 2, -1), B)
+    return clamp01(np.real(T.reshape(-1)), "premeasure table")
 
 
 def kron_vector(factors):

@@ -111,11 +111,13 @@ UNREACHED = {
         "tests/test_cli.py checks the line in a child process"
     ),
     "cli.entrypoint": "the `qmeas` console script of pyproject.toml; the probe calls `main` itself",
+    "matrixcore.kron": BENCH_TRACED,
     "measurement.block_measure": "named in the README, and " + BENCH_TRACED,
     "measurement.premeasure_factored": BENCH_TRACED,
     "randlab.serial_tests": BENCH_TRACED,
     "randlab.approximate_entropy_test": BENCH_TRACED,
     "states.DenseStatePrefix.prefix": "named in the README: a dense prefix answers state.prefix(k)",
+    "states.DensityBlock.to_dense": "named in the README: a block's dense matrix, its entries() scattered",
 }
 
 

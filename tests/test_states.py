@@ -1,5 +1,6 @@
 """Structured blocks, the product state, coherence, and spec parsing."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from qmeas.errors import BadBlock, BadFamilyParams, BadQuery, BadSpec, CapExceeded
 from qmeas.matrixcore import is_density_matrix, kron, partial_trace_last_qubit
-from qmeas import states
+from qmeas import matrixcore, states
 from qmeas.cli import main
 from qmeas.states import (
     CoherenceReport,
@@ -21,9 +22,10 @@ from qmeas.states import (
     eigenvalue_groups,
     parse_state_spec,
     prefix_density,
+    prefix_entries,
 )
 
-from exact import analytic_eigensystem
+from exact import analytic_eigensystem, dense_block, kron_chain_prefix
 
 
 def golden_d3():
@@ -140,6 +142,28 @@ def test_prefix_density_depth_zero_and_cap(monkeypatch):
     monkeypatch.setenv("QMEAS_DENSE_CAP", "6")
     with pytest.raises(CapExceeded):
         prefix_density(state, 7)
+
+
+def entry_blocks():
+    """Blocks of 1 to 12 qubits at the ends of their corner range, and a general family's blocks."""
+    blocks = []
+    for n in range(1, 13):
+        counts = sorted(r for r in {0, 1, (1 << n) // n, 1 << (n - 1)} if r <= 1 << (n - 1))
+        blocks += [DensityBlock(n, r, 1.0) for r in counts] + [DensityBlock(n, counts[-1], 0.3)]
+    # corner values of zero (whose corners are no entries) and subnormal, beside ordinary ones
+    family = FactoredState.general_family({5: 3, 6: 10, 7: 17, 8: 32}, {5: 0.02, 6: 0.0, 7: 1e-310, 8: 2.0**-8})
+    return blocks + family.blocks
+
+
+def test_block_entries_are_the_nonzeros_of_the_dense_block():
+    for block in entry_blocks():
+        dense = dense_block(block)
+        rows, cols = np.nonzero(dense)
+        entries = block.entries()
+        assert entries.qubits == block.n
+        assert np.array_equal(entries.rows, rows) and np.array_equal(entries.cols, cols), block
+        assert np.array_equal(entries.values, dense[rows, cols]), block
+        assert np.array_equal(block.to_dense().view(np.uint64), dense.view(np.uint64)), block
 
 
 def test_block_offsets():
@@ -318,6 +342,20 @@ def test_check_coherence_is_the_dense_loop(name):
         assert (report.ok, report.max_deviation, report.failed_at) == (True, 0.0, None)
 
 
+def test_scattered_prefix_is_the_kron_chain_bit_for_bit():
+    # blocks 5, 6, 7: depths 1-4, 6-10 and 12 cut a block
+    for name, make in CHECKED_STATES.items():
+        state = make()
+        for k in range(13):
+            chain = kron_chain_prefix(state, k)
+            rho = prefix_density(state, k).rho
+            assert rho.dtype == chain.dtype and np.array_equal(rho.view(np.uint64), chain.view(np.uint64)), (name, k)
+            rows, cols = np.nonzero(chain)
+            entries = prefix_entries(state, k)
+            assert np.array_equal(entries.rows, rows) and np.array_equal(entries.cols, cols), (name, k)
+            assert np.array_equal(entries.values, chain[rows, cols]), (name, k)
+
+
 def test_state_checks_build_no_dense_prefix(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a dense prefix or a dense eigensolver was used")
@@ -327,6 +365,32 @@ def test_state_checks_build_no_dense_prefix(monkeypatch, capsys):
     assert main(["state", "--paper-rho", "--check-depth", "11", "--eigen", "5"]) == 0
     report = json.loads(capsys.readouterr().out)["report"]
     assert report["coherence"]["ok"] and report["density"]["ok"]
+
+
+# each command's stdout as it was when the dense table built rho_11 and contracted it by einsum
+DENSE_TABLE_RUNS = {
+    "oracle-compare": (
+        ["measure", "--state", "paper-rho", "--basis", "hadamard", "--oracle-compare", "--depth", "11"],
+        "a76a445362864af7996f1e8a4c99bc85ccb40db87d4ff1eac8c9a5e644575b7d",
+    ),
+    "path-dense": (
+        ["measure", "--state", "paper-rho", "--basis", "hadamard", "--path", "dense", "--tau-depth", "11", "--additivity"],
+        "4ed4808a064bcec793986b05e24613dfae6956fad4b5ec3dc1a8f9482abfa286",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_TABLE_RUNS))
+def test_dense_tables_build_no_dense_prefix(monkeypatch, capsys, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense prefix, a Kronecker product or an einsum was used")
+
+    monkeypatch.setattr(states, "prefix_density", refuse)
+    monkeypatch.setattr(matrixcore, "kron", refuse)
+    monkeypatch.setattr(np, "einsum", refuse)
+    argv, digest = DENSE_TABLE_RUNS[name]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_coherence_of_a_factored_state_builds_no_matrix(monkeypatch):

@@ -1,8 +1,9 @@
 """Closed-form tables and BLAS dense oracles against the formulations they replaced.
 
 The factored table must reproduce the per-string premeasure loop bit for
-bit; the diagonal contraction must agree with the full-matrix basis
-rotation; the lifted evaluation on a factored state must land on the exact
+bit; the dense table's contraction over the prefix's entries must agree
+with the full-matrix basis rotation, and bit for bit with the complex
+einsum over the whole matrix that it replaced; the lifted evaluation on a factored state must land on the exact
 Fraction sum of its prefixes' measures; and the BLAS forms of the dense
 quadratic oracles must agree with the einsums they stand in for.
 """
@@ -14,18 +15,17 @@ import warnings
 import numpy as np
 import pytest
 
-from qmeas import verify
+from qmeas import measurement, verify
 from qmeas.errors import BadQuery, NumericHealthWarning
 from qmeas.measurement import (
     MeasurementSystem,
-    clamp01,
     paired_coordinate_sum,
     premeasure,
     premeasure_table_dense,
     premeasure_table_factored,
 )
 from qmeas.qmlt import ClassicalMLT, StagedSigmaClass, evaluate_state, lift_classical_mlt
-from qmeas.states import DenseStateChain, DensityBlock, FactoredState, build_corner_block
+from qmeas.states import DenseStateChain, DensityBlock, FactoredState, build_corner_block, prefix_entries
 from qmeas.verify import (
     ORACLE_TOL,
     product_vectors_dense,
@@ -34,7 +34,7 @@ from qmeas.verify import (
 )
 
 from conftest import random_basis, random_density
-from exact import fraction_premeasure, kron_vector
+from exact import complex_einsum_table, fraction_premeasure, kron_chain_prefix, kron_vector
 
 
 def per_tau_table(state, system, depth):
@@ -149,25 +149,19 @@ def test_dense_table_matches_rotation_on_random_states(rng):
             assert np.max(np.abs(got - rotation_table(prefix, system, offset))) <= 1e-15
 
 
-def complex_einsum_table(prefix, system, offset=0):
-    """The dense table as every input contracted before: complex einsums throughout."""
-    T = np.asarray(prefix.rho, dtype=complex)
-    for q in range(prefix.depth, 0, -1):
-        B = np.stack(system.basis_at(offset + q), axis=1)
-        half = 1 << (q - 1)
-        T = np.einsum("rt,rasb,st->abt", np.conj(B), T.reshape(2, half, 2, -1), B)
-    return clamp01(np.real(T.reshape(-1)), "premeasure table")
-
-
 def dense_prefixes():
-    """Factored states' and dense chains' prefixes, real-valued but for the "complex" chain.
+    """(label, prefix, its matrix): factored states' prefix entries and dense chains' prefixes.
 
-    Some of their tables hold exact zeros.
+    A factored prefix's matrix is the Kronecker chain of its blocks.  All
+    are real-valued but for the "complex" chain, and some of their tables
+    hold exact zeros.
     """
     witness, mixed = FactoredState.witness_state(), FactoredState.maximally_mixed()
     family = FactoredState.general_family({5: 3, 6: 10}, {5: 0.02, 6: 0.01})
-    out = [(f"paper_rho{k}", witness.prefix(k)) for k in range(11)]
-    out += [("mixed", mixed.prefix(6)), ("general", family.prefix(9))]
+    half = FactoredState.general_family({n: (1 << n) // n for n in (5, 6)}, {n: 0.5 * 2.0**-n for n in (5, 6)})
+    factored = [(f"paper_rho{k}", witness, k) for k in [*range(11), 12]]
+    factored += [("mixed", mixed, 6), ("general", family, 9), ("general_half", half, 10)]
+    out = [(label, prefix_entries(state, k), kron_chain_prefix(state, k)) for label, state, k in factored]
     gen = np.random.default_rng(5)
     a = gen.normal(size=(32, 32))
     basis_state = np.zeros(32)
@@ -181,32 +175,29 @@ def dense_prefixes():
         ("complex", random_density(gen, 32)),
     ):
         chain = DenseStateChain.from_top(top)
-        out += [(f"{label}{k}", chain.prefix(k)) for k in (1, 3, 5)]
+        out += [(f"{label}{k}", chain.prefix(k), chain.prefix(k).rho) for k in (1, 3, 5)]
     return out
 
 
-def einsum_dtypes(monkeypatch, prefix, system, offset):
-    """The table, and the operand dtypes of each einsum that built it."""
-    seen = []
-    einsum = np.einsum
+def contraction_steps(monkeypatch, prefix, system, offset):
+    """The table, and whether each qubit's contraction step ran in complex arithmetic."""
+    steps = []
+    contract = measurement._contract_qubit
 
-    def spy(spec, *operands):
-        seen.append({op.dtype for op in operands})
-        return einsum(spec, *operands)
+    def spy(key, values, basis, width):
+        steps.append(np.iscomplexobj(basis))
+        return contract(key, values, basis, width)
 
     with monkeypatch.context() as patch:
-        patch.setattr(np, "einsum", spy)
+        patch.setattr(measurement, "_contract_qubit", spy)
         table = premeasure_table_dense(prefix, system, offset)
-    return table, seen
+    return table, steps
 
 
-@pytest.mark.parametrize(
-    "kind", ["standard", "hadamard", "rotation", "real_explicit", "complex_explicit"]
-)
-@pytest.mark.parametrize("offset", [0, 1])
-def test_dense_table_is_the_complex_einsum_bit_for_bit(monkeypatch, kind, offset):
+def einsum_systems():
+    """The bases of the bit-for-bit comparison, keyed by kind."""
     s = math.sqrt(0.5)
-    system = {
+    return {
         "standard": MeasurementSystem.standard(),
         "hadamard": MeasurementSystem.hadamard(),
         "rotation": MeasurementSystem.rotation([0.3, 0.0, 1.1]),
@@ -216,20 +207,30 @@ def test_dense_table_is_the_complex_einsum_bit_for_bit(monkeypatch, kind, offset
         "complex_explicit": MeasurementSystem.explicit(
             [([s, 1j * s], [s, -1j * s]), ([0.6, 0.8j], [0.8j, 0.6])]
         ),
-    }[kind]
+        # entries with nonzero real and imaginary parts, where a fused multiply-add
+        # rounds differently from einsum's separate products
+        "random": random_basis(np.random.default_rng(29), periods=3),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind", ["standard", "hadamard", "rotation", "real_explicit", "complex_explicit", "random"]
+)
+@pytest.mark.parametrize("offset", [0, 1])
+def test_dense_table_is_the_complex_einsum_bit_for_bit(monkeypatch, kind, offset):
+    system = einsum_systems()[kind]
     zeros = 0
-    for label, prefix in dense_prefixes():
-        got, dtypes = einsum_dtypes(monkeypatch, prefix, system, offset)
-        want = complex_einsum_table(prefix, system, offset)
+    for label, prefix, rho in dense_prefixes():
+        got, steps = contraction_steps(monkeypatch, prefix, system, offset)
+        want = complex_einsum_table(rho, system, offset)
         # bit patterns, so +0.0 and -0.0 count as different
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), label
-        # real inputs contract in float64; a complex prefix or basis keeps the complex einsum
-        complex_input = kind == "complex_explicit" or label.startswith("complex")
-        complex_steps = [np.dtype(complex) in d for d in dtypes]
-        assert complex_steps == [complex_input] * len(dtypes), label
+        # one step per qubit: real inputs contract in float64, a complex prefix or basis in complex
+        complex_input = kind in ("complex_explicit", "random") or label.startswith("complex")
+        assert steps == [complex_input] * (rho.shape[0].bit_length() - 1), label
         zeros += int(np.sum(want == 0.0))
     # the basis-state and GHZ tables hold exact zeros in every real basis here
-    assert zeros > 0 or kind == "complex_explicit"
+    assert zeros > 0 or kind in ("complex_explicit", "random")
 
 
 # ---------------------------------------------------------------------------
