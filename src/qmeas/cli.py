@@ -449,10 +449,10 @@ def _eval_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=cmd_qmlt_eval)
 
 
-def _lemma_args(trials: int, handler):
+def _lemma_args(handler):
     def add(p: argparse.ArgumentParser) -> None:
         p.add_argument("--n", type=int, default=8)
-        p.add_argument("--trials", type=int, default=trials)
+        p.add_argument("--trials", type=int, default=verify_mod.DEFAULT_TRIALS)
         p.add_argument("--seed", type=int, default=0)
         p.set_defaults(handler=handler)
 
@@ -479,9 +479,9 @@ _COMMANDS = {
         "eval": ("failure report of a state against a test", _eval_args),
     }),
     "verify": ("lemma checks", {
-        "kron-pairing": (None, _lemma_args(1000, cmd_verify_kron_pairing)),
-        "quadratic-bounds": (None, _lemma_args(100_000, cmd_verify_quadratic)),
-        "corner-block": (None, _lemma_args(10_000, cmd_verify_corner)),
+        "kron-pairing": (None, _lemma_args(cmd_verify_kron_pairing)),
+        "quadratic-bounds": (None, _lemma_args(cmd_verify_quadratic)),
+        "corner-block": (None, _lemma_args(cmd_verify_corner)),
         "family": (None, _family_args),
     }),
 }

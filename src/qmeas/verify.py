@@ -1,14 +1,24 @@
-"""Monte-Carlo verification of the closed-form bounds behind the witness state.
+"""Verification of the closed-form bounds behind the witness state.
 
-Each check draws random product vectors from a seeded generator, evaluates
-the quantity in question through the structured closed forms, and reports
-the worst margin against the claimed bound.  Margins are signed: positive
-means strictly inside the bound, and a check passes when the worst margin
-stays above ``-slack``; a bound check's slack is relative to its block's
-scale 2^-n (``_bound_block``).  Trials are drawn and evaluated in row
-chunks of a fixed number of entries, keeping only running extremes, so a
-check's memory does not grow with its trial count; the chunked draws are
-bit for bit one whole draw from the same seed.
+The two bound checks, quadratic-bounds and corner-block, are decided by an
+exact certificate from the block's (n, r, kappa): over product vectors both
+quantities stray from their centre by at most 2 kappa r 2^-2n, attained at
+Hadamard product vectors, so both margins are 2^(1-n)/n - 2 kappa r 2^-2n.
+Its sign is decided on ints, and the margin and extremes are reported as
+int true divisions, correctly rounded (``_certificate``).  The canonical
+block's margin is exactly 0 where n is a power of two, and it rounds to 0.0
+near n = 1,022.
+
+Every check also draws random product vectors from a seeded generator,
+evaluates the quantity in question through the structured closed forms, and
+reports the worst sampled margin against the claimed bound, a cross-check
+of those closed forms.  Margins are signed: positive means strictly inside
+the bound.  A sampled check holds when its worst margin stays above
+``-slack``; a bound check's slack is relative to its block's scale 2^-n
+(``_bound_block``).  Trials are drawn and evaluated in row chunks of a fixed
+number of entries, keeping only running extremes, so a check's memory does
+not grow with its trial count; the chunked draws are bit for bit one whole
+draw from the same seed.
 """
 
 from __future__ import annotations
@@ -29,6 +39,9 @@ IDENTITY_SLACK = 1e-12
 BOUND_SLACK = 1e-12
 ORACLE_TOL = 1e-10
 ORACLE_TRIALS = 1000  # dense cross-checks per quadratic-bounds run
+# every lemma check's default trial count; it equals ORACLE_TRIALS, so a
+# default quadratic-bounds run is dense-checked whole
+DEFAULT_TRIALS = 1000
 # entries (trials x width) per chunk of a Monte-Carlo check
 _CHUNK_ENTRIES = 1 << 16
 
@@ -102,7 +115,24 @@ def _bound_block(n: int, check: str) -> tuple[DensityBlock, float]:
     return build_corner_block(n), math.ldexp(BOUND_SLACK, -n)
 
 
-def verify_kron_pairing(n: int = 8, trials: int = 1000, seed: int = 0) -> LemmaReport:
+def _certificate(block: DensityBlock) -> tuple[bool, float, int, int]:
+    """The bound checks' exact verdict and margin, and their spread as an int ratio.
+
+    Over product vectors, the quadratic form <W|d|W> strays from 2^-n, and
+    the corner form |V^H B V| from 0, by at most the spread
+    s = 2 kappa r 2^-2n: Hadamard product vectors attain it, at the top for
+    even parity and at the bottom for odd.  Both checks' margins are then
+    2^(1-n)/n - s.  With kappa = p / q, s = 2 p r / (q 4^n) and the margin
+    is (2^n q - n p r) / (n q 2^(2n-1)), whose sign is decided on ints.
+    Returns (margin >= 0, the margin correctly rounded, 2 p r, q 4^n).
+    """
+    n, r = block.n, block.corner_count
+    p, q = block.corner_ratio.as_integer_ratio()
+    numerator = (q << n) - n * p * r
+    return numerator >= 0, numerator / (n * q << 2 * n - 1), 2 * p * r, q << 2 * n
+
+
+def verify_kron_pairing(n: int = 8, trials: int = DEFAULT_TRIALS, seed: int = 0) -> LemmaReport:
     """Coordinate moduli of a product vector pair up into a constant product.
 
     For V = v_n (x) ... (x) v_1 the products |V_k||V_{2^n-k+1}| coincide for
@@ -130,13 +160,13 @@ def verify_kron_pairing(n: int = 8, trials: int = 1000, seed: int = 0) -> LemmaR
     )
 
 
-def verify_quadratic_bounds(
-    n: int = 8, trials: int = 100_000, seed: int = 0
-) -> LemmaReport:
+def verify_quadratic_bounds(n: int = 8, trials: int = DEFAULT_TRIALS, seed: int = 0) -> LemmaReport:
     """Product-vector expectations of a block stay inside the stated window.
 
     <W| d_n |W> lies in [2^-n (1 - 2/n), 2^-n (1 + 2/n)] for every product
-    vector W.  Evaluated through the corner closed form; for n <= 10 the
+    vector W.  The exact extremes 2^-n (1 -+ 2 kappa r 2^-n) and margin
+    (``_certificate``) decide the check, together with the sampled trials:
+    each is evaluated through the corner closed form, and for n <= 10 the
     form W^H d W on dense product vectors, summed over the block's nonzero
     entries (``DensityBlock.entries``), cross-checks the first
     ``ORACLE_TRIALS`` trials.  Trials are drawn and evaluated a chunk at a
@@ -144,6 +174,7 @@ def verify_quadratic_bounds(
     ``trials``; ``trials`` must be at least 1.
     """
     block, slack = _bound_block(n, "quadratic-bound")
+    holds, exact_margin, spread, scale = _certificate(block)
     lo = block.diag_value * (1.0 - 2.0 / n)
     hi = block.diag_value * (1.0 + 2.0 / n)
     checked = min(trials, ORACLE_TRIALS) if n <= 10 else 0
@@ -170,6 +201,9 @@ def verify_quadratic_bounds(
         "interval": [lo, hi],
         "min_value": min_value,
         "max_value": max_value,
+        "exact_margin": exact_margin,
+        "exact_min_value": ((scale >> n) - spread) / scale,  # 2^-n = (scale >> n) / scale
+        "exact_max_value": ((scale >> n) + spread) / scale,
     }
     if checked:
         params["oracle_trials"] = checked
@@ -179,21 +213,24 @@ def verify_quadratic_bounds(
         trials=trials,
         worst_margin=margin,
         slack=slack,
-        passed=margin >= -slack and oracle_dev <= ORACLE_TOL,
+        passed=holds and margin >= -slack and oracle_dev <= ORACLE_TOL,
         parameters=params,
     )
 
 
-def verify_corner_block_bound(n: int = 8, trials: int = 10_000, seed: int = 0) -> LemmaReport:
+def verify_corner_block_bound(n: int = 8, trials: int = DEFAULT_TRIALS, seed: int = 0) -> LemmaReport:
     """The off-diagonal corner quarter of a block is uniformly small.
 
     For product vectors V on n-1 qubits, |V^H B V| <= 2^(1-n)/n where B is
     the corner quarter of the n-qubit block; the sum runs over the block's
-    corner pairs, so the closed form reuses the paired coordinate sum.
-    Trials are drawn and evaluated a chunk at a time, so memory does not
-    grow with ``trials``; ``trials`` must be at least 1.
+    corner pairs, so the closed form reuses the paired coordinate sum.  The
+    exact maximum 2 kappa r 2^-2n and margin (``_certificate``) decide the
+    check, together with the sampled trials.  Trials are drawn and
+    evaluated a chunk at a time, so memory does not grow with ``trials``;
+    ``trials`` must be at least 1.
     """
     block, slack = _bound_block(n, "corner-block")
+    holds, exact_margin, spread, scale = _certificate(block)
     bound = 2.0 ** (1 - n) / n
     margin, max_value = math.inf, -math.inf
     for _, factors in _factor_chunks(seed, trials, n - 1, n - 1):
@@ -205,12 +242,14 @@ def verify_corner_block_bound(n: int = 8, trials: int = 10_000, seed: int = 0) -
         trials=trials,
         worst_margin=margin,
         slack=slack,
-        passed=margin >= -slack,
+        passed=holds and margin >= -slack,
         parameters={
             "n": n,
             "seed": seed,
             "bound": bound,
             "max_value": max_value,
+            "exact_margin": exact_margin,
+            "exact_max_value": spread / scale,
         },
     )
 

@@ -2,9 +2,10 @@
 
 Test files import this module as they import ``conftest``; pytest does not
 collect it.  Standard and Hadamard block measures, premeasures, the witness
-test's tau and a span's trace are exact ``Fraction``s; a real basis's block
-measure is exact given its float factors.  The dense references build
-blocks corner by corner, prefixes as Kronecker chains and tables by einsum.
+test's tau, a span's trace and the bound checks' certificates are exact
+``Fraction``s; a real basis's block measure is exact given its float
+factors.  The dense references build blocks corner by corner, prefixes as
+Kronecker chains and tables by einsum.
 """
 
 import functools
@@ -32,6 +33,28 @@ def dyadic_block_measure(basis, n, r, kappa, parity):
     if basis == "standard":
         return unit
     return unit * (1 + 2 * r * Fraction(kappa) * (-1) ** parity * unit)
+
+
+class BoundCertificate(NamedTuple):
+    """The bound checks' exact figures for one block: the spread is the corner form's maximum."""
+
+    margin: Fraction
+    low: Fraction
+    high: Fraction
+    spread: Fraction
+
+
+def bound_certificate(n, r, kappa):
+    """The quadratic-bounds and corner-block checks' exact margin and extremes for block (n, r, kappa).
+
+    The quadratic form of a product vector strays from 2^-n, and the corner
+    form from 0, by at most the spread 2 kappa r 2^-2n (a Hadamard product
+    vector's paired sum is r (-1)^parity times the unit); each check's bound
+    is 2^(1-n)/n off centre, and its margin that bound less the spread.
+    """
+    unit = Fraction(1, 1 << n)
+    spread = 2 * Fraction(kappa) * r * unit * unit
+    return BoundCertificate(2 * unit / n - spread, unit - spread, unit + spread, spread)
 
 
 def fraction_premeasure(basis, tau):

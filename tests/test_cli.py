@@ -3,6 +3,7 @@ byte determinism, and the plumbing between subcommands."""
 
 import argparse
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -30,7 +31,12 @@ from qmeas.states import (
     check_density,
     parse_state_spec,
 )
-from qmeas.verify import verify_kron_pairing
+from qmeas.verify import (
+    DEFAULT_TRIALS,
+    verify_corner_block_bound,
+    verify_kron_pairing,
+    verify_quadratic_bounds,
+)
 
 
 def run_cli(capsys, argv):
@@ -626,6 +632,21 @@ def test_verify_corner_block_cli(capsys):
     )
     assert code == 0
     assert payload_of(out)["report"]["passed"]
+
+
+@pytest.mark.parametrize(
+    "check, library",
+    [
+        ("kron-pairing", verify_kron_pairing),
+        ("quadratic-bounds", verify_quadratic_bounds),
+        ("corner-block", verify_corner_block_bound),
+    ],
+)
+def test_lemma_checks_share_one_default_trial_count(capsys, check, library):
+    code, out, _ = run_cli(capsys, ["verify", check, "--n", "6"])
+    assert code == 0
+    assert payload_of(out)["report"]["trials"] == DEFAULT_TRIALS == 1000
+    assert inspect.signature(library).parameters["trials"].default == DEFAULT_TRIALS
 
 
 @pytest.mark.parametrize("check", ["kron-pairing", "quadratic-bounds", "corner-block"])

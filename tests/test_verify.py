@@ -1,4 +1,4 @@
-"""Monte-Carlo lemma checks and family constraint validation."""
+"""Lemma checks, their exact certificates, and family constraint validation."""
 
 import dataclasses
 import json
@@ -31,7 +31,7 @@ from qmeas.verify import (
     verify_quadratic_bounds,
 )
 
-from exact import family_tau
+from exact import bound_certificate, family_tau
 
 
 def test_random_factors_are_unit(rng):
@@ -336,12 +336,16 @@ def whole_quadratic_bounds(n, trials, seed):
     lo = block.diag_value * (1.0 - 2.0 / n)
     hi = block.diag_value * (1.0 + 2.0 / n)
     margin = float(min(np.min(values - lo), np.min(hi - values)))
+    exact = bound_certificate(n, block.corner_count, block.corner_ratio)
     params = {
         "n": n,
         "seed": seed,
         "interval": [lo, hi],
         "min_value": float(np.min(values)),
         "max_value": float(np.max(values)),
+        "exact_margin": float(exact.margin),
+        "exact_min_value": float(exact.low),
+        "exact_max_value": float(exact.high),
     }
     oracle_ok = True
     if n <= 10:
@@ -359,7 +363,7 @@ def whole_quadratic_bounds(n, trials, seed):
         trials=trials,
         worst_margin=margin,
         slack=BOUND_SLACK * 2.0**-n,
-        passed=margin >= -BOUND_SLACK * 2.0**-n and oracle_ok,
+        passed=exact.margin >= 0 and margin >= -BOUND_SLACK * 2.0**-n and oracle_ok,
         parameters=params,
     )
 
@@ -371,13 +375,21 @@ def whole_corner_block_bound(n, trials, seed):
     values = block.corner_value * np.abs(paired_coordinate_sum(factors, block.corner_count))
     bound = 2.0 ** (1 - n) / n
     margin = float(np.min(bound - values))
+    exact = bound_certificate(n, block.corner_count, block.corner_ratio)
     return LemmaReport(
         lemma_id="corner_block_bound",
         trials=trials,
         worst_margin=margin,
         slack=BOUND_SLACK * 2.0**-n,
-        passed=margin >= -BOUND_SLACK * 2.0**-n,
-        parameters={"n": n, "seed": seed, "bound": bound, "max_value": float(np.max(values))},
+        passed=exact.margin >= 0 and margin >= -BOUND_SLACK * 2.0**-n,
+        parameters={
+            "n": n,
+            "seed": seed,
+            "bound": bound,
+            "max_value": float(np.max(values)),
+            "exact_margin": float(exact.margin),
+            "exact_max_value": float(exact.spread),
+        },
     )
 
 
@@ -426,6 +438,46 @@ def test_a_wrong_kernel_fails_the_bound_checks_at_every_n(monkeypatch, n):
     monkeypatch.setattr(verify_mod, "paired_coordinate_sum", lambda f, c: 100 * right(f, c) + 10)
     for check in (verify_quadratic_bounds, verify_corner_block_bound):
         assert not check(n=n, trials=20, seed=0).passed, check
+
+
+@pytest.mark.parametrize("n", [*range(5, 15), 16, 40, 64, 1022])
+def test_bound_checks_report_the_exact_certificate(n):
+    """The margin and extremes are the Fraction reference's correctly rounded floats.
+
+    Hadamard product vectors attain the extremes: the quadratic form's top
+    at even parity and its bottom at odd, and the corner form's maximum.
+    """
+    block = build_corner_block(n)
+    exact = bound_certificate(n, block.corner_count, block.corner_ratio)
+    quad = verify_quadratic_bounds(n=n, trials=20, seed=0)
+    corner = verify_corner_block_bound(n=n, trials=20, seed=0)
+    assert quad.parameters["exact_margin"] == corner.parameters["exact_margin"] == float(exact.margin)
+    assert quad.parameters["exact_min_value"] == float(exact.low)
+    assert quad.parameters["exact_max_value"] == float(exact.high)
+    assert corner.parameters["exact_max_value"] == float(exact.spread)
+    assert quad.passed and corner.passed
+    if n in (8, 16):  # 2^n / n is an int: the bound is attained
+        assert exact.margin == 0 and quad.parameters["exact_margin"] == 0.0
+    hadamard = MeasurementSystem.hadamard()
+    r = block.corner_count
+    for bits, extreme in (([0] * n, exact.high), ([1] + [0] * (n - 1), exact.low)):
+        s = paired_coordinate_sum(hadamard.chosen_factors(bits), r)
+        value = block.diag_value + block.corner_value * 2.0 * float(np.real(s))
+        assert abs(value - float(extreme)) <= quad.slack, bits[0]
+    s = paired_coordinate_sum(hadamard.chosen_factors([0] * (n - 1)), r)
+    assert abs(block.corner_value * abs(s) - float(exact.spread)) <= corner.slack
+
+
+@pytest.mark.parametrize("n", [5, 10, 40, 1022])
+def test_an_over_full_block_fails_the_bound_checks(monkeypatch, n):
+    """One corner pair past floor(2^n / n) breaks the bound, though no sampled trial strays past it."""
+    monkeypatch.setattr(
+        verify_mod, "build_corner_block", lambda n: build_corner_block_general(n, (1 << n) // n + 1, 2.0**-n)
+    )
+    for check in (verify_quadratic_bounds, verify_corner_block_bound):
+        report = check(n=n, seed=0)
+        assert not report.passed, check
+        assert report.worst_margin >= -report.slack, check
 
 
 @pytest.mark.parametrize("check", [verify_quadratic_bounds, verify_corner_block_bound])
