@@ -702,105 +702,105 @@ BITS = "01" * 600 + "\n"
 DENSE_TABLE = ["measure", "--tau-depth", "3", "--path", "dense"]
 
 
-@pytest.mark.parametrize(
-    "argv, document, exit_code, error_code",
-    [
-        (["verify", "family", "--canonical", "4"], None, 2, "bad_query"),
-        (["verify", "family", "--spec"], FAMILY + ', "target_delta": "x"}', 2, "bad_spec"),
-        (["verify", "family", "--spec"], FAMILY + ', "target_delta": [1]}', 2, "bad_spec"),
-        (["verify", "family", "--spec"], FAMILY + ', "target_F": "x"}', 2, "bad_spec"),
-        (["verify", "family", "--spec"], FAMILY + ', "target_F": [1]}', 2, "bad_spec"),
-        (["verify", "family", "--spec"], FAMILY + ', "target_delta": NaN}', 2, "bad_spec"),
-        (["verify", "family", "--spec"], FAMILY + ', "target_F": NaN}', 2, "bad_spec"),
-        (["measure", "--tau-depth", "40"], None, 3, "cap_exceeded"),
-        (["measure", "--tau", "0", "--basis"], ROTATION_OF('"a"'), 2, "bad_spec"),
-        (["measure", "--tau", "0", "--basis"], ROTATION_OF("Infinity"), 2, "bad_spec"),
-        (["measure", "--tau", "0", "--basis"], ROTATION_OF("1e400"), 2, "bad_spec"),
-        (["measure", "--tau", "0", "--basis"], ROTATION_OF("NaN"), 2, "bad_spec"),
-        (["measure", "--tau", "00000", "--basis"], EXPLICIT_OF("NaN"), 2, "bad_spec"),
-        (["measure", "--tau", "00000", "--basis"], EXPLICIT_OF("1" + "0" * 400), 2, "bad_spec"),
-        (["battery"], "0101\u00e90101\n", 2, "insufficient_data"),
-        (["battery", "-"], "0101\u00e90101\n", 2, "insufficient_data"),
-        (["battery", "-"], b"0101\xff0101\n", 2, "insufficient_data"),
-        (["battery", "--alpha", "inf", "--aggregate"], BITS, 2, "bad_query"),
-        (["battery", "--alpha", "nan", "--aggregate"], BITS, 2, "bad_query"),
-        (["battery", "--alpha", "-1"], BITS, 2, "bad_query"),
-        (["battery", "--alpha", "2"], BITS, 2, "bad_query"),
-        (["battery", "--alpha", "2", "-"], "", 2, "bad_query"),
-        (["battery", "--alpha", "nan", "--aggregate", "-"], "", 2, "bad_query"),
-        (["battery", "--alpha", "inf", "-"], "", 2, "bad_query"),
-        (["measure", "--tau", "0", "--basis"], ROTATION_OF("1" * 5000), 2, "bad_spec"),
-        (["measure", "--tau", "0", "--basis"], b"\xff", 2, "bad_spec"),
-        (["measure", "--tau", "0", "--basis"], ROTATION_OF('"0.3"'), 2, "bad_spec"),
-        (["measure", "--tau", "00000", "--basis"], EXPLICIT_OF("true"), 2, "bad_spec"),
-        (["verify", "family", "--spec"], FAMILY + ', "target_delta": true}', 2, "bad_spec"),
-        (["verify", "family", "--spec"], FAMILY + ', "target_F": "0.25"}', 2, "bad_spec"),
-        (["state", "--check-depth", "5", "--state"], GENERAL_OF(6.9, 0.03125), 2, "bad_spec"),
-        (["state", "--check-depth", "5", "--state"], GENERAL_OF(6, '"0.01"'), 2, "bad_spec"),
-        (DENSE_TABLE, {"QMEAS_DENSE_CAP": "x"}, 2, "bad_spec"),
-        (DENSE_TABLE, {"QMEAS_DENSE_CAP": "0"}, 2, "bad_spec"),
-        (["sample", "--seed", "-1", "--bits", "10"], None, 2, "bad_query"),
-        (["sample", "--seeds=-2..-1", "--bits", "10"], None, 2, "bad_query"),
-        (["verify", "kron-pairing", "--seed", "-1"], None, 2, "bad_query"),
-        (["verify", "quadratic-bounds", "--seed", "-1"], None, 2, "bad_query"),
-        (["verify", "corner-block", "--seed", "-1"], None, 2, "bad_query"),
-        (["verify", "quadratic-bounds", "--n", "1100", "--trials", "1"], None, 2, "bad_query"),
-        (["verify", "corner-block", "--n", "1023", "--trials", "1"], None, 2, "bad_query"),
-        (["sample", "--bits", "x"], None, 2, "bad_query"),
-        (["sample"], None, 2, "bad_query"),
-        (["frobnicate"], None, 2, "bad_query"),
-        (["verify"], None, 2, "bad_query"),
-        (["measure", "--path", "zzz"], None, 2, "bad_query"),
-    ],
-    ids=[
-        "canonical-4",
-        "target-delta-text",
-        "target-delta-list",
-        "target-F-text",
-        "target-F-list",
-        "target-delta-nan",
-        "target-F-nan",
-        "tau-depth-40",
-        "rotation-text",
-        "rotation-infinity",
-        "rotation-1e400",
-        "rotation-nan",
-        "explicit-nan",
-        "explicit-int-past-float",
-        "battery-file-non-ascii",
-        "battery-stdin-non-ascii",
-        "battery-stdin-not-utf8",
-        "alpha-inf",
-        "alpha-nan",
-        "alpha-negative",
-        "alpha-above-one",
-        "alpha-above-one-no-stream",
-        "alpha-nan-no-stream-aggregate",
-        "alpha-inf-no-stream",
-        "int-past-digit-limit",
-        "document-not-utf8",
-        "rotation-numeric-text",
-        "explicit-boolean",
-        "target-delta-boolean",
-        "target-F-numeric-text",
-        "general-h-fractional",
-        "general-g-numeric-text",
-        "dense-cap-text",
-        "dense-cap-zero",
-        "sample-seed-negative",
-        "sample-seeds-negative",
-        "kron-pairing-seed-negative",
-        "quadratic-bounds-seed-negative",
-        "corner-block-seed-negative",
-        "quadratic-bounds-n-1100",
-        "corner-block-n-1023",
-        "argparse-bits-not-int",
-        "argparse-bits-missing",
-        "argparse-unknown-command",
-        "argparse-verify-no-subcommand",
-        "argparse-path-invalid-choice",
-    ],
-)
+BAD_INPUTS = [
+    (["verify", "family", "--canonical", "4"], None, 2, "bad_query"),
+    (["verify", "family", "--spec"], FAMILY + ', "target_delta": "x"}', 2, "bad_spec"),
+    (["verify", "family", "--spec"], FAMILY + ', "target_delta": [1]}', 2, "bad_spec"),
+    (["verify", "family", "--spec"], FAMILY + ', "target_F": "x"}', 2, "bad_spec"),
+    (["verify", "family", "--spec"], FAMILY + ', "target_F": [1]}', 2, "bad_spec"),
+    (["verify", "family", "--spec"], FAMILY + ', "target_delta": NaN}', 2, "bad_spec"),
+    (["verify", "family", "--spec"], FAMILY + ', "target_F": NaN}', 2, "bad_spec"),
+    (["measure", "--tau-depth", "40"], None, 3, "cap_exceeded"),
+    (["measure", "--tau", "0", "--basis"], ROTATION_OF('"a"'), 2, "bad_spec"),
+    (["measure", "--tau", "0", "--basis"], ROTATION_OF("Infinity"), 2, "bad_spec"),
+    (["measure", "--tau", "0", "--basis"], ROTATION_OF("1e400"), 2, "bad_spec"),
+    (["measure", "--tau", "0", "--basis"], ROTATION_OF("NaN"), 2, "bad_spec"),
+    (["measure", "--tau", "00000", "--basis"], EXPLICIT_OF("NaN"), 2, "bad_spec"),
+    (["measure", "--tau", "00000", "--basis"], EXPLICIT_OF("1" + "0" * 400), 2, "bad_spec"),
+    (["battery"], "0101\u00e90101\n", 2, "insufficient_data"),
+    (["battery", "-"], "0101\u00e90101\n", 2, "insufficient_data"),
+    (["battery", "-"], b"0101\xff0101\n", 2, "insufficient_data"),
+    (["battery", "--alpha", "inf", "--aggregate"], BITS, 2, "bad_query"),
+    (["battery", "--alpha", "nan", "--aggregate"], BITS, 2, "bad_query"),
+    (["battery", "--alpha", "-1"], BITS, 2, "bad_query"),
+    (["battery", "--alpha", "2"], BITS, 2, "bad_query"),
+    (["battery", "--alpha", "2", "-"], "", 2, "bad_query"),
+    (["battery", "--alpha", "nan", "--aggregate", "-"], "", 2, "bad_query"),
+    (["battery", "--alpha", "inf", "-"], "", 2, "bad_query"),
+    (["measure", "--tau", "0", "--basis"], ROTATION_OF("1" * 5000), 2, "bad_spec"),
+    (["measure", "--tau", "0", "--basis"], b"\xff", 2, "bad_spec"),
+    (["measure", "--tau", "0", "--basis"], ROTATION_OF('"0.3"'), 2, "bad_spec"),
+    (["measure", "--tau", "00000", "--basis"], EXPLICIT_OF("true"), 2, "bad_spec"),
+    (["verify", "family", "--spec"], FAMILY + ', "target_delta": true}', 2, "bad_spec"),
+    (["verify", "family", "--spec"], FAMILY + ', "target_F": "0.25"}', 2, "bad_spec"),
+    (["state", "--check-depth", "5", "--state"], GENERAL_OF(6.9, 0.03125), 2, "bad_spec"),
+    (["state", "--check-depth", "5", "--state"], GENERAL_OF(6, '"0.01"'), 2, "bad_spec"),
+    (DENSE_TABLE, {"QMEAS_DENSE_CAP": "x"}, 2, "bad_spec"),
+    (DENSE_TABLE, {"QMEAS_DENSE_CAP": "0"}, 2, "bad_spec"),
+    (["sample", "--seed", "-1", "--bits", "10"], None, 2, "bad_query"),
+    (["sample", "--seeds=-2..-1", "--bits", "10"], None, 2, "bad_query"),
+    (["verify", "kron-pairing", "--seed", "-1"], None, 2, "bad_query"),
+    (["verify", "quadratic-bounds", "--seed", "-1"], None, 2, "bad_query"),
+    (["verify", "corner-block", "--seed", "-1"], None, 2, "bad_query"),
+    (["verify", "quadratic-bounds", "--n", "1100", "--trials", "1"], None, 2, "bad_query"),
+    (["verify", "corner-block", "--n", "1023", "--trials", "1"], None, 2, "bad_query"),
+    (["sample", "--bits", "x"], None, 2, "bad_query"),
+    (["sample"], None, 2, "bad_query"),
+    (["frobnicate"], None, 2, "bad_query"),
+    (["verify"], None, 2, "bad_query"),
+    (["measure", "--path", "zzz"], None, 2, "bad_query"),
+]
+BAD_INPUT_IDS = [
+    "canonical-4",
+    "target-delta-text",
+    "target-delta-list",
+    "target-F-text",
+    "target-F-list",
+    "target-delta-nan",
+    "target-F-nan",
+    "tau-depth-40",
+    "rotation-text",
+    "rotation-infinity",
+    "rotation-1e400",
+    "rotation-nan",
+    "explicit-nan",
+    "explicit-int-past-float",
+    "battery-file-non-ascii",
+    "battery-stdin-non-ascii",
+    "battery-stdin-not-utf8",
+    "alpha-inf",
+    "alpha-nan",
+    "alpha-negative",
+    "alpha-above-one",
+    "alpha-above-one-no-stream",
+    "alpha-nan-no-stream-aggregate",
+    "alpha-inf-no-stream",
+    "int-past-digit-limit",
+    "document-not-utf8",
+    "rotation-numeric-text",
+    "explicit-boolean",
+    "target-delta-boolean",
+    "target-F-numeric-text",
+    "general-h-fractional",
+    "general-g-numeric-text",
+    "dense-cap-text",
+    "dense-cap-zero",
+    "sample-seed-negative",
+    "sample-seeds-negative",
+    "kron-pairing-seed-negative",
+    "quadratic-bounds-seed-negative",
+    "corner-block-seed-negative",
+    "quadratic-bounds-n-1100",
+    "corner-block-n-1023",
+    "argparse-bits-not-int",
+    "argparse-bits-missing",
+    "argparse-unknown-command",
+    "argparse-verify-no-subcommand",
+    "argparse-path-invalid-choice",
+]
+
+
+@pytest.mark.parametrize("argv, document, exit_code, error_code", BAD_INPUTS, ids=BAD_INPUT_IDS)
 def test_bad_input_ends_in_one_error_document(
     capsys, monkeypatch, tmp_path, argv, document, exit_code, error_code
 ):

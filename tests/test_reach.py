@@ -18,12 +18,13 @@ import numpy as np
 import qmeas
 from qmeas.cli import main
 
-from test_readme import run_cookbook, sketch_values
+from test_readme import main_call, run_cookbook, sketch_values
 
 PACKAGE = Path(qmeas.__file__).resolve().parent
 
-# one complex qubit state, its entries [re, im] pairs
-_QUBIT = [[[0.7, 0.0], [0.1, 0.2]], [[0.1, -0.2], [0.3, 0.0]]]
+# one complex qubit state, its entries [re, im] pairs; they are dyadic, so the
+# Kronecker powers of dense.json are exact and its bytes are the same on any machine
+_QUBIT = [[[0.75, 0.0], [0.125, 0.25]], [[0.125, -0.25], [0.25, 0.0]]]
 _GENERAL_SIZES = range(5, 19)  # the blocks of witness level 2
 
 DOCUMENTS = {
@@ -169,7 +170,8 @@ def clear_caches():
 def test_every_unreached_function_has_a_reason(capsys, monkeypatch, tmp_path):
     def run():
         sketch_values()
-        run_cookbook(capsys, monkeypatch, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        run_cookbook(main_call(capsys, monkeypatch))
         matrix = tmp_path / "matrix"
         matrix.mkdir()
         monkeypatch.chdir(matrix)

@@ -99,16 +99,22 @@ COOKBOOK_DOCUMENTS = {
 }
 
 
-def run_cookbook(capsys, monkeypatch, directory) -> list[str]:
-    """Run every cookbook line in ``directory``; return the commands run, in order.
-
-    Each side of a pipe is one call of ``main``, the first call's stdout the second's stdin.
-    Each call exits 0 (0 or 1 for `battery --aggregate`).
-    """
-    monkeypatch.chdir(directory)
+def cookbook_documents() -> dict[str, str]:
+    """The documents the cookbook reads, by file name, as JSON text."""
     (staged,) = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
-    for name, doc in {**COOKBOOK_DOCUMENTS, "test.json": json.loads(staged)}.items():
-        Path(name).write_text(json.dumps(doc), encoding="utf-8")
+    return {name: json.dumps(doc) for name, doc in {**COOKBOOK_DOCUMENTS, "test.json": json.loads(staged)}.items()}
+
+
+def run_cookbook(call) -> list[str]:
+    """Run every cookbook line in the working directory; return the commands run, in order.
+
+    ``call(argv, stdin)`` runs one `qmeas` call (argv after the program name) and
+    returns its exit code and stdout.  Each side of a pipe is one call, the first
+    call's stdout the second's stdin; stdin is None outside a pipe.  Each call
+    exits 0 (0 or 1 for `battery --aggregate`).
+    """
+    for name, text in cookbook_documents().items():
+        Path(name).write_text(text, encoding="utf-8")
     ran = []
     for line in cookbook_block().splitlines():
         stdin = None
@@ -121,16 +127,26 @@ def run_cookbook(capsys, monkeypatch, directory) -> list[str]:
             if not argv:
                 continue
             assert argv[0] == "qmeas", line
-            if stdin is not None:
-                monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-            code = main(argv[1:])
-            stdin = capsys.readouterr().out
+            code, stdin = call(argv[1:], stdin)
             assert code in ((0, 1) if argv[1] == "battery" and "--aggregate" in argv else (0,)), part
             ran.append(argv[1])
     return ran
 
 
+def main_call(capsys, monkeypatch):
+    """A ``run_cookbook`` call: ``main`` in process, stdout read from ``capsys``."""
+
+    def call(argv, stdin):
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    return call
+
+
 def test_cookbook_runs(capsys, monkeypatch, tmp_path):
     """Every cookbook line runs in a fresh directory and exits 0 (0 or 1 for `battery --aggregate`)."""
-    ran = run_cookbook(capsys, monkeypatch, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    ran = run_cookbook(main_call(capsys, monkeypatch))
     assert ran.count("battery") == 2 and len(ran) == len(re.findall(r"\bqmeas ", cookbook_block()))
