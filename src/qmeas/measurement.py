@@ -395,18 +395,17 @@ def _premeasure_factored(state: FactoredState, system: MeasurementSystem, bits) 
     return clamp01(value)
 
 
-def premeasure_dense(prefix: DenseStatePrefix, system: MeasurementSystem, tau) -> float:
-    """Premeasure of tau evaluated against a dense prefix of matching depth."""
+def premeasure_dense(prefix: DenseStatePrefix | MatrixEntries, system: MeasurementSystem, tau) -> float:
+    """Premeasure of tau on a dense prefix of matching depth: tau's entry of ``premeasure_table_dense``.
+
+    ``prefix`` is either form the table takes, and the entry is bit for bit
+    the table's, read at tau's integer encoding, qubit 1 least significant.
+    """
     bits = as_bits(tau)
-    if len(bits) != prefix.depth:
-        raise BadQuery(
-            f"tau has {len(bits)} bits but the prefix depth is {prefix.depth}"
-        )
-    if not bits:
-        return 1.0
-    v = system.product_vector(bits)
-    value = float(np.real(np.vdot(v, prefix.rho @ v)))
-    return clamp01(value)
+    depth = prefix.depth if isinstance(prefix, DenseStatePrefix) else prefix.qubits
+    if len(bits) != depth:
+        raise BadQuery(f"tau has {len(bits)} bits but the prefix depth is {depth}")
+    return float(premeasure_table_dense(prefix, system)[sum(b << q for q, b in enumerate(bits))])
 
 
 def premeasure_table_factored(
@@ -459,9 +458,10 @@ def premeasure_table_dense(
     bit, the einsum "rt,rasb,st->abt" over the whole matrix; a step whose
     entries and basis pair have no nonzero imaginary part (a real prefix in
     the standard, Hadamard, rotation or a real explicit basis) runs in
-    float64, bit for bit the real part of the complex step.  The
-    single-string dense premeasure (``premeasure_dense``) and a lifted
-    stage's dense expectation still read rho_k itself.
+    float64, bit for bit the real part of the complex step.  This is the
+    one dense evaluator: ``premeasure_dense`` returns one of its entries, and
+    a lifted stage (``qmlt.SpanProjection``) sums entries of one table; no
+    query reads rho_k as a matrix.
     """
     entries = prefix.entries() if isinstance(prefix, DenseStatePrefix) else prefix
     k = entries.qubits
@@ -524,21 +524,26 @@ def _takes_factored_path(state, path: str) -> bool:
 def premeasure(state, system: MeasurementSystem, tau, path: str = "auto") -> float:
     """Premeasure of tau on any state presentation.
 
-    The closed-form block factors on the factored path, the state's dense
-    prefix at depth |tau| otherwise (``_takes_factored_path``).
+    The closed-form block factors on the factored path, the entry of the
+    dense table of the state's ``_dense_prefix`` at depth |tau| otherwise
+    (``_takes_factored_path``).
     """
     bits = as_bits(tau)
     if _takes_factored_path(state, path):
         return _premeasure_factored(state, system, bits)
-    return premeasure_dense(state.prefix(len(bits)), system, bits)
+    return premeasure_dense(_dense_prefix(state, len(bits)), system, bits)
 
 
 def premeasure_table(state, system: MeasurementSystem, depth: int, path: str = "auto"):
     """All 2**depth premeasures on ``premeasure``'s path, indexed qubit 1 least significant."""
     if _takes_factored_path(state, path):
         return premeasure_table_factored(state, system, depth)
-    prefix = prefix_entries(state, depth) if isinstance(state, FactoredState) else state.prefix(depth)
-    return premeasure_table_dense(prefix, system)
+    return premeasure_table_dense(_dense_prefix(state, depth), system)
+
+
+def _dense_prefix(state, depth: int):
+    """The prefix a dense query contracts: a factored state's ``prefix_entries``, any other state's ``prefix``."""
+    return prefix_entries(state, depth) if isinstance(state, FactoredState) else state.prefix(depth)
 
 
 def additivity_check(state, system: MeasurementSystem, tau, path: str = "auto") -> float:

@@ -10,13 +10,13 @@ test under a product basis sends each prefix to its basis product vector.
 Every stage answers one protocol: ``qubits``, ``rank``, ``density()`` and
 ``mass(state)`` = tr(rho_qubits p); no stage builds its matrix.  A witness
 stage (``FactoredEigenProjection``) answers ``mass`` in closed form only.  A
-lifted stage (``SpanProjection``) stores its prefixes and basis: it sums
-factored premeasures on a factored state, and builds its product-vector
-columns only for the dense expectation against ``state.prefix(qubits)`` on
-any other state.  An empty stage is a ``ZeroProjection``.  A padded class is
-zero below its lowest stage and returns its top stage at deeper depths:
-identity padding multiplies the rank by 2 per qubit, keeps the density, and
-traces out of the mass.
+lifted stage (``SpanProjection``) stores its prefixes and basis, and on
+every state its mass sums the prefixes' entries of one ``premeasure_table``:
+the closed form on a factored state, the dense contraction of
+``state.prefix(qubits)`` on any other.  An empty stage is a
+``ZeroProjection``.  A padded class is zero below its lowest stage and
+returns its top stage at deeper depths: identity padding multiplies the
+rank by 2 per qubit, keeps the density, and traces out of the mass.
 
 The witness test certifies non-randomness of the built-in block-product
 state: level m keeps, for every block of the first N(m) sizes, the span of
@@ -46,7 +46,7 @@ from .errors import (
     CapExceeded,
     MissingStage,
 )
-from .measurement import MeasurementSystem, clamp01, premeasure_table_factored
+from .measurement import MeasurementSystem, clamp01, premeasure_table
 from .states import (
     DensityBlock,
     EigenGroup,
@@ -188,9 +188,9 @@ class SpanProjection:
     """Span of the basis product vectors of one stage's prefixes.
 
     ``MeasurementSystem`` admits only orthonormal basis pairs, so distinct
-    prefixes give orthonormal product vectors and the columns need no Gram
-    check.  They are built only when a dense presentation asks for them:
-    on a factored state the mass is a sum of closed-form premeasures.
+    prefixes give orthonormal product vectors, and tr(rho p) is the sum of
+    the prefixes' premeasures.  No vector is built: the mass reads one
+    ``premeasure_table`` on any state.
     """
 
     def __init__(self, qubits: int, prefixes: tuple[str, ...], system: MeasurementSystem):
@@ -205,20 +205,12 @@ class SpanProjection:
     def density(self) -> float:
         return self.rank / (1 << self.qubits)
 
-    @cached_property
-    def columns(self) -> np.ndarray:
-        return np.stack([self.system.product_vector(p) for p in self.prefixes], axis=1)
-
-    def expectation(self, rho: np.ndarray) -> float:
-        """tr(rho p) against a dense density matrix on ``qubits`` qubits."""
-        return float(np.real(np.vdot(self.columns, rho @ self.columns)))
+    def expectation(self, table: np.ndarray) -> float:
+        """tr(rho p) from the premeasure table on ``qubits`` qubits: its prefixes' entries, rounded once by fsum."""
+        return math.fsum(table[int(p[::-1], 2)] for p in self.prefixes)
 
     def mass(self, state) -> float:
-        if isinstance(state, FactoredState):
-            # one table, its entries summed and rounded once by fsum
-            table = premeasure_table_factored(state, self.system, self.qubits)
-            return math.fsum(table[int(p[::-1], 2)] for p in self.prefixes)
-        return self.expectation(state.prefix(self.qubits).rho)
+        return self.expectation(premeasure_table(state, self.system, self.qubits))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ import os
 import platform
 import shlex
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -60,7 +61,7 @@ def _sha256(data: bytes) -> str:
 
 
 def _portable(document):
-    """A document as JSON holds it: text, environment variables, or bytes that are not UTF-8 as hex.
+    """A document as JSON holds it: text, or bytes that are not UTF-8 as hex.
 
     Past 4 KiB (a cookbook pipe's stdin, the stdout of the call before) only its digest.
     """
@@ -96,13 +97,8 @@ def machine_dependence(argv, documents, code) -> str | None:
         return "a complex basis: numpy's complex multiply"
     if argv[0] == "verify" and argv[1] in LEMMAS:
         return "a lemma check: random complex product vectors through numpy's complex multiply"
-    dense = state.get("kind") == "dense_prefix"
-    if dense and argv[0] == "state" and "--check-depth" in argv:
+    if state.get("kind") == "dense_prefix" and argv[0] == "state" and "--check-depth" in argv:
         return "a dense_prefix state check: eigvalsh (LAPACK)"
-    if argv[0] == "measure" and "--tau" in argv and (dense or "dense" in argv):
-        return "a single dense premeasure: a BLAS vdot against rho_k"
-    if dense and argv[0] == "qmlt" and "--mlt" in argv:
-        return "a lifted stage's dense expectation: BLAS products against rho_k"
     return None
 
 
@@ -217,8 +213,6 @@ def record(directory: Path) -> dict:
 
 
 if __name__ == "__main__":
-    import tempfile
-
     with tempfile.TemporaryDirectory() as scratch:
         corpus = record(Path(scratch))
     CORPUS.write_text(json.dumps(corpus, indent=1) + "\n", encoding="ascii")

@@ -114,6 +114,8 @@ UNREACHED = {
     "cli.entrypoint": "the `qmeas` console script of pyproject.toml; the probe calls `main` itself",
     "matrixcore.kron": BENCH_TRACED,
     "measurement.block_measure": "named in the README, and " + BENCH_TRACED,
+    "measurement.MeasurementSystem.chosen_factors": BENCH_TRACED,
+    "measurement.MeasurementSystem.product_vector": BENCH_TRACED,
     "measurement.premeasure_factored": BENCH_TRACED,
     "randlab.serial_tests": BENCH_TRACED,
     "randlab.approximate_entropy_test": BENCH_TRACED,

@@ -10,7 +10,6 @@ import re
 import shlex
 from pathlib import Path
 
-import pytest
 
 from qmeas.cli import build_parser, main
 from qmeas.errors import BadQuery
@@ -44,8 +43,8 @@ def test_library_sketch_values():
     # the factored path rounds fl(1/sqrt(2))^2 up, so the value sits 2 ulps low
     assert within_ulps(values['premeasure(rho, B, "00000")'], ELEVEN_256, 4)
     assert values["rho.prefix(7).rho.shape"] == (128, 128)
-    # the dense path runs through BLAS; the README promises agreement to 1e-10
-    assert values['premeasure(chain, B, "00000")'] == pytest.approx(ELEVEN_256, abs=1e-10)
+    # the dense path reads entry 0 of the depth-5 dense table, 5 ulps low
+    assert values['premeasure(chain, B, "00000")'] == ELEVEN_256 - 5 * math.ulp(ELEVEN_256)
     assert within_ulps(values["table.reshape(-1, 32)[:, 0].sum()"], ELEVEN_256, 4)
     assert isinstance(values["run_battery(sample, alpha=0.01).failures"], list)
     tau = values["cls.tau_at(witness_depth(last))"]

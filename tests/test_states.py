@@ -86,16 +86,6 @@ def test_general_block_reports_offending_size():
         build_corner_block_general(5, 6, 0.04)
 
 
-@pytest.mark.parametrize("n", range(3, 11))
-def test_analytic_eigensystem_matches_numpy(n):
-    block = build_corner_block(n)
-    analytic = sorted(p.value for p in analytic_eigensystem(block))
-    numeric = np.linalg.eigvalsh(block.to_dense())
-    assert np.allclose(analytic, numeric, atol=1e-9)
-    zero_mult = sum(1 for v in numeric if abs(v) < 1e-12)
-    assert zero_mult == block.corner_count
-
-
 def test_eigenvectors_solve_the_block():
     block = build_corner_block(5)
     dense = block.to_dense()

@@ -3,7 +3,8 @@
 The factored table must reproduce the per-string premeasure loop bit for
 bit; the dense table's contraction over the prefix's entries must agree
 with the full-matrix basis rotation, and bit for bit with the complex
-einsum over the whole matrix that it replaced; the lifted evaluation on a factored state must land on the exact
+einsum over the whole matrix that it replaced; a single premeasure must be its
+string's table entry on every path; the lifted evaluation on a factored state must land on the exact
 Fraction sum of its prefixes' measures; and the BLAS forms of the dense
 quadratic oracles must agree with the einsums they stand in for.
 """
@@ -21,6 +22,7 @@ from qmeas.measurement import (
     MeasurementSystem,
     paired_coordinate_sum,
     premeasure,
+    premeasure_table,
     premeasure_table_dense,
     premeasure_table_factored,
 )
@@ -234,6 +236,36 @@ def test_dense_table_is_the_complex_einsum_bit_for_bit(monkeypatch, kind, offset
 
 
 # ---------------------------------------------------------------------------
+# single premeasures
+
+
+def premeasure_states():
+    """Paper-rho, the mixed state, a general family, and a fully dense complex depth-8 chain."""
+    return {
+        "paper_rho": FactoredState.witness_state(),
+        "mixed": FactoredState.maximally_mixed(),
+        "general": FactoredState.general_family({5: 3, 6: 10}, {5: 0.02, 6: 0.01}),
+        "dense": DenseStateChain.from_top(random_density(np.random.default_rng(8), 256)),
+    }
+
+
+@pytest.mark.parametrize("state_kind", ["paper_rho", "mixed", "general", "dense"])
+@pytest.mark.parametrize("kind", ["standard", "hadamard", "rotation", "real_explicit", "complex_explicit"])
+def test_premeasure_is_its_table_entry_bit_for_bit(state_kind, kind):
+    """On every path, a premeasure is its string's entry of the table at its depth, qubit 1 least significant."""
+    state, system = premeasure_states()[state_kind], einsum_systems()[kind]
+    gen = random.Random(31)
+    paths = ["auto", "dense", "factored"] if isinstance(state, FactoredState) else ["auto", "dense"]
+    for depth in range(9):
+        indices = list(range(1 << depth)) if depth <= 3 else gen.sample(range(1 << depth), 5)
+        for path in paths:
+            table = premeasure_table(state, system, depth, path)
+            singles = [premeasure(state, system, [(i >> q) & 1 for q in range(depth)], path) for i in indices]
+            # bit patterns, so +0.0 and -0.0 count as different
+            assert np.array_equal(np.array(singles).view(np.uint64), table[indices].view(np.uint64)), (depth, path)
+
+
+# ---------------------------------------------------------------------------
 # lifted evaluation
 
 
@@ -252,7 +284,7 @@ def test_lifted_evaluation_is_the_exact_fraction_sum(kind):
     state = FactoredState.witness_state()
     value = evaluate_state(cls, state, depth)
     assert value == float(sum(fraction_premeasure(kind, p) for p in prefixes))
-    # the dense chain of the same prefix goes through the BLAS expectation
+    # the dense chain of the same prefix sums entries of the dense contraction
     chain = DenseStateChain.from_top(state.prefix(depth).rho)
     assert evaluate_state(cls, chain, depth) == pytest.approx(value, abs=1e-12)
 
@@ -262,15 +294,6 @@ def test_product_vector_bytes_match_kron(rng):
         for bits in ((0,), (1, 0, 1), (0, 1, 1, 0, 1, 0, 0, 1, 1)):
             factors = [system.basis_at(i + 1)[b] for i, b in enumerate(bits)]
             assert np.array_equal(system.product_vector(bits), kron_vector(factors))
-
-
-def test_span_expectation_matches_einsum(rng):
-    system = random_basis(rng, periods=3)
-    cls, depth = lifted_class(system, ["000000", "010011", "111000", "101101"])
-    stage = cls.stage_at(depth)
-    rho = random_density(rng, 1 << depth)
-    old = np.real(np.einsum("xk,xy,yk->", stage.columns.conj(), rho, stage.columns))
-    assert stage.expectation(rho) == pytest.approx(float(old), abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [5, 7, 10])
