@@ -7,7 +7,8 @@ group's calls run in order in one fresh directory that holds the group's
 documents, so a call may read what an earlier one wrote.  An entry holds the
 call's argv, the documents only it reads (a file, stdin or environment
 variables) and SHA-256 digests of its stdout, of its stderr, of its exit code
-and of every file it writes or changes.  Stderr has the directory's path
+and of every file it writes or changes.  The ``cut_block`` group holds calls
+whose strings, tables and checks end inside a block.  Stderr has the directory's path
 replaced by ``<dir>``, and the warnings the call raised follow it, one line
 each, as the CLI prints them.
 
@@ -20,7 +21,8 @@ Regenerate the corpus, after a change meant to move bytes, with
 
     PYTHONPATH=src python tests/corpus.py
 
-and name each entry that moved, with its reason, in the change's notes.
+It prints the group and id of each entry whose digests moved, and of each
+entry added or removed; name each, with its reason, in the change's notes.
 """
 
 import contextlib
@@ -193,7 +195,32 @@ def _matrix() -> tuple[dict, list[dict]]:
     return documents, [record_call(argv, documents)[0] for argv in test_reach.invocations()]
 
 
-GROUPS = {"cookbook": _cookbook, "bad_input": _bad_inputs, "matrix": _matrix}
+def cut_block_invocations() -> list[list[str]]:
+    """Calls that end inside a block: a string, a table, an oracle comparison and a state check.
+
+    The mixed state's product underflows at block 40 (n=45, offset 980):
+    1,024 zeros cut it after 44 qubits, and 1,030 complete it.  On paper-rho,
+    depth 12 is blocks 5 and 6 and one qubit of block 7, and 2,000 bits cut
+    block 63 after 57 qubits.
+    """
+    bits = "".join(map(str, np.random.default_rng(3).integers(0, 2, size=2000).tolist()))
+    runs = [["measure", "--state", "mixed", "--tau", "0" * length] for length in (1024, 1030)]
+    runs += [
+        ["measure", "--basis", "hadamard", "--tau-depth", "12"],
+        ["measure", "--basis", "hadamard", "--oracle-compare", "--depth", "12"],
+        ["state", "--paper-rho", "--check-depth", "12"],
+    ]
+    runs += [["measure", "--basis", basis, "--tau", bits] for basis in ("hadamard", "complex.json")]
+    return runs
+
+
+def _cut_blocks() -> tuple[dict, list[dict]]:
+    documents = {"complex.json": json.dumps(test_reach.DOCUMENTS["complex.json"])}
+    Path("complex.json").write_text(documents["complex.json"], encoding="ascii")
+    return documents, [record_call(argv, documents)[0] for argv in cut_block_invocations()]
+
+
+GROUPS = {"cookbook": _cookbook, "bad_input": _bad_inputs, "matrix": _matrix, "cut_block": _cut_blocks}
 
 
 def record(directory: Path) -> dict:
@@ -212,8 +239,24 @@ def record(directory: Path) -> dict:
     return {"fingerprint": fingerprint(), "groups": groups}
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per entry of ``new`` whose digests differ from ``old``'s, or that only one of them holds."""
+    lines = []
+    for name in {**old["groups"], **new["groups"]}:
+        before, after = ({e["id"]: e["digests"] for e in c["groups"].get(name, {"entries": []})["entries"]} for c in (old, new))
+        for key, digests in after.items():
+            if key not in before:
+                lines.append(f"added {name}: {key}")
+            elif digests != before[key]:
+                lines.append(f"moved {name}: {key}")
+        lines += [f"removed {name}: {key}" for key in before if key not in after]
+    return lines
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         corpus = record(Path(scratch))
+    old = load() if CORPUS.exists() else {"groups": {}}
     CORPUS.write_text(json.dumps(corpus, indent=1) + "\n", encoding="ascii")
+    print(*changes(old, corpus), sep="\n")
     print(f"{CORPUS.name}: {sum(len(g['entries']) for g in corpus['groups'].values())} entries")
