@@ -15,7 +15,9 @@ there are.  On real bases (standard, Hadamard, rotation, real explicit
 pairs) every paired product is the same, and the sum is the closed form
 (count / 2^n) * prod(2 f0) of ``_closed_form``; complex bases walk the
 binary digits of the count (see ``paired_coordinate_sum``).  A block cut
-after ``take`` qubits contributes exactly 2**-take.
+after ``take`` qubits is traced down to I / 2**take: the premeasure and the
+tables read it as the corner-free block of ``take`` qubits
+(``FactoredState.prefix_columns``), whose factor is exactly 2**-take.
 
 Block measures come from two batched kernels over a state's block columns
 (``BlockColumns``: each block's n, first qubit, exact corner count r, r /
@@ -369,25 +371,22 @@ def premeasure_factored(state: FactoredState, system: MeasurementSystem, tau) ->
 
 
 def _premeasure_factored(state: FactoredState, system: MeasurementSystem, bits) -> float:
-    """Product of the block factors in block order, the cut block last.
+    """Product of the factors of the string's ``prefix_columns`` blocks, in block order.
 
-    The order shows in the subnormal range.  When every complete block's
-    measure is positive (a cut block's factor 2**-take always is) and the
-    product still falls below the normal range, one ``NumericHealthWarning``
-    names the first block at which it did.
+    The order shows in the subnormal range.  When every factor is positive
+    and the product still falls below the normal range, one
+    ``NumericHealthWarning`` names the first block at which it did, by that
+    block's own size n, a cut block's included.
     """
-    columns = state.columns(len(bits))
-    take = len(bits) - int(columns.offset[-1]) if len(columns) else 0
-    cut = bool(len(columns) and take < columns.n[-1])  # only the last block can be cut
-    measures = _string_measures(system, columns[:-1] if cut else columns, np.array(bits, dtype=np.intp), 1)
-    factors = clamp01(measures[:, 0], "block measure")
+    columns = state.prefix_columns(len(bits))
+    factors = clamp01(_string_measures(system, columns, np.array(bits, dtype=np.intp), 1)[:, 0], "block measure")
     # running products in block order, one rounded multiply each; the leading 1 puts block i at i + 1
-    products = np.multiply.accumulate(np.concatenate([[1.0], factors, [math.ldexp(1.0, -take)] if cut else []]))
+    products = np.multiply.accumulate(np.concatenate([[1.0], factors]))
     value, tiny = float(products[-1]), np.flatnonzero(products < sys.float_info.min)
     if tiny.size and np.all(factors > 0.0):
         index = int(tiny[0]) - 1
         warnings.warn(
-            f"premeasure underflows at block {index} (n={columns.n[index]}, offset {columns.offset[index]}): "
+            f"premeasure underflows at block {index} (n={state.block(index).n}, offset {columns.offset[index]}): "
             f"the product of positive block factors is {value!r}",
             NumericHealthWarning,
             stacklevel=3,
@@ -415,10 +414,11 @@ def premeasure_table_factored(
 
     Indexed like ``premeasure_table_dense`` (qubit 1 least significant).  The
     premeasure factors block by block, so the table is the Kronecker product
-    of per-block outcome tables, first block fastest: a complete block
-    contributes its 2**n closed-form block measures, one row of
-    ``_block_measures``, a straddled block the constant partial factor.
-    Each entry equals ``premeasure_factored`` of its string bit for bit; no
+    of per-block outcome tables over ``prefix_columns``, first block fastest:
+    a block with corners contributes its 2**n closed-form block measures,
+    one row of ``_block_measures``, and a corner-free block, a cut block
+    among them, the constant 2**-n, bit for bit the kernel's value.  Each
+    entry equals ``premeasure_factored`` of its string bit for bit; no
     dense matrix is built, so the dense cap does not apply; a depth past
     ``MAX_TABLE_DEPTH`` raises ``CapExceeded`` before any work.
     """
@@ -427,24 +427,21 @@ def premeasure_table_factored(
     if depth > MAX_TABLE_DEPTH:
         raise CapExceeded(f"factored table of depth {depth} is past the bound {MAX_TABLE_DEPTH}")
     table = np.ones(1)
-    columns = state.columns(depth)
-    for index, (n, offset) in enumerate(zip(columns.n.tolist(), columns.offset.tolist())):
-        take = min(n, depth - offset)
-        if take == n:
+    columns = state.prefix_columns(depth)
+    for index, n in enumerate(columns.n.tolist()):
+        if columns.count[index]:
             # outcome i reads bit (i >> q) & 1 at qubit offset+q+1
-            outcomes = (np.arange(1 << take)[:, None] >> np.arange(take)) & 1
+            outcomes = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
             part = _block_measures(system, columns[index : index + 1], outcomes[None])[0]
             part = clamp01(part, "block measure table")
         else:
-            part = np.full(1 << take, math.ldexp(1.0, -take))
+            part = np.full(1 << n, math.ldexp(1.0, -n))
         # products of values in [0, 1] stay in [0, 1], so no second clamp
         table = np.multiply.outer(part, table).reshape(-1)
     return table
 
 
-def premeasure_table_dense(
-    prefix: DenseStatePrefix | MatrixEntries, system: MeasurementSystem, offset: int = 0
-) -> np.ndarray:
+def premeasure_table_dense(prefix: DenseStatePrefix | MatrixEntries, system: MeasurementSystem) -> np.ndarray:
     """All 2**k premeasure values of a depth-k prefix at once, contracted over its nonzero entries.
 
     ``prefix`` is a ``DenseStatePrefix``, read through its ``entries()``,
@@ -473,7 +470,7 @@ def premeasure_table_dense(
     order = np.argsort(key)
     key, values = key[order], entries.values[order]
     for q in range(k, 0, -1):
-        B = np.stack(system.basis_at(offset + q), axis=1)  # columns are b0, b1
+        B = np.stack(system.basis_at(q), axis=1)  # columns are b0, b1
         if not (np.any(B.imag) or np.iscomplexobj(values) and np.any(values.imag)):
             values, B = values.real, B.real
         key, values = _contract_qubit(key, values, B, q + k - 2)

@@ -38,14 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import dense_cap_exponent
-from .errors import (
-    BadQuery,
-    BadSpec,
-    BudgetExceeded,
-    CapExceeded,
-    MissingStage,
-)
+from .errors import BadQuery, BadSpec, BudgetExceeded, MissingStage
 from .measurement import MeasurementSystem, clamp01, premeasure_table
 from .states import (
     DensityBlock,
@@ -270,14 +263,16 @@ class FactoredEigenProjection:
         i + 5 qubits, like the witness spans.  A corner-free block's ratio is
         (rank, n), the span's density, so the maximally mixed state's mass is
         tau bit for bit.  Any other state, or a block whose size differs from
-        its span's, raises ``BadQuery``; while sizes match, the blocks left
-        cover the spans left, so the walk never runs out of blocks early.
+        its span's, raises ``BadQuery``.  Spans read the state's true blocks
+        (``state.block``), never a cut one read as corner-free; while sizes
+        match, the blocks realized to cover ``qubits`` cover the spans left.
         """
         if not isinstance(state, FactoredState):
             raise BadQuery(f"a witness stage needs a factored state, got {type(state).__name__}")
+        state.ensure_covers(self.qubits)
         numerator, exponent = 1, 0
-        for span, (block, _, _) in zip(self.spans, state.segments(self.qubits)):
-            k, e = span.trace_ratio(block)  # BadQuery unless the sizes match
+        for i, span in enumerate(self.spans):
+            k, e = span.trace_ratio(state.block(i))  # BadQuery unless the sizes match
             numerator *= k
             exponent += e
         return numerator / (1 << exponent)
@@ -358,18 +353,15 @@ def lift_classical_mlt(test: ClassicalMLT, system: MeasurementSystem) -> Quantum
     """Send each stored prefix to its basis product vector, stage by stage.
 
     Distinct prefixes map to orthonormal product vectors, so each stage
-    becomes a projection of rank |A_i|.
+    becomes a projection of rank |A_i|.  Lifting builds nothing, so no
+    depth is refused here: a stage's mass reads ``premeasure_table``, which
+    bounds its own depth when the stage is evaluated.
     """
     test.validate()
-    cap = dense_cap_exponent()
     levels: dict[int, QuantumSigmaClass] = {}
     for m, sc in sorted(test.levels.items()):
         stages: dict[int, object] = {}
         for depth in sc.depths():
-            if depth > cap:
-                raise CapExceeded(
-                    f"lifting a stage of depth {depth} exceeds the dense cap 2^{cap}"
-                )
             prefixes = sc.prefixes_at(depth)
             stages[depth] = SpanProjection(depth, prefixes, system) if prefixes else ZeroProjection(depth)
         # a level with no stages covers nothing: the all-zero class

@@ -265,6 +265,10 @@ class BlockColumns:
         """The qubit after the last block (0 with no block)."""
         return int(self.offset[-1] + self.n[-1]) if len(self) else 0
 
+    def block(self, i: int) -> DensityBlock:
+        """Block i as a ``DensityBlock``, built from its fields."""
+        return DensityBlock(int(self.n[i]), self.count[i], float(self.kappa[i]))
+
     def extended(self, fields) -> "BlockColumns":
         """These blocks followed by blocks given as exact (n, r, kappa)."""
         more = BlockColumns.of(fields, self.end)
@@ -277,7 +281,10 @@ class FactoredState:
     The realized blocks are ``BlockColumns``.  ``factory`` maps a block
     index to that block's exact fields (n, r, kappa); extending the state
     appends them to the columns.  ``block(i)`` builds a realized block's
-    ``DensityBlock`` on first request and keeps it.
+    ``DensityBlock`` on first request and keeps it.  ``prefix_columns(k)``
+    is the one reading of the depth-k prefix: the blocks inside the first k
+    qubits, and the block they cut as the corner-free block of the qubits
+    it keeps.
     """
 
     def __init__(
@@ -340,18 +347,24 @@ class FactoredState:
                 return DensityBlock(*self._factory(i))
             if not 0 <= i < len(c):
                 raise BadQuery(f"state has {len(c)} blocks, asked for index {i}")
-            self._built[i] = DensityBlock(int(c.n[i]), c.count[i], float(c.kappa[i]))
+            self._built[i] = c.block(i)
         return self._built[i]
 
-    def segments(self, qubits: int):
-        """Yield (block, offset, take) for the blocks covering the first ``qubits`` positions.
+    def prefix_columns(self, k: int) -> BlockColumns:
+        """The blocks of rho_k: ``columns(k)``, a last block cut after ``take`` qubits read as (take, 0, 0.0).
 
-        ``offset`` is the block's first qubit position (0-based) and ``take``
-        how many of its qubits fall inside; only the last block can be cut.
+        A block traced down to its first ``take`` qubits is I / 2**take: its
+        corner entries pair indices that differ in every qubit, so the trace
+        drops them and leaves 2**-take whatever the bits.  The true blocks
+        stay in ``columns`` and ``block``.
         """
-        columns = self.columns(qubits)
-        for i, (n, offset) in enumerate(zip(columns.n.tolist(), columns.offset.tolist())):
-            yield self.block(i), offset, min(n, qubits - offset)
+        columns = self.columns(k)
+        if columns.end > k:
+            # copies of the sliced columns, whose last row is replaced; the offsets stay
+            n, count, ratio, kappa = columns.n.copy(), columns.count.copy(), columns.ratio.copy(), columns.kappa.copy()
+            n[-1], count[-1], ratio[-1], kappa[-1] = k - columns.offset[-1], 0, 0.0, 0.0
+            columns = BlockColumns(n, columns.offset, count, ratio, kappa)
+        return columns
 
     @property
     def extendable(self) -> bool:
@@ -369,33 +382,25 @@ class FactoredState:
 
 
 def prefix_entries(state: FactoredState, k: int) -> MatrixEntries:
-    """The entries of a factored state's depth-k prefix, row-major, read from its blocks.
+    """The entries of a factored state's depth-k prefix, row-major, read from its ``prefix_columns``.
 
-    The prefix is the Kronecker product of its blocks, first block fastest.
-    A complete block contributes its ``entries()``.  A straddling block
-    traced down to its first ``take`` qubits is I / 2**take: its corner
-    entries pair indices that differ in every qubit, so the trace drops them
-    and leaves 2**-take whatever the bits; the cut block's own entries are
-    never listed.  Each value is the block values' product, multiplied in
-    block order, the later block's value times the product so far.  The
-    prefix has Π(2**n + 2r) entries over its complete blocks, times 2**take
-    for a cut one, and no matrix is built.
+    The prefix is the Kronecker product of those blocks' ``entries()``,
+    first block fastest; a cut block is read as I / 2**take.  Each value is
+    the block values' product, multiplied in block order, the later block's
+    value times the product so far.  The prefix has Π(2**n + 2r) entries,
+    and no matrix is built.
     """
     if k < 0:
         raise BadQuery(f"prefix depth must be non-negative, got {k}")
     require_dense_qubits(k, f"prefix of depth {k}")
     rows = cols = np.zeros(1, dtype=np.intp)
-    values, qubits = np.ones(1), 0
-    for block, _, take in state.segments(k):
-        if take == block.n:
-            _, part_rows, part_cols, part_values = block.entries()
-        else:
-            part_rows = part_cols = np.arange(1 << take)
-            part_values = np.full(1 << take, math.ldexp(1.0, -take))
-        rows = (part_rows[:, None] << qubits | rows).reshape(-1)
-        cols = (part_cols[:, None] << qubits | cols).reshape(-1)
+    values = np.ones(1)
+    columns = state.prefix_columns(k)
+    for i, offset in enumerate(columns.offset.tolist()):
+        _, part_rows, part_cols, part_values = columns.block(i).entries()
+        rows = (part_rows[:, None] << offset | rows).reshape(-1)
+        cols = (part_cols[:, None] << offset | cols).reshape(-1)
         values = (part_values[:, None] * values).reshape(-1)
-        qubits += take
     order = np.argsort(rows << k | cols)
     return MatrixEntries(k, rows[order], cols[order], values[order])
 
@@ -449,10 +454,10 @@ def check_density(state, depth: int) -> DensityCheck:
     """Check that the depth-k prefix is Hermitian, of unit trace and PSD to ``TOL_DENSITY``.
 
     On a ``FactoredState`` the answer is closed form: the prefix is the
-    Kronecker product of its complete blocks and I/2^take for a straddled
-    block, so its least eigenvalue is the product of the blocks' least
-    eigen-group values (2^-take for the straddled one), and its trace is 1,
-    the product of block traces 2^n * 2^-n = 1 by construction.  Blocks are
+    Kronecker product of its ``prefix_columns`` blocks, so its least
+    eigenvalue is the product of the blocks' least eigen-group values
+    (2^-take for a cut block, read as I/2^take), and its trace is 1, the
+    product of block traces 2^n * 2^-n = 1 by construction.  Blocks are
     real symmetric, so the Hermitian deviation is 0.  No dense matrix is
     built and no dense cap applies.  Any other state is checked densely with
     ``is_density_matrix`` of its prefix.  Either way the check names the
@@ -463,9 +468,9 @@ def check_density(state, depth: int) -> DensityCheck:
         return is_density_matrix(state.prefix(depth).rho)
     if depth < 0:
         raise BadQuery(f"prefix depth must be non-negative, got {depth}")
-    min_eig = 1.0
-    for block, _, take in state.segments(depth):
-        min_eig *= 2.0 ** -take if take < block.n else min(g.value for g in eigenvalue_groups(block))
+    min_eig, columns = 1.0, state.prefix_columns(depth)
+    for i in range(len(columns)):
+        min_eig *= min(g.value for g in eigenvalue_groups(columns.block(i)))
     return DensityCheck(min_eig >= -TOL_DENSITY, 0.0, 0.0, min_eig, depth)
 
 

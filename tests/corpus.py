@@ -258,5 +258,6 @@ if __name__ == "__main__":
         corpus = record(Path(scratch))
     old = load() if CORPUS.exists() else {"groups": {}}
     CORPUS.write_text(json.dumps(corpus, indent=1) + "\n", encoding="ascii")
-    print(*changes(old, corpus), sep="\n")
+    for line in changes(old, corpus):
+        print(line)
     print(f"{CORPUS.name}: {sum(len(g['entries']) for g in corpus['groups'].values())} entries")

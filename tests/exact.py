@@ -117,13 +117,26 @@ def dense_block(block):
     return m
 
 
+def segments(state, qubits):
+    """(block, offset, take) for each true block covering a factored state's first ``qubits`` positions.
+
+    ``offset`` is the block's first qubit (0-based) and ``take`` how many of
+    its qubits fall inside; only the last block can be cut.
+    """
+    columns = state.columns(qubits)
+    return [
+        (state.block(i), offset, min(n, qubits - offset))
+        for i, (n, offset) in enumerate(zip(columns.n.tolist(), columns.offset.tolist()))
+    ]
+
+
 def kron_chain_prefix(state, k):
     """A factored state's depth-k prefix as a Kronecker chain of dense blocks, first block fastest.
 
     A block cut after ``take`` qubits is I / 2^take.
     """
     rho = np.eye(1)
-    for block, _, take in state.segments(k):
+    for block, _, take in segments(state, k):
         part = dense_block(block) if take == block.n else np.eye(1 << take) / (1 << take)
         rho = np.kron(part, rho)
     return rho
@@ -149,6 +162,13 @@ def kron_vector(factors):
     for f in factors:
         v = np.kron(np.asarray(f, dtype=complex), v)
     return v
+
+
+def projector(stage):
+    """The dense projection onto a lifted stage's prefixes' basis vectors, Kronecker products of its basis."""
+    vectors = [kron_vector([stage.system.basis_at(q)[int(b)] for q, b in enumerate(p, 1)]) for p in stage.prefixes]
+    columns = np.stack(vectors, axis=1)
+    return columns @ columns.conj().T
 
 
 def pair_sum_brute(factors, count):

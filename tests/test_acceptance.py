@@ -13,7 +13,6 @@ from qmeas.errors import BadFamilyParams
 from qmeas.measurement import (
     MeasurementSystem,
     block_measure,
-    premeasure_dense,
     premeasure_factored,
     premeasure_table_dense,
     sample_bits,
@@ -34,7 +33,7 @@ from qmeas.verify import (
 )
 
 from conftest import random_basis, random_density
-from exact import analytic_eigensystem, family_tau
+from exact import analytic_eigensystem, family_tau, projector
 
 
 def test_criterion_01_premeasure_additivity():
@@ -105,7 +104,7 @@ def test_criterion_05_quadratic_form_bounds():
 
 
 def test_criterion_06_lifting_identity():
-    """tr(rho p) = sum of premeasures over the stage's prefixes; tau exact."""
+    """A lifted stage's mass is tr(rho p), p built from Kronecker product vectors; tau exact."""
     rng = np.random.default_rng(606)
     worst = 0.0
     for _ in range(100):
@@ -119,9 +118,8 @@ def test_criterion_06_lifting_identity():
         rho = random_density(rng, 1 << i)
         classical = qmlt.ClassicalMLT({1: qmlt.StagedSigmaClass({i: prefixes})})
         stage = qmlt.lift_classical_mlt(classical, system).levels[1].stage_at(i)
-        chain = DenseStateChain.from_top(rho)
-        lhs = stage.mass(chain)
-        rhs = sum(premeasure_dense(chain.prefix(i), system, p) for p in prefixes)
+        lhs = stage.mass(DenseStateChain.from_top(rho))
+        rhs = float(np.real(np.trace(rho @ projector(stage)))) if prefixes else 0.0
         worst = max(worst, abs(lhs - rhs))
         assert stage.rank == n_prefixes
         assert stage.density() == n_prefixes * 2.0**-i  # exact float equality

@@ -19,7 +19,6 @@ from qmeas.measurement import (
     premeasure,
     premeasure_dense,
     premeasure_factored,
-    premeasure_table_dense,
     premeasure_table_factored,
     sample_bits,
 )
@@ -218,18 +217,6 @@ def test_premeasure_dense_depth_must_match(rng):
     state = FactoredState.witness_state()
     with pytest.raises(BadQuery):
         premeasure_dense(state.prefix(5), MeasurementSystem.standard(), "0011")
-
-
-def test_premeasure_table_matches_per_tau(rng):
-    state = FactoredState.witness_state()
-    prefix = state.prefix(6)
-    system = random_basis(rng, periods=3)
-    table = premeasure_table_dense(prefix, system)
-    assert table.shape == (64,)
-    for idx in (0, 1, 17, 63):
-        tau = tuple((idx >> q) & 1 for q in range(6))
-        assert table[idx] == pytest.approx(premeasure_dense(prefix, system, tau), abs=1e-13)
-    assert float(table.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_standard_basis_uniformity_long_prefixes(rng):

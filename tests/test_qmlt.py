@@ -10,7 +10,7 @@ import pytest
 
 from qmeas.errors import BadQuery, BadSpec, BudgetExceeded, CapExceeded, MissingStage
 from qmeas.matrixcore import kron
-from qmeas.measurement import MeasurementSystem, premeasure_dense
+from qmeas.measurement import MeasurementSystem, premeasure, premeasure_dense
 from qmeas.qmlt import (
     BlockEigenSpan,
     ClassicalMLT,
@@ -40,7 +40,7 @@ from qmeas.states import (
 )
 
 from conftest import random_basis, random_density
-from exact import exact_trace, family_tau, kron_vector, span_columns
+from exact import exact_trace, family_tau, projector, span_columns
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +83,6 @@ def test_classical_mlt_doc_round_trip():
 
 # ---------------------------------------------------------------------------
 # lifting
-
-
-def projector(stage) -> np.ndarray:
-    """The dense projection onto a lifted stage's prefixes' basis vectors, Kronecker products of its basis."""
-    vectors = [kron_vector([stage.system.basis_at(q)[int(b)] for q, b in enumerate(p, 1)]) for p in stage.prefixes]
-    columns = np.stack(vectors, axis=1)
-    return columns @ columns.conj().T
 
 
 def test_lift_standard_basis_golden_projector():
@@ -141,10 +134,15 @@ def test_lift_nesting_of_stages(rng):
 
 
 def test_lift_beyond_cap_raises(monkeypatch):
+    """Lifting refuses no depth, the dense cap's included; a stage's table bounds it when it is evaluated."""
     monkeypatch.setenv("QMEAS_DENSE_CAP", "4")
-    test = ClassicalMLT({1: StagedSigmaClass({5: ("00000",)})})
-    with pytest.raises(CapExceeded):
-        lift_classical_mlt(test, MeasurementSystem.standard())
+    system, state = MeasurementSystem.hadamard(), FactoredState.witness_state()
+    prefixes = tuple(format(x, "016b") for x in random.Random(16).sample(range(1 << 16), 300))
+    test = ClassicalMLT({1: StagedSigmaClass({16: prefixes}), 2: StagedSigmaClass({21: ("0" * 21,)})})
+    lifted = lift_classical_mlt(test, system)
+    assert evaluate_state(lifted.levels[1], state, 16) == math.fsum(premeasure(state, system, p) for p in prefixes)
+    with pytest.raises(CapExceeded):  # past MAX_TABLE_DEPTH = 20
+        evaluate_state(lifted.levels[2], state, 21)
 
 
 def test_empty_stage_lifts_to_zero_projection():

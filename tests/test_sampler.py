@@ -38,7 +38,7 @@ from qmeas.measurement import (
 from qmeas.states import DensityBlock, FactoredState, build_corner_block
 
 from conftest import random_basis, random_unit_pair
-from exact import exact_real_measure, exact_real_sum
+from exact import exact_real_measure, exact_real_sum, segments
 
 # The witness state's block n=1076 starts at bit 578,340; its step 1075
 # would need a 1,076th halving of 1.0, past the smallest subnormal.
@@ -128,7 +128,7 @@ def per_bit_sample(state, system, length, seed):
     rng = np.random.default_rng(seed)
     bits = np.zeros(length, dtype=np.uint8)
     conds = np.ones(length, dtype=float)
-    for index, (block, offset, take) in enumerate(state.segments(length)):
+    for index, (block, offset, take) in enumerate(segments(state, length)):
         prev = 1.0
         seg = []
         for step in range(take):
@@ -286,7 +286,7 @@ def test_real_rows_keep_their_bytes_beside_complex_rows(rng):
         expected = per_block_premeasure(state, system, bits[:length])
         assert same_bytes(premeasure(state, system, bits[:length]), expected)
     sample = sample_bits(state, system, 400, 5)
-    for block, offset, take in state.segments(400):
+    for block, offset, take in segments(state, 400):
         if take == block.n:
             chosen = sample.bits[offset : offset + take].tolist()
             measure = block_measure(block, system, offset, chosen)
@@ -641,7 +641,7 @@ def per_block_premeasure(state, system, bits):
     Each block's corner sum comes from the loop of its branch (``looped_sum``).
     """
     measures, cut = [], 1.0
-    for block, offset, take in state.segments(len(bits)):
+    for block, offset, take in segments(state, len(bits)):
         if take == block.n:
             part = bits[offset : offset + take]
             measures.append(looped_block_measure(block, system, offset, part))
@@ -695,11 +695,11 @@ def test_premeasure_walks_all_complete_blocks_at_once(monkeypatch):
     monkeypatch.setattr(measurement, "paired_coordinate_sum", counted)
     bits = [int(b) for b in np.random.default_rng(3).integers(0, 2, size=2000)]
     state = FactoredState.witness_state
-    # a complex basis walks: blocks 5..62 are complete, 58 rows padded to 62
-    # qubits; block 63 is cut after 57 qubits
+    # a complex basis walks: blocks 5..62 are complete, and block 63, cut
+    # after 57 qubits, joins them as a corner-free row; 59 rows padded to 62 qubits
     complex_system = systems()["explicit"]
     value = premeasure(state(), complex_system, bits)
-    assert calls == [(58, 1, 62, 2)]
+    assert calls == [(59, 1, 62, 2)]
     assert value == per_block_premeasure(state(), complex_system, bits)
     # a real basis takes one segmented product and no paired sum
     calls.clear()
@@ -716,7 +716,7 @@ def test_complex_premeasure_over_several_walk_groups(length):
     rows = complete_rows(state, length)
     assert len(list(measurement._walk_groups(rows.n.tolist(), 1))) >= 2
     measures = measurement._string_measures(system, rows, np.array(bits), 1)[:, 0]
-    complete = [(block, offset) for block, offset, take in state.segments(length) if take == block.n]
+    complete = [(block, offset) for block, offset, take in segments(state, length) if take == block.n]
     looped = [looped_block_measure(block, system, offset, bits[offset : offset + block.n]) for block, offset in complete]
     assert same_bytes(clamp01(measures, "block measure"), np.array(looped))
 

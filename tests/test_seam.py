@@ -12,10 +12,13 @@ from qmeas.qmlt import ClassicalMLT, evaluate_state, lift_classical_mlt
 from qmeas.states import (
     DenseStateChain,
     DenseStatePrefix,
+    DensityBlock,
     FactoredState,
     check_coherence,
     prefix_density,
 )
+
+from exact import segments
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qmeas"
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -104,16 +107,26 @@ def test_dense_prefix_answers_only_its_depth(k):
 
 
 def test_segments_walk_blocks_in_order():
-    """Both built-in states lay out block i on i + 5 qubits; the mixed state's carry no corners."""
+    """Both built-in states lay out block i on i + 5 qubits; the mixed state's carry no corners.
+
+    ``prefix_columns`` reads a cut block as the corner-free block of the qubits
+    it keeps, and leaves the true blocks as they are.
+    """
     for state in (FactoredState.witness_state(), FactoredState.maximally_mixed()):
-        assert [(b.n, offset, take) for b, offset, take in state.segments(14)] == [
+        assert [(b.n, offset, take) for b, offset, take in segments(state, 14)] == [
             (5, 0, 5),
             (6, 5, 6),
             (7, 11, 3),
         ]
-        assert list(state.segments(0)) == []
+        assert segments(state, 0) == []
+        view = state.prefix_columns(14)
+        assert [view.block(i) for i in range(len(view))] == [state.block(0), state.block(1), DensityBlock(3, 0, 0.0)]
+        assert view.offset.tolist() == [0, 5, 11]
+        assert state.columns(14).n.tolist() == [5, 6, 7] and state.block(2).n == 7
+        assert state.prefix_columns(11).n.tolist() == [5, 6]
+        assert len(state.prefix_columns(0)) == 0
     mixed = FactoredState.maximally_mixed()
-    assert {(b.corner_count, b.corner_ratio) for b, _, _ in mixed.segments(10_000)} == {(0, 0.0)}
+    assert {(b.corner_count, b.corner_ratio) for b, _, _ in segments(mixed, 10_000)} == {(0, 0.0)}
     assert len(mixed.blocks) == 137  # sizes 5..141 hold 10,001 qubits
 
 

@@ -252,14 +252,14 @@ def test_parse_dense_prefix_spec_checks_coherence():
 
 def test_lazy_extension_materializes_growing_blocks():
     """``block(i)`` past the materialized blocks asks the factory and keeps nothing;
-    ``ensure_covers`` and ``segments`` materialize."""
+    ``ensure_covers`` and ``columns`` materialize."""
     for state, corners in ((FactoredState.witness_state(), 32), (FactoredState.maximally_mixed(), 0)):
         assert (state.block(3).n, state.block(3).corner_count) == (8, corners)
         assert state.blocks == []
         state.ensure_covers(12)
         assert [b.n for b in state.blocks] == [5, 6, 7]
         assert state.block(1) is state.blocks[1]
-        list(state.segments(30))
+        state.columns(30)
         assert [b.n for b in state.blocks] == [5, 6, 7, 8, 9]
 
 

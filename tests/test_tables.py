@@ -64,6 +64,11 @@ def rotation_table(prefix, system, offset=0):
     return np.clip(np.real(np.diagonal(T.reshape(1 << k, 1 << k))), 0.0, 1.0)
 
 
+def shifted(system, offset, depth):
+    """``system``'s schedule from qubit offset + 1 on, as explicit pairs: the same 2-vectors at qubits 1..depth."""
+    return MeasurementSystem.explicit([system.basis_at(offset + q) for q in range(1, max(depth, 1) + 1)])
+
+
 def systems(rng):
     return {
         "standard": MeasurementSystem.standard(),
@@ -140,6 +145,7 @@ def test_dense_table_matches_rotation_on_witness_prefixes(rng):
             prefix = state.prefix(depth)
             got = premeasure_table_dense(prefix, system)
             assert np.max(np.abs(got - rotation_table(prefix, system))) <= 1e-15
+            assert math.fsum(got) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dense_table_matches_rotation_on_random_states(rng):
@@ -147,7 +153,7 @@ def test_dense_table_matches_rotation_on_random_states(rng):
         prefix = DenseStateChain.from_top(random_density(rng, 1 << depth)).prefix(depth)
         for offset in (0, 2):
             system = random_basis(rng, periods=3)
-            got = premeasure_table_dense(prefix, system, offset)
+            got = premeasure_table_dense(prefix, shifted(system, offset, depth))
             assert np.max(np.abs(got - rotation_table(prefix, system, offset))) <= 1e-15
 
 
@@ -181,7 +187,7 @@ def dense_prefixes():
     return out
 
 
-def contraction_steps(monkeypatch, prefix, system, offset):
+def contraction_steps(monkeypatch, prefix, system):
     """The table, and whether each qubit's contraction step ran in complex arithmetic."""
     steps = []
     contract = measurement._contract_qubit
@@ -192,7 +198,7 @@ def contraction_steps(monkeypatch, prefix, system, offset):
 
     with monkeypatch.context() as patch:
         patch.setattr(measurement, "_contract_qubit", spy)
-        table = premeasure_table_dense(prefix, system, offset)
+        table = premeasure_table_dense(prefix, system)
     return table, steps
 
 
@@ -223,13 +229,15 @@ def test_dense_table_is_the_complex_einsum_bit_for_bit(monkeypatch, kind, offset
     system = einsum_systems()[kind]
     zeros = 0
     for label, prefix, rho in dense_prefixes():
-        got, steps = contraction_steps(monkeypatch, prefix, system, offset)
+        k = rho.shape[0].bit_length() - 1
+        # the schedule from qubit offset + 1 on gives each qubit the 2-vectors it has at that offset
+        got, steps = contraction_steps(monkeypatch, prefix, shifted(system, offset, k))
         want = complex_einsum_table(rho, system, offset)
         # bit patterns, so +0.0 and -0.0 count as different
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), label
         # one step per qubit: real inputs contract in float64, a complex prefix or basis in complex
         complex_input = kind in ("complex_explicit", "random") or label.startswith("complex")
-        assert steps == [complex_input] * (rho.shape[0].bit_length() - 1), label
+        assert steps == [complex_input] * k, label
         zeros += int(np.sum(want == 0.0))
     # the basis-state and GHZ tables hold exact zeros in every real basis here
     assert zeros > 0 or kind in ("complex_explicit", "random")
