@@ -360,7 +360,7 @@ class FactoredState:
         """
         columns = self.columns(k)
         if columns.end > k:
-            # copies of the sliced columns, whose last row is replaced; the offsets stay
+            # the slices are views of the state's own columns: copy those whose last row changes
             n, count, ratio, kappa = columns.n.copy(), columns.count.copy(), columns.ratio.copy(), columns.kappa.copy()
             n[-1], count[-1], ratio[-1], kappa[-1] = k - columns.offset[-1], 0, 0.0, 0.0
             columns = BlockColumns(n, columns.offset, count, ratio, kappa)

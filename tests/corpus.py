@@ -7,10 +7,10 @@ group's calls run in order in one fresh directory that holds the group's
 documents, so a call may read what an earlier one wrote.  An entry holds the
 call's argv, the documents only it reads (a file, stdin or environment
 variables) and SHA-256 digests of its stdout, of its stderr, of its exit code
-and of every file it writes or changes.  The ``cut_block`` group holds calls
-whose strings, tables and checks end inside a block.  Stderr has the directory's path
+and of every file it writes or changes.  Stderr has the directory's path
 replaced by ``<dir>``, and the warnings the call raised follow it, one line
-each, as the CLI prints them.
+each, as the CLI prints them.  The ``cut_block`` group holds calls whose
+strings, tables and checks end inside a block.
 
 An entry whose bytes pass through BLAS or LAPACK, or through numpy's complex
 multiply, which may fuse its multiplies and adds, names why in

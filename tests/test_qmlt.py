@@ -288,6 +288,7 @@ def test_factored_projection_mass_is_closed_form_only(rng):
         [build_corner_block(3), pair, build_corner_block(6)],  # a run with corners
         [qubit] * 4 + [pair] + [qubit] * 5,  # a corner-free block straddles qubit 5
         [qubit] * 3 + [pair] + [build_corner_block_general(6, 0, 0.0)],  # a corner-free run
+        [build_corner_block(5), build_corner_block(9)],  # cut after 6 qubits, block 9 is no 6-qubit block
     ]
     with pytest.raises(BadQuery):
         proj.mass(chain)

@@ -727,16 +727,16 @@ def test_premeasure_underflow_warns_once():
         warnings.simplefilter("always")
         assert premeasure(state, system, "0" * 40) == 2.0**-40
     assert not [w for w in caught if issubclass(w.category, NumericHealthWarning)]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = premeasure(state, system, "0" * 1100)
-    health = [w for w in caught if issubclass(w.category, NumericHealthWarning)]
-    assert value == per_block_premeasure(state, system, [0] * 1100) == 0.0
-    assert len(health) == 1
-    # blocks of sizes 5, 6, ...: the factor of block n=45 takes the product to 2**-1025
-    assert str(health[0].message).startswith(
-        "premeasure underflows at block 40 (n=45, offset 980)"
-    )
+    # blocks of sizes 5, 6, ...: block n=45 takes the product below the normal range,
+    # whole or cut after 44 qubits, and the warning names its own size
+    for length in (1024, 1100):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = premeasure(state, system, "0" * length)
+        health = [w for w in caught if issubclass(w.category, NumericHealthWarning)]
+        assert value == per_block_premeasure(state, system, [0] * length) == 2.0**-length
+        assert len(health) == 1
+        assert str(health[0].message).startswith("premeasure underflows at block 40 (n=45, offset 980)")
 
 
 # ---------------------------------------------------------------------------
