@@ -220,7 +220,39 @@ def _cut_blocks() -> tuple[dict, list[dict]]:
     return documents, [record_call(argv, documents)[0] for argv in cut_block_invocations()]
 
 
-GROUPS = {"cookbook": _cookbook, "bad_input": _bad_inputs, "matrix": _matrix, "cut_block": _cut_blocks}
+def table_invocations() -> list[list[str]]:
+    """Whole tables, factored, rotated, corner-free and dense, and the lemma checks' dense oracles.
+
+    ``dense.json`` here is the depth-8 Kronecker chain of the reach probe's qubit.
+    """
+    runs = [["measure", "--basis", "hadamard", "--tau-depth", str(depth), "--path", "factored"] for depth in (0, 1, 14, 16)]
+    runs += [
+        ["measure", "--basis", "rot.json", "--tau-depth", "10", "--additivity"],
+        ["measure", "--state", "mixed", "--tau-depth", "8"],
+        ["measure", "--state", "dense.json", "--path", "dense", "--tau-depth", "8"],
+    ]
+    runs += [["verify", "quadratic-bounds", "--n", str(n), "--seed", "7"] for n in (5, 8, 10)]
+    runs += [["verify", "kron-pairing", "--n", str(n), "--seed", "7"] for n in (10, 12)]
+    return runs
+
+
+def _tables() -> tuple[dict, list[dict]]:
+    documents = {"rot.json": json.dumps(test_reach.DOCUMENTS["rot.json"])}
+    Path("rot.json").write_text(documents["rot.json"], encoding="ascii")
+    dense = {"dense.json": json.dumps(test_reach._dense_chain(8))}
+    return documents, [
+        record_call(argv, documents, documents=dense if "dense.json" in argv else None)[0]
+        for argv in table_invocations()
+    ]
+
+
+GROUPS = {
+    "cookbook": _cookbook,
+    "bad_input": _bad_inputs,
+    "matrix": _matrix,
+    "cut_block": _cut_blocks,
+    "tables": _tables,
+}
 
 
 def record(directory: Path) -> dict:
