@@ -10,7 +10,10 @@ variables) and SHA-256 digests of its stdout, of its stderr, of its exit code
 and of every file it writes or changes.  Stderr has the directory's path
 replaced by ``<dir>``, and the warnings the call raised follow it, one line
 each, as the CLI prints them.  The ``cut_block`` group holds calls whose
-strings, tables and checks end inside a block.
+strings, tables and checks end inside a block, the ``tables`` group whole
+premeasure tables up to depth 16 and the dense lemma cross-checks, and the
+``help`` group the help of the top level and of a command group, at 100
+columns.
 
 An entry whose bytes pass through BLAS or LAPACK, or through numpy's complex
 multiply, which may fuse its multiplies and adds, names why in
@@ -97,6 +100,8 @@ def machine_dependence(argv, documents, code) -> str | None:
     basis, state = _named(argv, "--basis", documents), _named(argv, "--state", documents)
     if basis.get("kind") == "explicit" and np.any(np.array(basis["pairs"], dtype=float)[..., 1]):
         return "a complex basis: numpy's complex multiply"
+    if "--help" in argv:
+        return "argparse's help text: the Python version"
     if argv[0] == "verify" and argv[1] in LEMMAS:
         return "a lemma check: random complex product vectors through numpy's complex multiply"
     if state.get("kind") == "dense_prefix" and argv[0] == "state" and "--check-depth" in argv:
@@ -246,12 +251,17 @@ def _tables() -> tuple[dict, list[dict]]:
     ]
 
 
+def _help() -> tuple[dict, list[dict]]:
+    return {}, [record_call(argv, {}, env={"COLUMNS": "100"})[0] for argv in (["--help"], ["verify", "--help"])]
+
+
 GROUPS = {
     "cookbook": _cookbook,
     "bad_input": _bad_inputs,
     "matrix": _matrix,
     "cut_block": _cut_blocks,
     "tables": _tables,
+    "help": _help,
 }
 
 
