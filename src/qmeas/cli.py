@@ -23,7 +23,7 @@ import numpy as np
 from . import qmlt as qmlt_mod
 from . import verify as verify_mod
 from .errors import BadQuery, BadSpec, BudgetExceeded, CapExceeded, InsufficientData, QmeasError
-from .jsonio import canonical_dumps, config_hash, load_document, number_from_json
+from .jsonio import BitTable, canonical_dumps, config_hash, load_document, number_from_json
 from .measurement import (
     MeasurementSystem,
     additivity_check,
@@ -144,15 +144,6 @@ def _eigen_report(state, block_size: int) -> dict:
 # measure
 
 
-def _table_keys(depth: int) -> list[str]:
-    """Bit strings of all table indices, qubit 1 (the least-significant bit) first."""
-    if depth == 0:
-        return [""]
-    # one row of ASCII digits per index, read as one byte string each
-    digits = ((np.arange(1 << depth)[:, None] >> np.arange(depth)) & 1).astype(np.uint8) + ord("0")
-    return digits.view(f"S{depth}")[:, 0].astype(str).tolist()
-
-
 def cmd_measure(args) -> tuple[dict, int]:
     state = _load_state(args.state)
     system = _load_basis(args.basis)
@@ -168,7 +159,7 @@ def cmd_measure(args) -> tuple[dict, int]:
             )
     if args.tau_depth is not None:
         table = premeasure_table(state, system, args.tau_depth, args.path)
-        report["table"] = dict(zip(_table_keys(args.tau_depth), table.tolist()))
+        report["table"] = BitTable(table)
         report["sum"] = float(np.sum(table))
         if args.additivity:
             report["additivity_max"] = _table_additivity(state, system, args.tau_depth, args.path)
@@ -500,9 +491,13 @@ def _command_path(argv: list[str], table: dict = _COMMANDS) -> list[str]:
 def _add_commands(parser: argparse.ArgumentParser, table: dict, dest: str, path) -> None:
     sub = parser.add_subparsers(dest=dest, required=True)
     for name, (help_text, spec) in table.items():
-        child = sub.add_parser(name, **({} if help_text is None else {"help": help_text}))
         if path is not None and path[:1] != [name]:
-            continue  # registered with its help, but given no arguments
+            # a choice with its help line, as add_parser registers one, but no parser
+            if help_text is not None:
+                sub._choices_actions.append(sub._ChoicesPseudoAction(name, (), help_text))
+            sub._name_parser_map[name] = None
+            continue
+        child = sub.add_parser(name, **({} if help_text is None else {"help": help_text}))
         if isinstance(spec, dict):
             _add_commands(child, spec, "subcommand", None if path is None else path[1:])
         else:
@@ -512,11 +507,11 @@ def _add_commands(parser: argparse.ArgumentParser, table: dict, dest: str, path)
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The ``qmeas`` parser; its rejections raise ``BadQuery``.
 
-    With no ``argv`` every command gets its arguments.  Given ``argv``, every
+    With no ``argv`` every command gets its parser.  Given ``argv``, every
     command and subcommand name is still registered with its help, so usage,
     help listings and invalid-choice messages are unchanged, but only the
-    command path ``argv`` names (``sample``, or ``verify family``) gets its
-    arguments: an invocation builds one command's parser, not fourteen.
+    command path ``argv`` names (``sample``, or ``verify family``) gets a
+    parser: an invocation builds at most two child parsers, not fourteen.
     """
     parser = _Parser(
         prog="qmeas",

@@ -5,10 +5,12 @@ seed, so floats are written with 17 significant digits (full double
 round-trip precision), dictionary keys are sorted, and nothing time- or
 path-dependent is ever placed in a payload.
 
-Flat float lists, 1-D float64 arrays and ``{str: float}`` tables are written
-run by run: each run of equal bit patterns is found in one numpy pass, and
-each distinct pattern is formatted once, so a sampler sidecar of 10^5 values,
-nearly all exactly 0.5, costs a few hundred formats and joins.
+Flat float lists and 1-D float64 arrays are written run by run: each run of
+equal bit patterns is found in one numpy pass, and each distinct pattern is
+formatted once, so a sampler sidecar of 10^5 values, nearly all exactly 0.5,
+costs a few hundred formats and joins.  A premeasure table travels as a
+``BitTable`` of its array, whose object {bit string: value} ``_table_json``
+lays out from arrays in one uint8 buffer, with no str per entry.
 """
 
 from __future__ import annotations
@@ -48,13 +50,13 @@ def _decimal_repr(x: int) -> str:
     return str(decimal.Decimal(x))
 
 
-def _float_runs(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """``_float_repr`` of each run of equal float64 bit patterns, and the run lengths.
+def _float_runs(values: Sequence[float]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The ``_float_repr`` of each distinct bit pattern, each run's index into them, and the run lengths.
 
-    Runs are found in one ``!=`` pass over the bit patterns, and only the run
-    heads are sorted and searched, so each distinct pattern is formatted once.
-    Keying on bit patterns keeps 0.0 and -0.0 apart; a non-finite value still
-    raises ``ValueError``.  ``np.repeat(reprs, lengths)`` is one repr per value.
+    Runs of equal bit patterns are found in one ``!=`` pass, and only the
+    run heads are sorted and searched, so each distinct pattern is formatted
+    once.  Keying on bit patterns keeps 0.0 and -0.0 apart; a non-finite
+    value still raises ``ValueError``.
     """
     patterns = np.asarray(values, dtype=np.float64).view(np.uint64)
     is_head = np.ones(patterns.size, dtype=bool)
@@ -63,8 +65,63 @@ def _float_runs(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     lengths = np.diff(np.append(starts, patterns.size))
     heads = patterns[starts]
     distinct = np.unique(heads)
-    reprs = np.array([_float_repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
-    return reprs[np.searchsorted(distinct, heads)], lengths
+    reprs = [_float_repr(x) for x in distinct.view(np.float64).tolist()]
+    return reprs, np.searchsorted(distinct, heads), lengths
+
+
+@dataclasses.dataclass(frozen=True)
+class BitTable:
+    """A table of 2^d floats, written as the canonical object {bit string: value}.
+
+    Entry i's key is its d bits, qubit 1 (the least significant bit of i)
+    first: the layout of ``premeasure_table``.
+    """
+
+    values: np.ndarray
+
+
+_TABLE_ROWS = 1 << 14  # entries laid out per pass of the table writer
+
+
+def _numerals(numbers, width: int) -> np.ndarray:
+    """ASCII binary numerals of ``numbers``, ``width`` digits each, the most significant first."""
+    bits = np.unpackbits(np.asarray(numbers, dtype=">u8").reshape(-1, 1).view(np.uint8), axis=1)
+    return bits[:, 64 - width :] + np.uint8(ord("0"))
+
+
+def _table_json(values: np.ndarray) -> str:
+    """A ``BitTable``'s canonical JSON, laid out in one uint8 buffer: no str per entry.
+
+    Sorted, the keys are the binary numerals of 0 ... 2^d - 1 whose first
+    digit is qubit 1, so the values in key order are the table with its
+    qubit axes reversed.  A pass lays up to ``_TABLE_ROWS`` entries out as
+    rows of one width: quote, the d key digits, quote, colon, then the
+    entry's repr and a comma, NUL-padded to the longest; dropping the NULs
+    leaves the entries' bytes in order.
+    """
+    depth = values.size.bit_length() - 1
+    ordered = np.asarray(values, dtype=np.float64).reshape((2,) * depth).transpose().reshape(-1)
+    reprs, which, lengths = _float_runs(ordered)
+    cells = np.array([r + "," for r in reprs], dtype=bytes)
+    index = np.repeat(which.astype(np.min_scalar_type(len(reprs))), lengths)
+    size = np.array([len(r) + 1 for r in reprs])[which] @ lengths + ordered.size * (depth + 3)
+    body = np.empty(1 + int(size), np.uint8)
+    rows = min(ordered.size, _TABLE_ROWS)
+    low = rows.bit_length() - 1  # the key digits that vary within a pass, the last ones
+    record = np.empty((rows, depth + 3 + cells.itemsize), np.uint8)
+    record[:, [0, depth + 1, depth + 2]] = np.frombuffer(b'"":', np.uint8)
+    record[:, depth + 1 - low : depth + 1] = _numerals(np.arange(rows), low)
+    cells = cells.view(np.uint8).reshape(len(reprs), -1)
+    gathered = np.empty((rows, cells.shape[1]), np.uint8)
+    body[0], at = ord("{"), 1
+    for start in range(0, ordered.size, rows):
+        record[:, 1 : depth + 1 - low] = _numerals(start >> low, depth - low)
+        record[:, depth + 3 :] = np.take(cells, index[start : start + rows], axis=0, out=gathered, mode="clip")
+        laid = record[record != 0]
+        body[at : at + laid.size] = laid
+        at += laid.size
+    body[-1] = ord("}")  # in place of the last comma
+    return str(body.data, "ascii")
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -88,20 +145,13 @@ def _write(obj: Any, out: list[str]) -> None:
         out.append(_float_repr(float(obj)))
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, BitTable):
+        out.append(_table_json(obj.values))
     elif isinstance(obj, dict):
         keys = sorted(obj)
         for key in keys:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-        if set(map(type, obj.values())) <= {float}:
-            # flat {str: float} tables: one join instead of one call per value
-            reprs = np.repeat(*_float_runs([obj[key] for key in keys])).tolist()
-            out.append(
-                "{"
-                + ",".join(encode_basestring_ascii(k) + ":" + r for k, r in zip(keys, reprs))
-                + "}"
-            )
-            return
         out.append("{")
         for i, key in enumerate(keys):
             if i:
@@ -117,8 +167,8 @@ def _write(obj: Any, out: list[str]) -> None:
             flat = set(map(type, obj)) <= {float}
         if flat:
             # flat float lists and arrays (sampler sidecars): one join over the runs
-            reprs, lengths = _float_runs(obj)
-            runs = ((r + ",") * (k - 1) + r for r, k in zip(reprs.tolist(), lengths.tolist()))
+            reprs, which, lengths = _float_runs(obj)
+            runs = ((reprs[i] + ",") * (k - 1) + reprs[i] for i, k in zip(which.tolist(), lengths.tolist()))
             out.append("[" + ",".join(runs) + "]")
             return
         out.append("[")

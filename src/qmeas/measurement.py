@@ -237,17 +237,24 @@ class MeasurementSystem:
         return product_vectors_dense(self.chosen_factors(bits, offset)[None])[0]
 
 
-def product_vectors_dense(factors: np.ndarray) -> np.ndarray:
+def product_vectors_dense(factors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Assemble dense product vectors, first factor varying fastest.
 
-    factors has shape (trials, n, 2); the result has shape (trials, 2**n).
+    factors has shape (trials, n, 2); the result has shape (trials, 2**n),
+    written into ``out`` when given, in whatever layout ``out`` has.  The
+    vectors double in place, one qubit at a time: the high half becomes
+    f1 * low, then the low half f0 * low, each factor multiplying in on the
+    left, as later qubits vary slower.
     """
     factors = np.asarray(factors, dtype=complex)
-    trials = factors.shape[0]
-    out = np.ones((trials, 1), dtype=complex)
-    for q in range(factors.shape[1]):
-        # later qubits vary slower, so they multiply in on the left
-        out = (factors[:, q, :, None] * out[:, None, :]).reshape(trials, -1)
+    trials, n = factors.shape[:2]
+    if out is None:
+        out = np.empty((trials, 1 << n), dtype=complex)
+    out[:, 0] = 1.0
+    for q in range(n):
+        low = out[:, : 1 << q]
+        np.multiply(factors[:, q, 1, None], low, out=out[:, 1 << q : 2 << q])
+        np.multiply(factors[:, q, 0, None], low, out=low)
     return out
 
 
@@ -376,14 +383,16 @@ def _premeasure_factored(state: FactoredState, system: MeasurementSystem, bits) 
     The order shows in the subnormal range.  When every factor is positive
     and the product still falls below the normal range, one
     ``NumericHealthWarning`` names the first block at which it did, by that
-    block's own size n, a cut block's included.
+    block's own size n, a cut block's included.  A corner-free block's
+    factor 2^-n counts as positive where it rounds to 0.0 (n > 1,074): it is
+    never truly 0.
     """
     columns = state.prefix_columns(len(bits))
     factors = clamp01(_string_measures(system, columns, np.array(bits, dtype=np.intp), 1)[:, 0], "block measure")
     # running products in block order, one rounded multiply each; the leading 1 puts block i at i + 1
     products = np.multiply.accumulate(np.concatenate([[1.0], factors]))
     value, tiny = float(products[-1]), np.flatnonzero(products < sys.float_info.min)
-    if tiny.size and np.all(factors > 0.0):
+    if tiny.size and np.all((factors > 0.0) | (columns.count == 0)):
         index = int(tiny[0]) - 1
         warnings.warn(
             f"premeasure underflows at block {index} (n={state.block(index).n}, offset {columns.offset[index]}): "

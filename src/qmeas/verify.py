@@ -19,6 +19,17 @@ the bound.  A sampled check holds when its worst margin stays above
 number of entries, keeping only running extremes, so a check's memory does
 not grow with its trial count; the chunked draws are bit for bit one whole
 draw from the same seed.
+
+The two dense checks, kron-pairing and the quadratic oracle, allocate their
+work arrays once per call and reuse them chunk by chunk, so their speed does
+not depend on what earlier work left in the allocator.  Product vectors are
+built entry-major, a (2^n, trials) C-ordered array that
+``product_vectors_dense`` fills through its transpose.  The oracle gathers
+its entries' rows and columns from it with ``np.take`` along axis 0 into
+(entries, trials) C-ordered arrays, the layout that ``vectors[:, rows]`` of
+trial-major vectors returns (Fortran-ordered), so summing over axis 0 adds
+each trial's terms one entry after another, in entry order, not pairwise:
+the same sums, bit for bit.
 """
 
 from __future__ import annotations
@@ -132,6 +143,11 @@ def _certificate(block: DensityBlock) -> tuple[bool, float, int, int]:
     return numerator >= 0, numerator / (n * q << 2 * n - 1), 2 * p * r, q << 2 * n
 
 
+def _front(work: np.ndarray, rows: int, columns: int) -> np.ndarray:
+    """The first rows x columns entries of the flat array ``work``, as a C-ordered matrix."""
+    return work[: rows * columns].reshape(rows, columns)
+
+
 def verify_kron_pairing(n: int = 8, trials: int = DEFAULT_TRIALS, seed: int = 0) -> LemmaReport:
     """Coordinate moduli of a product vector pair up into a constant product.
 
@@ -143,13 +159,21 @@ def verify_kron_pairing(n: int = 8, trials: int = DEFAULT_TRIALS, seed: int = 0)
     if not 1 <= n <= 12:
         raise BadQuery(f"pairing check is dense; need 1 <= n <= 12, got {n}")
     half = 1 << (n - 1)
+    chunks = _factor_chunks(seed, trials, n, 1 << n)
+    rows = min(trials, _rows(1 << n))
+    work, moduli, pairs = np.empty(rows << n, dtype=complex), np.empty(rows << n), np.empty(rows << (n - 1))
     worst = 0.0
-    for _, factors in _factor_chunks(seed, trials, n, 1 << n):
-        moduli = np.abs(product_vectors_dense(factors))
-        lhs = moduli[:, :half] * moduli[:, ::-1][:, :half]
+    for _, factors in chunks:
+        vectors = _front(work, 1 << n, len(factors))
+        product_vectors_dense(factors, out=vectors.T)
+        vectors = np.abs(vectors, out=_front(moduli, 1 << n, len(factors)))
+        # |V_k| |V_{2^n-k+1}| for k <= 2^(n-1): the first half against the reversed last half
+        lhs = np.multiply(vectors[:half], vectors[: half - 1 : -1], out=_front(pairs, half, len(factors)))
         rhs = np.prod(np.abs(factors[:, :, 0] * factors[:, :, 1]), axis=1)
-        denom = np.maximum(rhs, 1e-300)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs[:, None]) / denom[:, None])))
+        np.subtract(lhs, rhs, out=lhs)
+        np.abs(lhs, out=lhs)
+        np.divide(lhs, np.maximum(rhs, 1e-300), out=lhs)
+        worst = max(worst, float(np.max(lhs)))
     return LemmaReport(
         lemma_id="kron_pairing",
         trials=trials,
@@ -177,12 +201,17 @@ def verify_quadratic_bounds(n: int = 8, trials: int = DEFAULT_TRIALS, seed: int 
     holds, exact_margin, spread, scale = _certificate(block)
     lo = block.diag_value * (1.0 - 2.0 / n)
     hi = block.diag_value * (1.0 + 2.0 / n)
+    chunks = _factor_chunks(seed, trials, n, n)
     checked = min(trials, ORACLE_TRIALS) if n <= 10 else 0
     oracle_rows = _rows(1 << n)
     if checked:
+        # work arrays for the oracle's batches, entry-major (see the module docstring)
         _, rows, cols, entries = block.entries()
+        weights = entries.astype(complex)[:, None]
+        work = np.empty(min(checked, oracle_rows) << n, dtype=complex)
+        left, right = np.empty((2, len(entries) * min(checked, oracle_rows)), dtype=complex)
     margin, min_value, max_value, oracle_dev = math.inf, math.inf, -math.inf, 0.0
-    for start, factors in _factor_chunks(seed, trials, n, n):
+    for start, factors in chunks:
         values = block.diag_value + block.corner_value * 2.0 * np.real(
             paired_coordinate_sum(factors, block.corner_count)
         )
@@ -192,8 +221,13 @@ def verify_quadratic_bounds(n: int = 8, trials: int = DEFAULT_TRIALS, seed: int 
         stop = min(checked - start, len(values))
         for s in range(0, stop, oracle_rows):
             e = min(s + oracle_rows, stop)
-            dense = product_vectors_dense(factors[s:e])
-            direct = np.real(np.sum(dense[:, rows].conj() * entries * dense[:, cols], axis=1))
+            vectors = _front(work, 1 << n, e - s)
+            product_vectors_dense(factors[s:e], out=vectors.T)
+            terms = np.take(vectors, rows, axis=0, out=_front(left, len(rows), e - s), mode="clip")
+            np.conjugate(terms, out=terms)
+            np.multiply(terms, weights, out=terms)
+            np.multiply(terms, np.take(vectors, cols, axis=0, out=_front(right, *terms.shape), mode="clip"), out=terms)
+            direct = np.real(np.sum(terms, axis=0))
             oracle_dev = max(oracle_dev, float(np.max(np.abs(direct - values[s:e]))))
     params: dict = {
         "n": n,

@@ -5,7 +5,9 @@ collect it.  Standard and Hadamard block measures, premeasures, the witness
 test's tau, a span's trace and the bound checks' certificates are exact
 ``Fraction``s; a real basis's block measure is exact given its float
 factors.  The dense references build blocks corner by corner, prefixes as
-Kronecker chains and tables by einsum.
+Kronecker chains and tables by einsum.  A table's JSON is a dict of its
+bit-string keys through the generic writer, and the lemma checks' sampled
+figures come from fresh arrays at every step.
 """
 
 import functools
@@ -15,8 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qmeas.measurement import block_measure, clamp01
-from qmeas.states import eigenvalue_groups
+from qmeas.jsonio import canonical_dumps
+from qmeas.measurement import block_measure, clamp01, paired_coordinate_sum
+from qmeas.states import build_corner_block, eigenvalue_groups
+from qmeas.verify import random_product_factors
 
 
 @functools.cache  # a table's 2^depth premeasures share a few block values
@@ -208,3 +212,54 @@ def span_columns(span):
     kinds = {g.kind for g in span.groups}
     cols = [p.vector() for p in analytic_eigensystem(span.block) if p.kind in kinds]
     return np.stack(cols, axis=1).astype(complex)
+
+
+def table_keys(depth):
+    """Bit strings of all table indices, qubit 1 (the least significant bit) first."""
+    return ["".join("1" if i >> q & 1 else "0" for q in range(depth)) for i in range(1 << depth)]
+
+
+def dict_table_json(values):
+    """A table's canonical JSON as a dict {bit string: value} through the generic writer."""
+    values = np.asarray(values)
+    return canonical_dumps(dict(zip(table_keys(values.size.bit_length() - 1), values.tolist())))
+
+
+def outer_product_vectors(factors):
+    """Dense product vectors by one outer product per qubit, each a fresh array; qubit 1 fastest."""
+    out = np.ones((len(factors), 1), dtype=complex)
+    for q in range(factors.shape[1]):
+        out = (factors[:, q, :, None] * out[:, None, :]).reshape(len(factors), -1)
+    return out
+
+
+def fresh_kron_pairing_deviation(n, trials, seed):
+    """The pairing check's worst relative deviation over one whole draw, from fresh arrays."""
+    factors = random_product_factors(np.random.default_rng(seed), trials, n)
+    moduli = np.abs(outer_product_vectors(factors))
+    half = 1 << (n - 1)
+    lhs = moduli[:, :half] * moduli[:, ::-1][:, :half]
+    rhs = np.prod(np.abs(factors[:, :, 0] * factors[:, :, 1]), axis=1)
+    return float(np.max(np.abs(lhs - rhs[:, None]) / np.maximum(rhs, 1e-300)[:, None]))
+
+
+def fresh_quadratic_figures(n, trials, seed, batch, oracle_trials):
+    """The quadratic check's sampled figures over one whole draw, from fresh arrays.
+
+    The dense oracle runs over the first ``oracle_trials`` trials, ``batch``
+    at a time, as W^H d W summed over the block's entries, gathered trial by
+    entry, so the sum adds each trial's terms in entry order.  Returns the
+    worst margin, the extremes and the oracle's worst deviation.
+    """
+    block = build_corner_block(n)
+    factors = random_product_factors(np.random.default_rng(seed), trials, n)
+    values = block.diag_value + block.corner_value * 2.0 * np.real(paired_coordinate_sum(factors, block.corner_count))
+    lo, hi = block.diag_value * (1.0 - 2.0 / n), block.diag_value * (1.0 + 2.0 / n)
+    _, rows, cols, entries = block.entries()
+    deviation = 0.0
+    for s in range(0, oracle_trials, batch):
+        dense = outer_product_vectors(factors[s : s + batch])
+        direct = np.real(np.sum(dense[:, rows].conj() * entries * dense[:, cols], axis=1))
+        deviation = max(deviation, float(np.max(np.abs(direct - values[s : s + batch]))))
+    margin = min(float(np.min(values - lo)), float(np.min(hi - values)))
+    return margin, float(np.min(values)), float(np.max(values)), deviation

@@ -25,7 +25,7 @@ import pytest
 from qmeas.cli import main
 from qmeas.errors import BadQuery, MeasureZeroPrefix, NumericHealthWarning
 from qmeas.jsonio import canonical_dumps
-from qmeas import measurement
+from qmeas import jsonio, measurement
 from qmeas.measurement import (
     BitSample,
     MeasurementSystem,
@@ -38,7 +38,7 @@ from qmeas.measurement import (
 from qmeas.states import DensityBlock, FactoredState, build_corner_block
 
 from conftest import random_basis, random_unit_pair
-from exact import exact_real_measure, exact_real_sum, segments
+from exact import dict_table_json, exact_real_measure, exact_real_sum, segments
 
 # The witness state's block n=1076 starts at bit 578,340; its step 1075
 # would need a 1,076th halving of 1.0, past the smallest subnormal.
@@ -737,6 +737,13 @@ def test_premeasure_underflow_warns_once():
         assert value == per_block_premeasure(state, system, [0] * length) == 2.0**-length
         assert len(health) == 1
         assert str(health[0].message).startswith("premeasure underflows at block 40 (n=45, offset 980)")
+    # 578,340 zeros complete block 1,070 (n=1,075), whose factor 2^-1075 rounds to 0.0;
+    # a corner-free block's factor is never truly 0, so the warning still names block 40
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert premeasure(state, system, "0" * 578_340) == 0.0
+    health = [str(w.message) for w in caught if issubclass(w.category, NumericHealthWarning)]
+    assert health == [UNDERFLOW]
 
 
 # ---------------------------------------------------------------------------
@@ -756,6 +763,32 @@ def test_written_files_are_the_per_line_and_per_value_output(tmp_path):
         assert sample.bit_string() == text
     empty = BitSample(np.zeros(0, dtype=np.uint8), 0, "b", "s", np.ones(0))
     assert empty.bit_string() == ""
+
+
+@pytest.mark.parametrize("rows", [1, 8, jsonio._TABLE_ROWS])
+def test_bit_tables_match_the_dict_writer(monkeypatch, rng, rows):
+    """A ``BitTable`` is the dict {bit string: value} through the generic writer, byte for byte.
+
+    Tables of depths 0-12 hold runs of equal values, 0.0 next to -0.0,
+    subnormals down to 5e-324 and reprs of different lengths; ``rows``
+    entries per pass make one pass or many.
+    """
+    monkeypatch.setattr(jsonio, "_TABLE_ROWS", rows)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.5, 0.1, 1 / 3, 1.0, 1e300])
+    for depth in range(13):
+        size = 1 << depth
+        tables = [
+            rng.random(size),
+            np.repeat(rng.choice(special, size), rng.integers(1, 5, size))[:size],
+            rng.choice(special, size),
+            np.full(size, 0.125),
+            np.where(np.arange(size) % 2, 0.0, -0.0),
+        ]
+        for values in tables:
+            assert canonical_dumps(jsonio.BitTable(values)) == dict_table_json(values), depth
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            canonical_dumps({"table": jsonio.BitTable(np.array([0.5, 0.5, bad, 0.5]))})
 
 
 def test_flat_float_payloads_match_the_per_value_writer(rng):

@@ -31,7 +31,13 @@ from qmeas.verify import (
     verify_quadratic_bounds,
 )
 
-from exact import bound_certificate, family_tau
+from exact import (
+    bound_certificate,
+    family_tau,
+    fresh_kron_pairing_deviation,
+    fresh_quadratic_figures,
+    outer_product_vectors,
+)
 
 
 def test_random_factors_are_unit(rng):
@@ -425,6 +431,36 @@ def test_chunked_checks_are_the_whole_array_checks(check, n):
     for trials in trial_counts(n):
         for seed in (0, 3, 11):
             assert chunked(n=n, trials=trials, seed=seed) == whole(n, trials, seed), (trials, seed)
+
+
+def test_product_vectors_are_the_outer_products_bit_for_bit():
+    """In-place doubling, into a new array or through the transpose of an entry-major one."""
+    for seed in (0, 7):
+        for n in range(13):
+            for trials in (1, 3, 64):
+                factors = random_product_factors(np.random.default_rng(seed), trials, n)
+                expected = outer_product_vectors(factors).tobytes()
+                assert product_vectors_dense(factors).tobytes() == expected
+                entry_major = np.empty((1 << n, trials), dtype=complex)
+                product_vectors_dense(factors, out=entry_major.T)
+                assert entry_major.T.tobytes(order="C") == expected
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_dense_checks_reuse_work_arrays_bit_for_bit(n):
+    """The sampled figures of both dense checks are those of fresh arrays at every step.
+
+    65 trials leave a last oracle batch of one trial at n = 10, and 1,000 are the default.
+    """
+    for seed in (0, 7, 123):
+        for trials in (65, 1000):
+            report = verify_quadratic_bounds(n=n, trials=trials, seed=seed)
+            p = report.parameters
+            got = report.worst_margin, p["min_value"], p["max_value"], p["oracle_max_deviation"]
+            expected = fresh_quadratic_figures(n, trials, seed, _CHUNK_ENTRIES >> n, min(trials, ORACLE_TRIALS))
+            assert canonical_dumps(got) == canonical_dumps(expected), (trials, seed)
+            deviation = verify_kron_pairing(n=n, trials=trials, seed=seed).parameters["max_relative_deviation"]
+            assert canonical_dumps(deviation) == canonical_dumps(fresh_kron_pairing_deviation(n, trials, seed))
 
 
 @pytest.mark.parametrize("n", [10, 40, 50, 200, 1022])
