@@ -11,9 +11,11 @@ and of every file it writes or changes.  Stderr has the directory's path
 replaced by ``<dir>``, and the warnings the call raised follow it, one line
 each, as the CLI prints them.  The ``cut_block`` group holds calls whose
 strings, tables and checks end inside a block, the ``tables`` group whole
-premeasure tables up to depth 16 and the dense lemma cross-checks, and the
+premeasure tables up to depth 16 and the dense lemma cross-checks, the
 ``help`` group the help of the top level and of a command group, at 100
-columns.
+columns, the ``pinned`` group the calls whose stdout and files the tests
+once pinned by hand, and the ``sampler`` group the witness state's samples
+on a grid of lengths up to the first of measure zero, in each real basis.
 
 An entry whose bytes pass through BLAS or LAPACK, or through numpy's complex
 multiply, which may fuse its multiplies and adds, names why in
@@ -33,6 +35,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import platform
 import shlex
 import sys
@@ -44,9 +47,11 @@ import numpy as np
 
 from qmeas.cli import main
 from qmeas.config import DENSE_CAP_ENV
+from qmeas.measurement import MeasurementSystem
 
 import test_cli
 import test_reach
+import test_sampler
 from test_readme import cookbook_documents, run_cookbook
 
 CORPUS = Path(__file__).resolve().parent / "corpus.json"
@@ -255,6 +260,105 @@ def _help() -> tuple[dict, list[dict]]:
     return {}, [record_call(argv, {}, env={"COLUMNS": "100"})[0] for argv in (["--help"], ["verify", "--help"])]
 
 
+ROTATION = {"kind": "rotation", "theta": [0.41, 0.93, 1.17, 0.62, 0.85]}
+
+
+def _lift_mlt() -> dict:
+    rng = random.Random(20240817)
+    prefixes = sorted({format(x, "010b") for x in rng.sample(range(1 << 10), 512)})
+    return {"levels": {"1": {"10": prefixes}}}
+
+
+# stdout calls of lifts, evaluations, witness reports, state checks and tables, by name
+PINNED_CALLS = {
+    "factored14": ["measure", "--basis", "hadamard", "--tau-depth", "14", "--path", "factored"],
+    "rotation10": ["measure", "--basis", "rot.json", "--tau-depth", "10", "--additivity"],
+    "lift": ["qmlt", "lift", "--mlt", "gen.json", "--basis", "hadamard", "--state", "paper-rho"],
+    "lift_mixed": ["qmlt", "lift", "--mlt", "gen.json", "--basis", "hadamard", "--state", "mixed"],
+    "lift_empty_stage": ["qmlt", "lift", "--mlt", "empty_stage.json", "--state", "paper-rho"],
+    "lift_empty_level": ["qmlt", "lift", "--mlt", "empty_level.json", "--state", "paper-rho"],
+    "eval_mixed": ["qmlt", "eval", "--mlt", "gen.json", "--basis", "hadamard", "--state", "mixed"],
+    "state11": ["state", "--paper-rho", "--check-depth", "11", "--eigen", "5"],
+    "state8": ["state", "--paper-rho", "--check-depth", "8", "--eigen", "5"],
+    "state11_mixed": ["state", "--mixed", "--check-depth", "11"],
+    "witness3": ["qmlt", "witness", "--m", "3"],
+    "witness3_mixed": ["qmlt", "eval", "--witness", "3", "--state", "mixed"],
+    "family30": ["verify", "family", "--canonical", "30"],
+}
+
+# the dense tables of rho_11, contracted from its entries
+DENSE_TABLE_RUNS = {
+    "oracle-compare": ["measure", "--state", "paper-rho", "--basis", "hadamard", "--oracle-compare", "--depth", "11"],
+    "path-dense": [
+        "measure", "--state", "paper-rho", "--basis", "hadamard", "--path", "dense", "--tau-depth", "11", "--additivity",
+    ],
+}
+
+
+def pinned_invocations() -> list[list[str]]:
+    """``PINNED_CALLS``; 100,000-bit samples in three bases, each written to s.*, then to h.*
+    and r.* as well, and the battery over h, s and r; then ``DENSE_TABLE_RUNS``."""
+    sample = ["sample", "--bits", "100000", "--basis"]
+    runs = list(PINNED_CALLS.values())
+    runs += [sample + [basis, "--out-prefix", "s"] for basis in ("hadamard", "rot.json", "standard")]
+    runs += [sample + ["hadamard", "--out-prefix", "h"], sample + ["rot.json", "--out-prefix", "r"]]
+    runs.append(["battery", "h.bits", "s.bits", "r.bits", "--aggregate"])
+    return runs + list(DENSE_TABLE_RUNS.values())
+
+
+def _pinned() -> tuple[dict, list[dict]]:
+    documents = {
+        "rot.json": json.dumps(ROTATION),
+        "gen.json": json.dumps(_lift_mlt()),
+        "empty_stage.json": json.dumps({"levels": {"1": {"2": []}}}),
+        "empty_level.json": json.dumps({"levels": {"1": {}}}),
+    }
+    for name, text in documents.items():
+        Path(name).write_text(text, encoding="ascii")
+    return documents, [record_call(argv, documents)[0] for argv in pinned_invocations()]
+
+
+# test_sampler.systems()'s real bases by the --basis each is read from
+SAMPLER_BASES = {"hadamard": "hadamard", "real-explicit": "real-explicit.json", "rotation": "rot.json", "standard": "standard"}
+
+
+def sampler_invocations() -> list[list[str]]:
+    """The witness state's samples, written to s.*, for each real basis and ``SAMPLER_GRID`` case."""
+    return [
+        ["sample", "--bits", str(length), "--seed", str(seed), "--basis", SAMPLER_BASES[kind], "--out-prefix", "s"]
+        for kind in test_sampler.REAL_BASES
+        for length, seed in test_sampler.SAMPLER_GRID
+    ]
+
+
+def _sampler() -> tuple[dict, list[dict]]:
+    """Each call's files are removed after it, so the next call's are new, whatever their size and time.
+
+    The basis documents are ``test_sampler.systems()``'s, whose floats JSON
+    writes as reprs that read back exactly: the same basis tables, bit for bit.
+    """
+    pairs = test_sampler.real_pairs(np.random.default_rng(11), 3)
+    documents = {
+        "rot.json": ROTATION,
+        "real-explicit.json": {"kind": "explicit", "pairs": [[[[x, 0.0] for x in b] for b in pair] for pair in pairs]},
+    }
+    systems = test_sampler.systems()
+    for kind, token in SAMPLER_BASES.items():
+        if token in documents:
+            read = MeasurementSystem.from_spec(json.loads(json.dumps(documents[token])))
+            assert read.label == systems[kind].label
+            assert all(read.basis_at(q).tobytes() == systems[kind].basis_at(q).tobytes() for q in range(1, 6)), kind
+    documents = {name: json.dumps(doc) for name, doc in documents.items()}
+    for name, text in documents.items():
+        Path(name).write_text(text, encoding="ascii")
+    entries = []
+    for argv in sampler_invocations():
+        entries.append(record_call(argv, documents)[0])
+        for name in entries[-1]["digests"]["files"]:
+            Path(name).unlink()
+    return documents, entries
+
+
 GROUPS = {
     "cookbook": _cookbook,
     "bad_input": _bad_inputs,
@@ -262,6 +366,8 @@ GROUPS = {
     "cut_block": _cut_blocks,
     "tables": _tables,
     "help": _help,
+    "pinned": _pinned,
+    "sampler": _sampler,
 }
 
 
