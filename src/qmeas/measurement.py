@@ -241,15 +241,17 @@ def product_vectors_dense(factors: np.ndarray, out: np.ndarray | None = None) ->
     """Assemble dense product vectors, first factor varying fastest.
 
     factors has shape (trials, n, 2); the result has shape (trials, 2**n),
-    written into ``out`` when given, in whatever layout ``out`` has.  The
-    vectors double in place, one qubit at a time: the high half becomes
-    f1 * low, then the low half f0 * low, each factor multiplying in on the
-    left, as later qubits vary slower.
+    written into ``out`` when given, in whatever layout ``out`` has, and by
+    default into the transpose of an entry-major (2**n, trials) array, whose
+    half rows numpy multiplies without buffering them.  The vectors double
+    in place, one qubit at a time: the high half becomes f1 * low, then the
+    low half f0 * low, each factor multiplying in on the left, as later
+    qubits vary slower.
     """
     factors = np.asarray(factors, dtype=complex)
     trials, n = factors.shape[:2]
     if out is None:
-        out = np.empty((trials, 1 << n), dtype=complex)
+        out = np.empty((1 << n, trials), dtype=complex).T
     out[:, 0] = 1.0
     for q in range(n):
         low = out[:, : 1 << q]

@@ -1,5 +1,6 @@
-"""The CLI byte corpus: what every README cookbook call, every bad-input row of
-``test_cli.py`` and every call of the reach probe's matrix prints and writes.
+"""The CLI byte corpus, the tests' one record of the bytes CLI calls print and
+write: every README cookbook call, every bad-input row of ``test_cli.py``,
+every call of the reach probe's matrix and the groups named below.
 
 ``corpus.json`` holds the fingerprint of the machine that wrote it (Python,
 numpy and ``platform.machine()``) and one list of entries per group.  A
@@ -14,8 +15,10 @@ strings, tables and checks end inside a block, the ``tables`` group whole
 premeasure tables up to depth 16 and the dense lemma cross-checks, the
 ``help`` group the help of the top level and of a command group, at 100
 columns, the ``pinned`` group the calls whose stdout and files the tests
-once pinned by hand, and the ``sampler`` group the witness state's samples
-on a grid of lengths up to the first of measure zero, in each real basis.
+once pinned by hand, the ``sampler`` group the witness state's samples on a
+grid of lengths up to the first of measure zero, in each real basis, and at
+every length through block 17, and the ``options`` group one call for each
+option that no other group passes.
 
 An entry whose bytes pass through BLAS or LAPACK, or through numpy's complex
 multiply, which may fuse its multiplies and adds, names why in
@@ -318,16 +321,34 @@ def _pinned() -> tuple[dict, list[dict]]:
     return documents, [record_call(argv, documents)[0] for argv in pinned_invocations()]
 
 
+# (length, seed): 9 ends inside block n=6, block 1018 (n=1023, offset 522,743) has the
+# first subnormal measure, and LONGEST + 1 is the first length of measure zero
+SAMPLER_GRID = [
+    (n, seed)
+    for n in [0, 1, 5, 6, 9, 1000, 100_000, 522_742, 522_743, test_sampler.BLOCK_1023_END]
+    + [test_sampler.LONGEST, test_sampler.LONGEST + 1]
+    for seed in ((0, 1, 7) if n <= 100_000 else (0, 5))
+]
+
 # test_sampler.systems()'s real bases by the --basis each is read from
-SAMPLER_BASES = {"hadamard": "hadamard", "real-explicit": "real-explicit.json", "rotation": "rot.json", "standard": "standard"}
+SAMPLER_BASES = {
+    "hadamard": "hadamard", "real-explicit": "real-explicit.json", "rotation": "rot.json", "standard": "standard",
+}
 
 
 def sampler_invocations() -> list[list[str]]:
-    """The witness state's samples, written to s.*, for each real basis and ``SAMPLER_GRID`` case."""
-    return [
+    """The witness state's samples, written to s.*, for each real basis and ``SAMPLER_GRID`` case;
+    then its Hadamard samples on stdout at seed 0 of every length from 0 to 130 (blocks of sizes
+    5 to 16 complete, block 17 cut) and of 578,340 bits, the end of block 1,070, the last block
+    before the first of measure zero."""
+    runs = [
         ["sample", "--bits", str(length), "--seed", str(seed), "--basis", SAMPLER_BASES[kind], "--out-prefix", "s"]
         for kind in test_sampler.REAL_BASES
-        for length, seed in test_sampler.SAMPLER_GRID
+        for length, seed in SAMPLER_GRID
+    ]
+    return runs + [
+        ["sample", "--bits", str(length), "--seed", "0", "--basis", "hadamard"]
+        for length in [*range(131), test_sampler.SUBNORMAL_EDGE]
     ]
 
 
@@ -359,6 +380,22 @@ def _sampler() -> tuple[dict, list[dict]]:
     return documents, entries
 
 
+# an option that no other group passes, once each
+OPTION_CALLS = [
+    ["qmlt", "witness", "--m", "3", "--budget", "35"],
+    ["qmlt", "witness", "--m", "2", "--delta", "0.25"],
+    ["qmlt", "lift", "--mlt", "test.json", "--basis", "hadamard", "--state", "paper-rho", "--delta", "0.25"],
+    ["qmlt", "eval", "--lifted", "test.json", "--basis", "hadamard", "--state", "mixed"],
+    ["qmlt", "eval", "--witness", "3", "--budget", "35", "--state", "mixed"],
+]
+
+
+def _options() -> tuple[dict, list[dict]]:
+    documents = {"test.json": json.dumps(test_reach.DOCUMENTS["test.json"])}
+    Path("test.json").write_text(documents["test.json"], encoding="ascii")
+    return documents, [record_call(argv, documents)[0] for argv in OPTION_CALLS]
+
+
 GROUPS = {
     "cookbook": _cookbook,
     "bad_input": _bad_inputs,
@@ -368,17 +405,24 @@ GROUPS = {
     "help": _help,
     "pinned": _pinned,
     "sampler": _sampler,
+    "options": _options,
 }
 
 
-def record(directory: Path) -> dict:
-    """Run every group in its own fresh subdirectory of ``directory``; return the corpus."""
+def stdout_digest(group: str, argv) -> str:
+    """The recorded stdout digest of ``argv`` in ``group``."""
+    (entry,) = [e for e in load()["groups"][group]["entries"] if e["id"] == shlex.join(argv)]
+    return entry["digests"]["stdout"]
+
+
+def record(directory: Path, names=tuple(GROUPS)) -> dict:
+    """Run each named group in its own fresh subdirectory of ``directory``; return the corpus."""
     groups, home = {}, os.getcwd()
-    for name, run in GROUPS.items():
+    for name in names:
         (directory / name).mkdir()
         os.chdir(directory / name)
         try:
-            documents, entries = run()
+            documents, entries = GROUPS[name]()
         finally:
             os.chdir(home)
         ids = [e["id"] for e in entries]

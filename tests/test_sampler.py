@@ -5,13 +5,12 @@ loop, the per-block premeasure product and the per-value JSON writer live on
 here as oracles.  The rewrite must reproduce them byte for byte: the same
 bits, the same conditionals, the same paired sums, batched or not, the same
 premeasures, and the same error at the first prefix of measure zero.  On
-real bases the sampler's output over a grid of lengths and seeds, warnings
-included, is pinned by digests of the padded walk it replaced.  Real pair
-factors take the closed form r * prod(f0), which is also held to its exact
-``Fraction`` value.
+real bases the sampler's files, errors and warnings over a grid of lengths
+and seeds are recorded in the CLI byte corpus (its ``sampler`` group).
+Real pair factors take the closed form r * prod(f0), which is also held to
+its exact ``Fraction`` value.
 """
 
-import hashlib
 import json
 import math
 import sys
@@ -513,52 +512,6 @@ def uneven_state():
         for i, n in enumerate(sizes)
     ]
     return FactoredState(blocks[:5] + [DensityBlock(4, 0, 0.0)] + blocks[5:] + [DensityBlock(1, 0, 0.0)])
-
-
-# 9 ends inside block n=6; block 1018 (n=1023, offset 522,743) has the first
-# subnormal measure, and LONGEST + 1 is the first length of measure zero
-SEGMENTED_LENGTHS = [0, 1, 5, 6, 9, 1000, 100_000, 522_742, 522_743, BLOCK_1023_END, LONGEST, LONGEST + 1]
-SAMPLER_GRID = [(n, seed) for n in SEGMENTED_LENGTHS for seed in ((0, 1, 7) if n <= 100_000 else (0, 5))]
-
-# sample_digest of each SAMPLER_GRID case in order, as written by the padded walk
-# that read every basis's blocks as padded groups of rows (recorded at commit 2dd40d8)
-PADDED_WALK_DIGESTS = {
-    "hadamard": """374708ff 374708ff 374708ff ae14dad5 ae14dad5 ae14dad5 aff9d387 4271cd46 0e81102d 62850b5d
-        7ab59ab7 aef28795 3e2af36a 1022e9fa 2d115cc3 7d0ec246 94e77a06 074a9c20 363c5d80 7ef79859 a774b2b6
-        e1e24e95 cd1c675b 380d97d9 2220322d 70422441 3acb6cc2 54ce8c74 c9366a64 f1e87793 f1e87793""".split(),
-    "real-explicit": """374708ff 374708ff 374708ff ae14dad5 ae14dad5 ae14dad5 8eb48a81 4e14495b dd8d52f0 947fda99
-        75f09acd fcf5b9ae a9c8f0db 5ef7ea29 7c91503f 85f63204 96d62195 0ded9887 8903b22e 2c8ea9e1 eb8f8144
-        37a82e7a 83c627d7 426975a4 fc22e770 8feb97ab 4e9ef589 f4979c65 6af96749 f1e87793 f1e87793""".split(),
-    "rotation": """374708ff 374708ff 374708ff ae14dad5 ae14dad5 ae14dad5 f569273a 429083e3 0d135c32 55824145
-        45a8b9e5 ed792f8c a6c99323 ffe1b399 608869fb 891a420a 1f1e9bb9 11b0519b beef41a0 8fadf350 52a51adc
-        38669efe 059dc144 25821202 4ed79c71 64a910f6 6cb4006c 7613c1db b7cfaa1e f1e87793 f1e87793""".split(),
-    "standard": """374708ff 374708ff 374708ff ae14dad5 ae14dad5 ae14dad5 e5ccf685 0b614a74 731e2215 a91d515b
-        34340eb8 640b1c28 8de39817 4bbb370e 5d10adb0 f7f3b4c4 a995da9b 3f912442 54bee0b6 93671b01 b52ee7c9
-        8a73ee57 9fad4c5d 2fb5b590 0e4c0480 2f0797cb 5b93c812 3a6baa5c 0a6f05dd f1e87793 f1e87793""".split(),
-}
-
-
-def sample_digest(system, length, seed):
-    """8 hex digits of the sha256 of a witness-state sample, or its error, and its warnings."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            sample = sample_bits(FactoredState.witness_state(), system, length, seed)
-            parts = [sample.bits.tobytes(), sample.conditional_probs.tobytes()]
-        except MeasureZeroPrefix as exc:
-            parts = [str(exc).encode()]
-    parts += [f"{w.category.__name__}: {w.message}".encode() for w in caught]
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(len(part).to_bytes(8, "little") + part)
-    return digest.hexdigest()[:8]
-
-
-@pytest.mark.parametrize("kind", REAL_BASES)
-def test_real_sampling_is_the_padded_walk(kind):
-    system = systems()[kind]
-    got = [sample_digest(system, length, seed) for length, seed in SAMPLER_GRID]
-    assert dict(zip(SAMPLER_GRID, got)) == dict(zip(SAMPLER_GRID, PADDED_WALK_DIGESTS[kind]))
 
 
 def test_only_complex_bases_walk(monkeypatch):

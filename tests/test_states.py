@@ -25,6 +25,7 @@ from qmeas.states import (
     prefix_entries,
 )
 
+import corpus
 from exact import analytic_eigensystem, dense_block, kron_chain_prefix
 
 
@@ -357,30 +358,20 @@ def test_state_checks_build_no_dense_prefix(monkeypatch, capsys):
     assert report["coherence"]["ok"] and report["density"]["ok"]
 
 
-# each command's stdout as it was when the dense table built rho_11 and contracted it by einsum
-DENSE_TABLE_RUNS = {
-    "oracle-compare": (
-        ["measure", "--state", "paper-rho", "--basis", "hadamard", "--oracle-compare", "--depth", "11"],
-        "a76a445362864af7996f1e8a4c99bc85ccb40db87d4ff1eac8c9a5e644575b7d",
-    ),
-    "path-dense": (
-        ["measure", "--state", "paper-rho", "--basis", "hadamard", "--path", "dense", "--tau-depth", "11", "--additivity"],
-        "4ed4808a064bcec793986b05e24613dfae6956fad4b5ec3dc1a8f9482abfa286",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(DENSE_TABLE_RUNS))
+@pytest.mark.parametrize("name", sorted(corpus.DENSE_TABLE_RUNS))
 def test_dense_tables_build_no_dense_prefix(monkeypatch, capsys, name):
+    """Each prints the stdout the corpus records, as when the dense table built rho_11 and
+    contracted it by einsum."""
+
     def refuse(*args, **kwargs):
         raise AssertionError("a dense prefix, a Kronecker product or an einsum was used")
 
     monkeypatch.setattr(states, "prefix_density", refuse)
     monkeypatch.setattr(matrixcore, "kron", refuse)
     monkeypatch.setattr(np, "einsum", refuse)
-    argv, digest = DENSE_TABLE_RUNS[name]
+    argv = corpus.DENSE_TABLE_RUNS[name]
     assert main(argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == corpus.stdout_digest("pinned", argv)
 
 
 def test_coherence_of_a_factored_state_builds_no_matrix(monkeypatch):
