@@ -309,7 +309,8 @@ def pinned_invocations() -> list[list[str]]:
     return runs + list(DENSE_TABLE_RUNS.values())
 
 
-def _pinned() -> tuple[dict, list[dict]]:
+def _pinned(argvs=None) -> tuple[dict, list[dict]]:
+    """``argvs`` (default ``pinned_invocations()``) run in order."""
     documents = {
         "rot.json": json.dumps(ROTATION),
         "gen.json": json.dumps(_lift_mlt()),
@@ -318,7 +319,7 @@ def _pinned() -> tuple[dict, list[dict]]:
     }
     for name, text in documents.items():
         Path(name).write_text(text, encoding="ascii")
-    return documents, [record_call(argv, documents)[0] for argv in pinned_invocations()]
+    return documents, [record_call(argv, documents)[0] for argv in argvs or pinned_invocations()]
 
 
 # (length, seed): 9 ends inside block n=6, block 1018 (n=1023, offset 522,743) has the
@@ -352,8 +353,10 @@ def sampler_invocations() -> list[list[str]]:
     ]
 
 
-def _sampler() -> tuple[dict, list[dict]]:
-    """Each call's files are removed after it, so the next call's are new, whatever their size and time.
+def _sampler(argvs=None) -> tuple[dict, list[dict]]:
+    """``argvs`` (default ``sampler_invocations()``) run in order.
+
+    Each call's files are removed after it, so the next call's are new, whatever their size and time.
 
     The basis documents are ``test_sampler.systems()``'s, whose floats JSON
     writes as reprs that read back exactly: the same basis tables, bit for bit.
@@ -373,7 +376,7 @@ def _sampler() -> tuple[dict, list[dict]]:
     for name, text in documents.items():
         Path(name).write_text(text, encoding="ascii")
     entries = []
-    for argv in sampler_invocations():
+    for argv in argvs or sampler_invocations():
         entries.append(record_call(argv, documents)[0])
         for name in entries[-1]["digests"]["files"]:
             Path(name).unlink()
@@ -409,22 +412,41 @@ GROUPS = {
 }
 
 
+def entry(group: str, argv) -> dict:
+    """The recorded entry of ``argv`` in ``group``."""
+    (found,) = [e for e in load()["groups"][group]["entries"] if e["id"] == shlex.join(argv)]
+    return found
+
+
 def stdout_digest(group: str, argv) -> str:
     """The recorded stdout digest of ``argv`` in ``group``."""
-    (entry,) = [e for e in load()["groups"][group]["entries"] if e["id"] == shlex.join(argv)]
-    return entry["digests"]["stdout"]
+    return entry(group, argv)["digests"]["stdout"]
+
+
+@contextlib.contextmanager
+def _working(directory: Path):
+    home = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(home)
+
+
+def replay(group: str, argvs, directory: Path) -> list[dict]:
+    """The entries of ``argvs``, calls of the ``pinned`` or ``sampler`` group, run in order
+    in the fresh ``directory`` as the group runs them, with the group's documents."""
+    with _working(directory):
+        return GROUPS[group](argvs)[1]
 
 
 def record(directory: Path, names=tuple(GROUPS)) -> dict:
     """Run each named group in its own fresh subdirectory of ``directory``; return the corpus."""
-    groups, home = {}, os.getcwd()
+    groups = {}
     for name in names:
         (directory / name).mkdir()
-        os.chdir(directory / name)
-        try:
+        with _working(directory / name):
             documents, entries = GROUPS[name]()
-        finally:
-            os.chdir(home)
         ids = [e["id"] for e in entries]
         assert len(set(ids)) == len(ids), f"{name}: two calls share an id"
         groups[name] = {"documents": documents, "entries": entries}

@@ -514,6 +514,19 @@ def uneven_state():
     return FactoredState(blocks[:5] + [DensityBlock(4, 0, 0.0)] + blocks[5:] + [DensityBlock(1, 0, 0.0)])
 
 
+@pytest.mark.parametrize("kind", REAL_BASES)
+def test_real_sampling_is_the_padded_walk(kind, tmp_path):
+    """The sampler's files, errors and warnings in one real basis over the corpus's ``SAMPLER_GRID``
+    are the bytes its ``sampler`` group records, which the padded walk that read every basis's
+    blocks as padded groups of rows wrote before it was retired."""
+    import corpus  # corpus builds its grid from this module's constants
+
+    basis = corpus.SAMPLER_BASES[kind]
+    argvs = [argv for argv in corpus.sampler_invocations() if "--out-prefix" in argv and argv[argv.index("--basis") + 1] == basis]
+    assert len(argvs) == len(corpus.SAMPLER_GRID)
+    assert corpus.replay("sampler", argvs, tmp_path) == [corpus.entry("sampler", argv) for argv in argvs]
+
+
 def test_only_complex_bases_walk(monkeypatch):
     walked = []
     walk = measurement._walk_groups
